@@ -420,6 +420,46 @@ def ui_degree(v: BasisVector, n: int) -> int:
     return degree(v)
 
 
+def _composable_triples(module: UiBimodule) -> list[tuple]:
+    """Every composable basis triple for the associativity checks.
+
+    ("ll", y1, y2, v) for y1 (y2 v), ("rr", v, y1, y2) for (v y1) y2 and
+    ("lr", y1, v, y2) for (y1 v) y2.  The order is that of a scan over
+    ring.basis for y1, then ring.basis for y2 with the module basis
+    innermost ("ll" before "rr" for the same v), then the "lr" triples
+    of y1; the seeded sample in verify_bimodule_axioms depends on it.
+    Row and column indexes of the two bases replace the all-pairs scan.
+    """
+    ring = module.ring
+    ring_by_row: dict[Matching, list[BasisVector]] = {}
+    for y in ring.basis:
+        ring_by_row.setdefault(y.row, []).append(y)
+    module_by_row: dict[Matching, list[BasisVector]] = {}
+    for v in module.basis:
+        module_by_row.setdefault(v.row, []).append(v)
+    # per (c, d): module vectors in row c or column d, in basis order,
+    # each with the two tests v.row == c and v.col == d
+    row_or_col: dict[tuple[Matching, Matching], list[tuple]] = {}
+
+    triples = []
+    for y1 in ring.basis:
+        for y2 in ring_by_row.get(y1.col, ()):
+            key = (y2.col, y1.row)
+            if key not in row_or_col:
+                c, d = key
+                tagged = [(v, v.row == c, v.col == d) for v in module.basis]
+                row_or_col[key] = [t for t in tagged if t[1] or t[2]]
+            for v, in_row, in_col in row_or_col[key]:
+                if in_row:
+                    triples.append(("ll", y1, y2, v))
+                if in_col:
+                    triples.append(("rr", v, y1, y2))
+        for v in module_by_row.get(y1.col, ()):
+            for y2 in ring_by_row.get(v.col, ()):
+                triples.append(("lr", y1, v, y2))
+    return triples
+
+
 def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) -> bool:
     """Associativity and unit laws for the two actions, on basis triples.
 
@@ -437,21 +477,7 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     def as_ring(v):
         return RingElement(n, {v: 1})
 
-    triples = []
-    for y1 in ring.basis:
-        for y2 in ring.basis:
-            if y1.col != y2.row:
-                continue
-            for v in module.basis:
-                if y2.col == v.row:
-                    triples.append(("ll", y1, y2, v))
-                if v.col == y1.row:
-                    triples.append(("rr", v, y1, y2))
-        for v in module.basis:
-            if y1.col == v.row:
-                for y2 in ring.basis:
-                    if v.col == y2.row:
-                        triples.append(("lr", y1, v, y2))
+    triples = _composable_triples(module)
     rng = random.Random(seed)
     if len(triples) > samples:
         triples = rng.sample(triples, samples)

@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring, label_words
 from .combinatorics import (
@@ -54,11 +55,15 @@ def diagonal_coordinates(n: int) -> list[tuple[Matching, str]]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _diagonal_positions(n: int) -> dict[tuple[Matching, str], int]:
+    return {key: i for i, key in enumerate(diagonal_coordinates(n))}
+
+
 def diagonal_vector(z: RingElement) -> list[int]:
     """Coordinates of a diagonal element in the canonical order."""
-    coords = diagonal_coordinates(z.n)
-    pos = {key: i for i, key in enumerate(coords)}
-    v = [0] * len(coords)
+    pos = _diagonal_positions(z.n)
+    v = [0] * len(pos)
     for bv, c in z.terms.items():
         if bv.row != bv.col:
             raise ValueError("element is not supported on the diagonal blocks")
@@ -73,17 +78,24 @@ class CenterBasis:
     n: int
     elements: list[RingElement]
     graded_ranks: dict[int, int]
+    _lattice: IntMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.elements)
 
     def lattice_matrix(self) -> IntMatrix:
-        """Columns are the basis elements in canonical diagonal coordinates."""
-        return IntMatrix.from_columns(
-            [diagonal_vector(z) for z in self.elements],
-            rows=len(diagonal_coordinates(self.n)),
-        )
+        """Columns are the basis elements in canonical diagonal coordinates.
+
+        Built once and shared by every caller, so solves against it
+        reuse one factorization; do not mutate it.
+        """
+        if self._lattice is None:
+            self._lattice = IntMatrix.from_columns(
+                [diagonal_vector(z) for z in self.elements],
+                rows=len(_diagonal_positions(self.n)),
+            )
+        return self._lattice
 
 
 def center_basis(n: int, ring: ArcRing | None = None) -> CenterBasis:
@@ -201,7 +213,6 @@ class CenterPresentation:
     admissible: list[tuple[int, ...]]
     products: list[RingElement]
     matrix: IntMatrix
-    _solve_cache: dict = field(default_factory=dict, repr=False)
 
     def center_coords(self, z: RingElement) -> list[int]:
         """Coordinates of a central element in the center basis."""

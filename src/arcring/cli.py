@@ -97,8 +97,8 @@ def check_springer(n: int) -> dict:
     return report
 
 
-def check_iso(n: int) -> dict:
-    return verify_presentation_iso(n)
+def check_iso(n: int, seed: int) -> dict:
+    return verify_presentation_iso(n, seed=seed)
 
 
 def check_homotopy(n: int) -> dict:
@@ -109,8 +109,8 @@ def check_homotopy(n: int) -> dict:
     }
 
 
-def check_symmetric(n: int) -> dict:
-    return verify_symmetric_action(n)
+def check_symmetric(n: int, seed: int) -> dict:
+    return verify_symmetric_action(n, seed=seed)
 
 
 def run_checks(n: int, which: list[str], seed: int) -> dict:
@@ -125,11 +125,11 @@ def run_checks(n: int, which: list[str], seed: int) -> dict:
         elif name == "springer":
             results["checks"][name] = check_springer(n)
         elif name == "iso":
-            results["checks"][name] = check_iso(n)
+            results["checks"][name] = check_iso(n, seed)
         elif name == "homotopy":
             results["checks"][name] = check_homotopy(n)
         elif name == "symmetric":
-            results["checks"][name] = check_symmetric(n)
+            results["checks"][name] = check_symmetric(n, seed)
     results["passed"] = all(c["passed"] for c in results["checks"].values())
     return results
 

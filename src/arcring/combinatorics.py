@@ -171,6 +171,9 @@ def distance(a: Matching, b: Matching) -> int:
 def enumerate_matchings(n: int) -> list[Matching]:
     """All crossingless matchings of 1..2n, lexicographically sorted.
 
+    Enumerated once per n; each call returns a fresh list, which the
+    caller may reorder or mutate.
+
     >>> [m.pairs for m in enumerate_matchings(2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     >>> len(enumerate_matchings(4))
@@ -178,7 +181,11 @@ def enumerate_matchings(n: int) -> list[Matching]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return list(_matchings(n))
 
+
+@lru_cache(maxsize=None)
+def _matchings(n: int) -> tuple[Matching, ...]:
     def rec(points: tuple[int, ...]) -> list[tuple[Pair, ...]]:
         if not points:
             return [()]
@@ -198,7 +205,7 @@ def enumerate_matchings(n: int) -> list[Matching]:
     found.sort()
     if len(found) != catalan(n):
         raise InvariantError(f"enumerated {len(found)} matchings, expected {catalan(n)}")
-    return found
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

@@ -6,15 +6,26 @@ bases, ranks, membership of a vector in the integer span of columns, and
 equality of column-span lattices.  Pivots are always chosen with the
 smallest nonzero magnitude, which keeps intermediate entries small on
 the sparse, tiny-entry matrices this package produces.
+
+A matrix factors itself once: the first solve_in_column_span against
+it stores the Hermite factorization of its transpose on the matrix, and
+every later solve against the same instance reuses it.  A matrix must
+therefore not be mutated after it has been solved against; copy() gives
+a fresh matrix with no stored factorization.
 """
 
 from __future__ import annotations
 
 
 class IntMatrix:
-    """A dense integer matrix.  Treated as immutable by convention."""
+    """A dense integer matrix.  Treated as immutable by convention.
 
-    __slots__ = ("rows", "cols", "data")
+    The first solve_in_column_span against a matrix caches the Hermite
+    factorization of its transpose in _span_factors, so the matrix must
+    not be mutated after that; copy() starts with an empty cache.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_span_factors")
 
     def __init__(self, data, cols: int | None = None):
         data = [list(map(int, row)) for row in data]
@@ -27,6 +38,7 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self.data = data
+        self._span_factors = None
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -294,29 +306,44 @@ def invariant_factors(M: IntMatrix) -> list[int]:
     return out
 
 
+def _span_factors(M: IntMatrix) -> tuple[list, list[list[int]]]:
+    """Pivot rows of HNF(M^T) and the transform U, computed once per matrix.
+
+    Returns (pivots, U) where pivots lists (pivot column, nonzero
+    entries of the row) for each nonzero row of H = U @ M^T, in order.
+    """
+    if M._span_factors is None:
+        h, u = hermite_normal_form(M.transpose())
+        pivots = []
+        for row in h.data:
+            entries = [(j, x) for j, x in enumerate(row) if x]
+            if not entries:
+                break
+            pivots.append((entries[0][0], entries))
+        M._span_factors = (pivots, u.data)
+    return M._span_factors
+
+
 def solve_in_column_span(M: IntMatrix, target) -> list[int] | None:
     """An integer x with M @ x = target, or None if no such x exists."""
-    target = list(map(int, target))
-    if len(target) != M.rows:
+    w = list(map(int, target))
+    if len(w) != M.rows:
         raise ValueError("target length mismatch")
-    h, u = hermite_normal_form(M.transpose())
-    coeffs = [0] * h.rows
-    w = target[:]
-    for i in range(h.rows):
-        piv = next((j for j in range(h.cols) if h.data[i][j] != 0), None)
-        if piv is None:
-            break
-        p = h.data[i][piv]
+    pivots, u = _span_factors(M)
+    # target = coeffs @ H = coeffs @ U @ M^T, so x = U^T @ coeffs
+    x = [0] * M.cols
+    for i, (piv, entries) in enumerate(pivots):
+        p = entries[0][1]
         if w[piv] % p != 0:
             return None
         q = w[piv] // p
         if q:
-            w = [x - q * y for x, y in zip(w, h.data[i])]
-        coeffs[i] = q
+            for j, y in entries:
+                w[j] -= q * y
+            x = [a + q * b for a, b in zip(x, u[i])]
     if any(w):
         return None
-    # target = coeffs @ H = coeffs @ U @ M^T, so x = U^T @ coeffs
-    return [sum(coeffs[i] * u.data[i][j] for i in range(u.rows)) for j in range(u.cols)]
+    return x
 
 
 def in_column_span(M: IntMatrix, target) -> bool:

@@ -14,11 +14,11 @@ quotient ranks reduce to exact lattice computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import admissible_subsets
-from .errors import SizeMismatchError, TorsionError
+from .errors import InvariantError, SizeMismatchError, TorsionError
 from .integer_linalg import (
     IntMatrix,
     hermite_normal_form,
@@ -173,14 +173,25 @@ class GradedIdealSpan:
 
     n: int
     by_degree: dict[int, tuple[tuple[int, ...], ...]]
+    _matrices: dict[int, IntMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def matrix(self, d: int) -> IntMatrix:
-        """The degree-d lattice as a matrix whose columns span it."""
-        rows = self.by_degree.get(d, ())
-        width = len(monomials_of_degree(self.n, d))
-        if not rows:
-            return IntMatrix([[] for _ in range(width)], cols=0)
-        return IntMatrix([list(r) for r in rows], cols=width).transpose()
+        """The degree-d lattice as a matrix whose columns span it.
+
+        The same instance is returned for each degree, so membership
+        tests factor each degree once; do not mutate it.
+        """
+        if d not in self._matrices:
+            rows = self.by_degree.get(d, ())
+            width = len(monomials_of_degree(self.n, d))
+            if rows:
+                m = IntMatrix([list(r) for r in rows], cols=width).transpose()
+            else:
+                m = IntMatrix([[] for _ in range(width)], cols=0)
+            self._matrices[d] = m
+        return self._matrices[d]
 
     def contains(self, p: SquareFreePoly) -> bool:
         """Exact membership, degree part by degree part."""
@@ -369,7 +380,7 @@ def reduce_to_admissible(p: SquareFreePoly) -> SquareFreePoly:
         tail = subset - head
         k = (m + 1) // 2  # |head| = r + 1 at the first violation m = 2r + 1
         if len(head) != k:
-            raise AssertionError("violation bookkeeping is off")
+            raise InvariantError("violation bookkeeping is off")
         pool = sorted(head | frozenset(range(m + 1, 2 * n + 1)))
         for other in itertools.combinations(pool, k):
             other = frozenset(other)
@@ -387,6 +398,6 @@ def admissible_coordinates(p: SquareFreePoly) -> dict[tuple[int, ...], int]:
     out = {}
     for s, c in reduced.terms.items():
         if s not in allowed:
-            raise AssertionError(f"reduction left a non-admissible monomial {sorted(s)}")
+            raise InvariantError(f"reduction left a non-admissible monomial {sorted(s)}")
         out[allowed[s]] = c
     return out

@@ -15,6 +15,7 @@ from arcring.arc_ring import BasisVector, RingElement, degree, get_ring
 from arcring.braid_homotopy import (
     BimoduleElement,
     UiBimodule,
+    _composable_triples,
     compose_ui,
     get_bimodule,
     ui_degree,
@@ -157,6 +158,34 @@ def test_verify_bimodule_axioms():
         for i in range(1, 2 * n):
             assert verify_bimodule_axioms(n, i)
     assert verify_bimodule_axioms(3, 2, samples=60)
+
+
+def scanned_triples(module):
+    """All-pairs scan over both bases, the reference for the indexed list."""
+    ring = module.ring
+    triples = []
+    for y1 in ring.basis:
+        for y2 in ring.basis:
+            if y1.col != y2.row:
+                continue
+            for v in module.basis:
+                if y2.col == v.row:
+                    triples.append(("ll", y1, y2, v))
+                if v.col == y1.row:
+                    triples.append(("rr", v, y1, y2))
+        for v in module.basis:
+            if y1.col == v.row:
+                for y2 in ring.basis:
+                    if v.col == y2.row:
+                        triples.append(("lr", y1, v, y2))
+    return triples
+
+
+def test_composable_triples_match_scan():
+    cases = [(n, i) for n in (1, 2) for i in range(1, 2 * n)] + [(3, 1)]
+    for n, i in cases:
+        module = get_bimodule(n, i)
+        assert _composable_triples(module) == scanned_triples(module)
 
 
 def test_saddle_maps_are_bimodule_maps():

@@ -25,7 +25,11 @@ from arcring.center import (
     verify_symmetric_action,
 )
 from arcring.combinatorics import catalan, enumerate_matchings
-from arcring.integer_linalg import invariant_factors, rank as matrix_rank
+from arcring.integer_linalg import (
+    invariant_factors,
+    rank as matrix_rank,
+    solve_in_column_span,
+)
 from arcring.presentations import SquareFreePoly, admissible_coordinates
 
 
@@ -64,6 +68,28 @@ def test_center_lattice_matrix():
         m = basis.lattice_matrix()
         assert m.shape == (catalan(n) * 2 ** n, basis.rank)
         assert matrix_rank(m) == basis.rank  # linearly independent columns
+
+
+def test_cached_solves_match_uncached():
+    for n in (1, 2, 3):
+        pres = presentation_map(n)
+        lattice = pres.center.lattice_matrix()
+        assert pres.center.lattice_matrix() is lattice
+        for z in pres.center.elements + pres.products:
+            target = diagonal_vector(z)
+            cached = solve_in_column_span(lattice, target)
+            assert cached is not None
+            assert cached == solve_in_column_span(lattice.copy(), target)
+        for prod in pres.products:
+            x = pres.center_coords(prod)
+            assert solve_in_column_span(pres.matrix, x) == solve_in_column_span(
+                pres.matrix.copy(), x
+            )
+        if n >= 2:
+            # a lone identity-labeled diagonal vector is not central
+            outside = [1] + [0] * (lattice.rows - 1)
+            assert solve_in_column_span(lattice, outside) is None
+            assert solve_in_column_span(lattice.copy(), outside) is None
 
 
 def test_unit_is_central():

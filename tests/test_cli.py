@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from arcring import cache
+from arcring import cache, cli
 from arcring.arc_ring import build_ring, get_ring
 from arcring.cache import (
     cache_path,
@@ -138,6 +138,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, report, _ = run_json(capsys, ["verify", "--n", "1", "--center"])
     assert code == 1
     assert report["passed"] is False
+
+
+def test_seed_reaches_sampled_checks(capsys, monkeypatch):
+    seen = {}
+
+    def fake(name):
+        def check(n, seed=0):
+            seen[name] = seed
+            return {"passed": True}
+
+        return check
+
+    monkeypatch.setattr(cli, "verify_presentation_iso", fake("iso"))
+    monkeypatch.setattr(cli, "verify_symmetric_action", fake("symmetric"))
+    argv = ["verify", "--n", "2", "--iso", "--symmetric", "--seed", "7"]
+    code, report, _ = run_json(capsys, argv)
+    assert code == 0
+    assert seen == {"iso": 7, "symmetric": 7}
+
+
+def test_symmetric_check_hnf_budget(capsys, hnf_calls):
+    code, report, _ = run_json(capsys, ["verify", "--n", "3", "--symmetric"])
+    assert code == 0 and report["passed"] is True
+    # 15 factorizations when this bound was set; refactoring a lattice
+    # on every solve takes it into the thousands
+    assert len(hnf_calls) <= 20
 
 
 def test_byte_determinism(capsys):

@@ -92,6 +92,16 @@ def test_enumeration_matches_brute_force():
         assert got == [tuple(sorted(p)) for p in expected]
 
 
+def test_enumeration_returns_fresh_lists():
+    for n in range(4):
+        first = enumerate_matchings(n)
+        expected = list(first)
+        first.reverse()
+        first.append(None)
+        assert enumerate_matchings(n) == expected
+        assert enumerate_matchings(n) is not enumerate_matchings(n)
+
+
 def test_enumeration_counts():
     for n in range(7):
         assert len(enumerate_matchings(n)) == catalan(n)

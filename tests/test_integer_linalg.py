@@ -211,6 +211,17 @@ def test_solve_in_column_span():
     assert not in_column_span(m, [0, 1, 1])
 
 
+def test_solve_factors_each_matrix_once(hnf_calls):
+    m = IntMatrix([[2, 0], [0, 3], [1, 1]])
+    assert solve_in_column_span(m, [2, 3, 2]) == [1, 1]
+    assert solve_in_column_span(m, [1, 0, 0]) is None
+    assert solve_in_column_span(m, [4, 0, 2]) == [2, 0]
+    assert hnf_calls == [(2, 3)]
+    # a copy carries no factorization of its own yet
+    assert solve_in_column_span(m.copy(), [2, 3, 2]) == [1, 1]
+    assert len(hnf_calls) == 2
+
+
 def test_solve_random_roundtrip():
     rng = random.Random(7)
     for trial in range(30):

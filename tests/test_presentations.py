@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from arcring import presentations
 from arcring.combinatorics import admissible_subsets
-from arcring.errors import SizeMismatchError
+from arcring.errors import InvariantError, SizeMismatchError
 from arcring.presentations import (
     SquareFreePoly,
     admissible_coordinates,
@@ -234,6 +235,31 @@ def test_admissible_coordinates_roundtrip():
         for s in admissible_subsets(n):
             coords = admissible_coordinates(SquareFreePoly.monomial(n, s))
             assert coords == {tuple(s): 1}
+
+
+def test_reduce_to_admissible_bad_violation_is_typed(monkeypatch):
+    # position 3 is not where {1} first violates the prefix condition
+    monkeypatch.setattr(presentations, "_first_violation", lambda subset, n: 3)
+    with pytest.raises(InvariantError):
+        reduce_to_admissible(SquareFreePoly.monomial(2, {1}))
+
+
+def test_admissible_coordinates_leftover_is_typed(monkeypatch):
+    monkeypatch.setattr(presentations, "admissible_subsets", lambda n: [])
+    with pytest.raises(InvariantError):
+        admissible_coordinates(SquareFreePoly.monomial(2, {2}))
+
+
+def test_ideal_membership_factors_each_degree_once(hnf_calls):
+    span = ideal_R1(2)
+    hnf_calls.clear()
+    for d in range(5):
+        assert span.matrix(d) is span.matrix(d)
+    for g in r2_generators(2):
+        for t in transpositions(2):
+            assert span.contains(g.permuted(t))
+    degrees = {d for g in r2_generators(2) for d in g.degrees()}
+    assert len(hnf_calls) == len(degrees)
 
 
 def test_r1_generators_symmetric():

@@ -7,8 +7,15 @@ label word).  Multiplication contracts the middle matching of two
 compatible diagrams by one saddle move per arc, merging or splitting
 circles and rewriting labels through the Frobenius algebra.
 
-The same saddle engine (SurgeryState) also powers the cup-cap bimodules
-in braid_homotopy, which stack an extra flat tangle into the diagrams.
+Which circles merge or split, and where the survivors land, depends
+only on the diagrams (c, b, a), never on the labels.  So the engine
+works in two steps.  Compile: a SurgeryState runs the saddles on the
+strand graph once per diagram key and records a label-free Plan of
+merge and split ops on circle positions plus the final reordering.
+Apply: _apply_plan() pushes one label word through MERGE and SPLIT
+along that plan; it is the only code that rewrites labels.  ArcRing
+keeps one plan per triple (c, b, a); the cup-cap bimodules in
+braid_homotopy compile theirs the same way, one per block key.
 """
 
 from __future__ import annotations
@@ -119,25 +126,44 @@ class RingElement:
         ]
 
 
-class SurgeryState:
-    """A labeled 1-manifold presented as a multigraph, under saddle moves.
+class Plan(NamedTuple):
+    """A compiled saddle sequence: ops on circle positions, then a reorder.
 
-    Vertices are layer-encoded points, edges are keyed strands, and the
-    connected components (always disjoint cycles) are the circles.  A
-    term dictionary maps label words, aligned with the current component
-    list, to integer coefficients.  Each surgery removes two parallel
-    strands and reconnects crosswise, either merging two circles or
-    splitting one; labels follow the Frobenius tables.
+    ops holds ("merge", i, j) with i < j, which multiplies the labels at
+    positions i and j into position i and drops position j, and
+    ("split", i), which comultiplies the label at position i into
+    positions i and i + 1.  After the ops, output circle p is the circle
+    at position order[p].
     """
 
-    def __init__(self, edges: dict, components: list[frozenset], terms: dict[str, int]):
+    ops: tuple
+    order: tuple[int, ...]
+
+
+class SurgeryState:
+    """A closed 1-manifold presented as a multigraph, under saddle moves.
+
+    Vertices are layer-encoded points, edges are keyed strands, and the
+    connected components (always disjoint cycles) are the circles,
+    listed in the order of the anchor points that pick them.  Each
+    surgery removes two parallel strands and reconnects crosswise,
+    either merging two circles or splitting one.  No labels ride along:
+    the state records which circle positions merge or split, and
+    finalize() turns that record into a Plan.  A diagram is compiled
+    once; _apply_plan() then rewrites each label word along the plan.
+    """
+
+    def __init__(self, edges: dict, anchors: list[int]):
         self.edges = dict(edges)
-        self.comps = list(components)
-        self.terms = dict(terms)
         self.adj: dict = {}
         for key, (p, q) in self.edges.items():
             self.adj.setdefault(p, {})[key] = q
             self.adj.setdefault(q, {})[key] = p
+        self.comps = [self._reach(p) for p in anchors]
+        covered = set().union(*self.comps)
+        if covered != set(self.adj) or sum(map(len, self.comps)) != len(covered):
+            raise InvariantError("the anchor points do not pick every circle once")
+        self.ops: list[tuple] = []
 
     def _comp_index(self, point) -> int:
         for i, comp in enumerate(self.comps):
@@ -174,15 +200,9 @@ class SurgeryState:
         ia, ib = self._comp_index(pa), self._comp_index(pb)
         if ia != ib:
             lo, hi = min(ia, ib), max(ia, ib)
-            merged = self.comps[ia] | self.comps[ib]
-            self.comps[lo] = merged
+            self.comps[lo] = self.comps[ia] | self.comps[ib]
             del self.comps[hi]
-            new_terms: dict[str, int] = {}
-            for word, coeff in self.terms.items():
-                for lab, c in MERGE[(word[ia], word[ib])]:
-                    w = word[:lo] + lab + word[lo + 1 : hi] + word[hi + 1 :]
-                    new_terms[w] = new_terms.get(w, 0) + c * coeff
-            self.terms = {w: c for w, c in new_terms.items() if c != 0}
+            self.ops.append(("merge", lo, hi))
         else:
             half = self._reach(pa)
             if qa in half:
@@ -192,15 +212,10 @@ class SurgeryState:
             if half & other or half | other != self.comps[ia]:
                 raise InvariantError("split did not partition the circle in two")
             self.comps[ia : ia + 1] = [half, other]
-            new_terms = {}
-            for word, coeff in self.terms.items():
-                for (la, lb), c in SPLIT[word[ia]]:
-                    w = word[:ia] + la + lb + word[ia + 1 :]
-                    new_terms[w] = new_terms.get(w, 0) + c * coeff
-            self.terms = {w: c for w, c in new_terms.items() if c != 0}
+            self.ops.append(("split", ia))
 
-    def finalize(self, position_of) -> dict[str, int]:
-        """Map the surviving circles through position_of and reorder words.
+    def finalize(self, position_of) -> Plan:
+        """The plan of the surgeries so far, ending in the output's order.
 
         position_of takes a component (frozenset of points) and returns
         its index among the output diagram's circles; it must be a
@@ -209,22 +224,74 @@ class SurgeryState:
         places = [position_of(comp) for comp in self.comps]
         if sorted(places) != list(range(len(self.comps))):
             raise InvariantError("surviving circles do not match the output diagram")
+        order = [0] * len(places)
+        for i, pos in enumerate(places):
+            order[pos] = i
+        return Plan(tuple(self.ops), tuple(order))
+
+
+def _apply_plan(plan: Plan, word: str) -> list[tuple[str, int]]:
+    """The (word, coefficient) pairs one label word becomes along plan.
+
+    This is the only code that rewrites labels: merges multiply through
+    MERGE, splits comultiply through SPLIT, then each word is reordered
+    into the output diagram's circle order.  Sorted by word, no zeros.
+    """
+    terms = {word: 1}
+    for op in plan.ops:
         out: dict[str, int] = {}
-        for word, coeff in self.terms.items():
-            chars = [""] * len(word)
-            for i, pos in enumerate(places):
-                chars[pos] = word[i]
-            w = "".join(chars)
-            out[w] = out.get(w, 0) + coeff
-        return {w: c for w, c in out.items() if c != 0}
+        if op[0] == "merge":
+            _, i, j = op
+            for w, k in terms.items():
+                for lab, c in MERGE[(w[i], w[j])]:
+                    v = w[:i] + lab + w[i + 1 : j] + w[j + 1 :]
+                    out[v] = out.get(v, 0) + c * k
+        else:
+            i = op[1]
+            for w, k in terms.items():
+                for (la, lb), c in SPLIT[w[i]]:
+                    v = w[:i] + la + lb + w[i + 1 :]
+                    out[v] = out.get(v, 0) + c * k
+        terms = out
+    order = plan.order
+    return sorted(("".join([w[i] for i in order]), k) for w, k in terms.items() if k)
 
 
 def _matching_edges(tag: str, m: Matching, offset: int) -> dict:
     return {(tag, i, j): (offset + i, offset + j) for i, j in m.pairs}
 
 
-def _offset_circles(diagram, offset: int) -> list[frozenset]:
-    return [frozenset(offset + p for p in c) for c in diagram.circles]
+def _anchors(diagram, offset: int) -> list[int]:
+    """One point per circle of diagram, in canonical circle order."""
+    return [offset + circle[0] for circle in diagram.circles]
+
+
+def _ring_plan(c: Matching, b: Matching, a: Matching, arc_order) -> Plan:
+    """Compile the product of blocks (c, b) and (b, a) in H_n.
+
+    The two diagrams sit on point lines 0 and 2n; each arc of b, taken
+    in arc_order, is one saddle joining its two copies.
+    """
+    off = 2 * c.n
+    edges = {}
+    edges.update(_matching_edges("top", c, 0))
+    edges.update(_matching_edges("mid_top", b, 0))
+    edges.update(_matching_edges("mid_bot", b, off))
+    edges.update(_matching_edges("bot", a, off))
+    state = SurgeryState(edges, _anchors(glue(c, b), 0) + _anchors(glue(b, a), off))
+    for i, j in arc_order:
+        state.surgery(
+            ("mid_top", i, j),
+            ("mid_bot", i, j),
+            (("vert", i), (i, off + i)),
+            (("vert", j), (j, off + j)),
+        )
+    out_circles = {
+        frozenset(circ): pos for pos, circ in enumerate(glue(c, a).circle_sets)
+    }
+    return state.finalize(
+        lambda comp: out_circles[frozenset(p if p <= off else p - off for p in comp)]
+    )
 
 
 class ArcRing:
@@ -260,6 +327,7 @@ class ArcRing:
         self.index = {v: i for i, v in enumerate(self.basis)}
         self.dimension = len(self.basis)
         self._products: dict[tuple[BasisVector, BasisVector], tuple] = {}
+        self._plans: dict[tuple[Matching, Matching, Matching], Plan] = {}
 
     # -- multiplication ------------------------------------------------
 
@@ -278,34 +346,16 @@ class ArcRing:
         key = (x, y)
         if arc_order is None and key in self._products:
             return self._products[key]
-        n = self.n
         c, b, a = x.row, x.col, y.col
-        off = 2 * n
-        edges = {}
-        edges.update(_matching_edges("top", c, 0))
-        edges.update(_matching_edges("mid_top", b, 0))
-        edges.update(_matching_edges("mid_bot", b, off))
-        edges.update(_matching_edges("bot", a, off))
-        comps = _offset_circles(glue(c, b), 0) + _offset_circles(glue(b, a), off)
-        state = SurgeryState(edges, comps, {x.labels + y.labels: 1})
-        for i, j in arc_order if arc_order is not None else b.pairs:
-            state.surgery(
-                ("mid_top", i, j),
-                ("mid_bot", i, j),
-                (("vert", i), (i, off + i)),
-                (("vert", j), (j, off + j)),
-            )
-        out_circles = {
-            frozenset(circ): pos for pos, circ in enumerate(glue(c, a).circle_sets)
-        }
-
-        def position_of(comp: frozenset) -> int:
-            endpoints = frozenset(p if p <= 2 * n else p - off for p in comp)
-            return out_circles[endpoints]
-
+        if arc_order is None:
+            plan = self._plans.get((c, b, a))
+            if plan is None:
+                plan = self._plans[(c, b, a)] = _ring_plan(c, b, a, b.pairs)
+        else:
+            plan = _ring_plan(c, b, a, arc_order)
         result = tuple(
             (BasisVector(c, a, w), coeff)
-            for w, coeff in sorted(state.finalize(position_of).items())
+            for w, coeff in _apply_plan(plan, x.labels + y.labels)
         )
         if arc_order is None:
             self._products[key] = result

@@ -17,7 +17,6 @@ alpha, with homotopy a signed beta.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 from typing import NamedTuple
@@ -25,17 +24,18 @@ from typing import NamedTuple
 from .arc_ring import (
     ArcRing,
     BasisVector,
+    Plan,
     RingElement,
     SurgeryState,
+    _anchors,
+    _apply_plan,
     _matching_edges,
-    _offset_circles,
     degree,
     get_ring,
     label_words,
 )
 from .combinatorics import Matching, glue
 from .errors import InvariantError, SizeMismatchError
-from .frobenius import ONE
 
 
 class FlatComposite(NamedTuple):
@@ -159,6 +159,7 @@ class UiBimodule:
         self._right: dict = {}
         self._alpha: dict = {}
         self._beta: dict = {}
+        self._plans: dict[tuple, Plan] = {}
 
     def element(self, terms: dict[BasisVector, int]) -> BimoduleElement:
         return BimoduleElement(self.n, self.i, terms)
@@ -178,45 +179,18 @@ class UiBimodule:
         edges.update(_matching_edges("bim_cup_a", a, bot))
         return edges
 
-    def _components(self, edges: dict) -> list[frozenset]:
-        adj: dict = {}
-        for p, q in edges.values():
-            adj.setdefault(p, []).append(q)
-            adj.setdefault(q, []).append(p)
-        seen: set = set()
-        comps = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                p = stack.pop()
-                for q in adj[p]:
-                    if q not in comp:
-                        comp.add(q)
-                        stack.append(q)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+    def _block_anchors(self, b: Matching, a: Matching, top: int, bot: int) -> list[int]:
+        """One point per circle of W(b) U_i a, in label order.
 
-    def _block_components(self, b: Matching, a: Matching, top: int, bot: int) -> tuple[dict, list[frozenset]]:
-        """Edges and canonically ordered circles of W(b) U_i a."""
+        The circles of glue(b, compose_ui(i, a).matching) are picked on
+        the upper line; the free circle, when there is one, is the cap
+        of U_i closed against the arc (i, i+1) of a on the lower line.
+        """
         comp = self.composite[a]
-        edges = self._tangle_edges(b, a, top, bot)
-        found = self._components(edges)
-        ordered: list[frozenset] = []
-        for circle in glue(b, comp.matching).circle_sets:
-            anchor = top + min(circle)
-            ordered.append(next(c for c in found if anchor in c))
+        anchors = _anchors(glue(b, comp.matching), top)
         if comp.circles:
-            free = [c for c in found if c not in ordered]
-            if len(free) != 1:
-                raise InvariantError("expected exactly one free circle in U_i a")
-            ordered.append(free[0])
-        if len(ordered) != len(found):
-            raise InvariantError("circle count mismatch in a bimodule block")
-        return edges, ordered
+            anchors.append(bot + self.i)
+        return anchors
 
     def _block_position_of(self, b: Matching, a: Matching, top: int):
         """Map surviving components to circle positions of block (b, a)."""
@@ -236,6 +210,94 @@ class UiBimodule:
 
         return position_of
 
+    # -- compiled plans, one per block key ----------------------------------
+
+    def _right_plan(self, b: Matching, a: Matching, a2: Matching) -> Plan:
+        """Block (b, a) times ring block (a, a'): one saddle per arc of a."""
+        n = self.n
+        edges = self._tangle_edges(b, a, 0, 2 * n)
+        edges.update(_matching_edges("ring_cap_a", a, 4 * n))
+        edges.update(_matching_edges("ring_cup", a2, 4 * n))
+        anchors = self._block_anchors(b, a, 0, 2 * n) + _anchors(glue(a, a2), 4 * n)
+        state = SurgeryState(edges, anchors)
+        for r, s in a.pairs:
+            state.surgery(
+                ("bim_cup_a", r, s),
+                ("ring_cap_a", r, s),
+                (("vert", r), (2 * n + r, 4 * n + r)),
+                (("vert", s), (2 * n + s, 4 * n + s)),
+            )
+        return state.finalize(self._block_position_of(b, a2, 0))
+
+    def _left_plan(self, b2: Matching, b: Matching, a: Matching) -> Plan:
+        """Ring block (b', b) times block (b, a): one saddle per arc of b."""
+        n = self.n
+        edges = {}
+        edges.update(_matching_edges("ring_cap", b2, 0))
+        edges.update(_matching_edges("ring_cup_b", b, 0))
+        edges.update(self._tangle_edges(b, a, 2 * n, 4 * n))
+        anchors = _anchors(glue(b2, b), 0) + self._block_anchors(b, a, 2 * n, 4 * n)
+        state = SurgeryState(edges, anchors)
+        for r, s in b.pairs:
+            state.surgery(
+                ("ring_cup_b", r, s),
+                ("bim_cap", r, s),
+                (("vert", r), (r, 2 * n + r)),
+                (("vert", s), (s, 2 * n + s)),
+            )
+        # the output's upper line is the ring line at offset 0
+        return state.finalize(self._block_position_of(b2, a, 0))
+
+    def _alpha_plan(self, b: Matching, a: Matching) -> Plan:
+        """Collapse the cup-cap pair of block (b, a) into ring block (b, a)."""
+        n, i = self.n, self.i
+        state = SurgeryState(
+            self._tangle_edges(b, a, 0, 2 * n), self._block_anchors(b, a, 0, 2 * n)
+        )
+        state.surgery(
+            "bim_cup",
+            "bim_capmid",
+            (("vert", i), (i, 2 * n + i)),
+            (("vert", i + 1), (i + 1, 2 * n + i + 1)),
+        )
+        out_circles = {
+            frozenset(c): pos for pos, c in enumerate(glue(b, a).circle_sets)
+        }
+        return state.finalize(
+            lambda component: out_circles[frozenset(p for p in component if p <= 2 * n)]
+        )
+
+    def _beta_plan(self, b: Matching, a: Matching) -> Plan:
+        """Pinch strands i, i+1 of ring block (b, a) into a cup-cap pair."""
+        n, i = self.n, self.i
+        edges = {}
+        edges.update(_matching_edges("bim_cap", b, 0))
+        for j in range(1, 2 * n + 1):
+            edges[("bim_strand", j)] = (j, 2 * n + j)
+        edges.update(_matching_edges("bim_cup_a", a, 2 * n))
+        state = SurgeryState(edges, _anchors(glue(b, a), 0))
+        state.surgery(
+            ("bim_strand", i),
+            ("bim_strand", i + 1),
+            ("bim_cup", (i, i + 1)),
+            ("bim_capmid", (2 * n + i, 2 * n + i + 1)),
+        )
+        return state.finalize(self._block_position_of(b, a, 0))
+
+    def _plan(self, kind: str, *blocks: Matching) -> Plan:
+        """The plan for one product kind on one block key, compiled once."""
+        key = (kind, *blocks)
+        plan = self._plans.get(key)
+        if plan is None:
+            compile_plan = {
+                "right": self._right_plan,
+                "left": self._left_plan,
+                "alpha": self._alpha_plan,
+                "beta": self._beta_plan,
+            }[kind]
+            plan = self._plans[key] = compile_plan(*blocks)
+        return plan
+
     # -- module structure -------------------------------------------------
 
     def right_mul_basis(self, x: BasisVector, y: BasisVector) -> tuple:
@@ -245,24 +307,10 @@ class UiBimodule:
         key = (x, y)
         if key in self._right:
             return self._right[key]
-        n = self.n
-        b, a, a2 = x.row, x.col, y.col
-        edges, comps = self._block_components(b, a, 0, 2 * n)
-        edges.update(_matching_edges("ring_cap_a", a, 4 * n))
-        edges.update(_matching_edges("ring_cup", a2, 4 * n))
-        comps = comps + _offset_circles(glue(a, a2), 4 * n)
-        state = SurgeryState(edges, comps, {x.labels + y.labels: 1})
-        for r, s in a.pairs:
-            state.surgery(
-                ("bim_cup_a", r, s),
-                ("ring_cap_a", r, s),
-                (("vert", r), (2 * n + r, 4 * n + r)),
-                (("vert", s), (2 * n + s, 4 * n + s)),
-            )
-        position_of = self._block_position_of(b, a2, 0)
+        b, a2 = x.row, y.col
+        plan = self._plan("right", b, x.col, a2)
         result = tuple(
-            (BasisVector(b, a2, w), c)
-            for w, c in sorted(state.finalize(position_of).items())
+            (BasisVector(b, a2, w), c) for w, c in _apply_plan(plan, x.labels + y.labels)
         )
         self._right[key] = result
         return result
@@ -274,39 +322,10 @@ class UiBimodule:
         key = (y, x)
         if key in self._left:
             return self._left[key]
-        n = self.n
-        b2, b, a = y.row, y.col, x.col
-        edges = {}
-        edges.update(_matching_edges("ring_cap", b2, 0))
-        edges.update(_matching_edges("ring_cup_b", b, 0))
-        bim_edges, bim_comps = self._block_components(b, a, 2 * n, 4 * n)
-        edges.update(bim_edges)
-        comps = _offset_circles(glue(b2, b), 0) + bim_comps
-        state = SurgeryState(edges, comps, {y.labels + x.labels: 1})
-        for r, s in b.pairs:
-            state.surgery(
-                ("ring_cup_b", r, s),
-                ("bim_cap", r, s),
-                (("vert", r), (r, 2 * n + r)),
-                (("vert", s), (s, 2 * n + s)),
-            )
-        position_of = self._block_position_of(b2, a, 0)
-
-        def shifted(component: frozenset) -> int:
-            # the output's upper line is the ring line at offset 0 here
-            tops = frozenset(p for p in component if p <= 2 * self.n)
-            if not tops:
-                return position_of(component)
-            comp = self.composite[a]
-            out_circles = {
-                frozenset(c): pos
-                for pos, c in enumerate(glue(b2, comp.matching).circle_sets)
-            }
-            return out_circles[tops]
-
+        b2, a = y.row, x.col
+        plan = self._plan("left", b2, y.col, a)
         result = tuple(
-            (BasisVector(b2, a, w), c)
-            for w, c in sorted(state.finalize(shifted).items())
+            (BasisVector(b2, a, w), c) for w, c in _apply_plan(plan, y.labels + x.labels)
         )
         self._left[key] = result
         return result
@@ -337,26 +356,9 @@ class UiBimodule:
         """One saddle collapsing the cup-cap pair: F(U_i) -> H, degree 1."""
         if x in self._alpha:
             return self._alpha[x]
-        n, i = self.n, self.i
-        b, a = x.row, x.col
-        edges, comps = self._block_components(b, a, 0, 2 * n)
-        state = SurgeryState(edges, comps, {x.labels: 1})
-        state.surgery(
-            "bim_cup",
-            "bim_capmid",
-            (("vert", i), (i, 2 * n + i)),
-            (("vert", i + 1), (i + 1, 2 * n + i + 1)),
-        )
-        out_circles = {
-            frozenset(c): pos for pos, c in enumerate(glue(b, a).circle_sets)
-        }
-
-        def position_of(component: frozenset) -> int:
-            return out_circles[frozenset(p for p in component if p <= 2 * n)]
-
+        plan = self._plan("alpha", x.row, x.col)
         result = tuple(
-            (BasisVector(b, a, w), c)
-            for w, c in sorted(state.finalize(position_of).items())
+            (BasisVector(x.row, x.col, w), c) for w, c in _apply_plan(plan, x.labels)
         )
         self._alpha[x] = result
         return result
@@ -365,28 +367,9 @@ class UiBimodule:
         """The reverse saddle: H -> F(U_i), degree 1."""
         if y in self._beta:
             return self._beta[y]
-        n, i = self.n, self.i
-        b, a = y.row, y.col
-        edges = {}
-        edges.update(_matching_edges("bim_cap", b, 0))
-        for j in range(1, 2 * n + 1):
-            edges[("bim_strand", j)] = (j, 2 * n + j)
-        edges.update(_matching_edges("bim_cup_a", a, 2 * n))
-        comps = [
-            frozenset(c) | frozenset(2 * n + p for p in c)
-            for c in glue(b, a).circle_sets
-        ]
-        state = SurgeryState(edges, comps, {y.labels: 1})
-        state.surgery(
-            ("bim_strand", i),
-            ("bim_strand", i + 1),
-            ("bim_cup", (i, i + 1)),
-            ("bim_capmid", (2 * n + i, 2 * n + i + 1)),
-        )
-        position_of = self._block_position_of(b, a, 0)
+        plan = self._plan("beta", y.row, y.col)
         result = tuple(
-            (BasisVector(b, a, w), c)
-            for w, c in sorted(state.finalize(position_of).items())
+            (BasisVector(y.row, y.col, w), c) for w, c in _apply_plan(plan, y.labels)
         )
         self._beta[y] = result
         return result

@@ -3,8 +3,9 @@
 A cached ring is one JSON document: a schema stamp, the basis order,
 and every composable basis product keyed by basis indices.  Writing is
 deterministic (sorted keys, index-sorted products), so store/load/store
-round-trips byte-identically.  A missing file means build silently; an
-unreadable or wrong-schema file means rebuild with a warning on stderr.
+round-trips byte-identically, and atomic (a temp file, then
+os.replace).  A missing file means build silently; an unreadable or
+wrong-schema file means rebuild with a warning on stderr.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -92,10 +93,22 @@ def payload_to_ring(payload: dict) -> ArcRing:
 
 
 def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Path:
+    """Write the ring's cache file atomically.
+
+    The text goes to a temporary file beside the target, which then
+    replaces the target in one step, so an interrupted store leaves
+    either the old file or the new one, never a torn one.
+    """
     path = cache_path(ring.n, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(ring_to_payload(ring), sort_keys=True, separators=(",", ":"))
-    path.write_text(text + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -45,7 +45,8 @@ class Matching:
 
     Stored as a sorted tuple of (smaller, larger) endpoint pairs, so
     matchings compare and hash by value and sort lexicographically on
-    that tuple.
+    that tuple.  The hash is computed once, since matchings key every
+    basis-vector memo and index.
 
     >>> m = Matching([(3, 4), (1, 2)])
     >>> m.pairs
@@ -54,7 +55,7 @@ class Matching:
     (2, 3)
     """
 
-    __slots__ = ("n", "pairs", "partner")
+    __slots__ = ("n", "pairs", "partner", "_hash")
 
     def __init__(self, pairs, n: int | None = None):
         norm = tuple(sorted((min(p), max(p)) for p in pairs))
@@ -76,12 +77,13 @@ class Matching:
         self.n = n
         self.pairs = norm
         self.partner = tuple(partner)
+        self._hash = hash(norm)
 
     def __eq__(self, other):
         return isinstance(other, Matching) and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.pairs)
+        return self._hash
 
     def __lt__(self, other):
         return self.pairs < other.pairs

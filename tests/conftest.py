@@ -2,7 +2,7 @@
 
 import pytest
 
-from arcring import integer_linalg, presentations
+from arcring import arc_ring, integer_linalg, presentations
 
 
 @pytest.fixture
@@ -22,3 +22,21 @@ def hnf_calls(monkeypatch):
     for module in (integer_linalg, presentations):
         monkeypatch.setattr(module, "hermite_normal_form", counting)
     return calls
+
+
+@pytest.fixture
+def plan_compiles(monkeypatch):
+    """One entry per strand graph the surgery engine builds.
+
+    Every ring and bimodule plan is compiled on its own SurgeryState, so
+    this counts plan compiles.
+    """
+    built = []
+    real = arc_ring.SurgeryState.__init__
+
+    def counting(self, edges, anchors):
+        built.append(len(edges))
+        real(self, edges, anchors)
+
+    monkeypatch.setattr(arc_ring.SurgeryState, "__init__", counting)
+    return built

@@ -10,11 +10,13 @@ import random
 
 import pytest
 
+import surgery_reference
 from arcring.arc_ring import (
     MAX_RING_N,
     ArcRing,
     BasisVector,
     RingElement,
+    SurgeryState,
     build_ring,
     commutator_quotient_rank,
     degree,
@@ -27,7 +29,7 @@ from arcring.arc_ring import (
     verify_ring_integrity,
 )
 from arcring.combinatorics import Matching, distance, enumerate_matchings, glue
-from arcring.errors import CapacityError, SizeMismatchError
+from arcring.errors import CapacityError, InvariantError, SizeMismatchError
 from arcring.frobenius import label_degree
 
 
@@ -257,3 +259,89 @@ def test_commutator_quotient_ranks():
     assert commutator_quotient_rank(1) == 2
     assert commutator_quotient_rank(2) == 6
     assert commutator_quotient_rank(3) == 20
+
+
+def _composable_pairs(ring):
+    by_row = {}
+    for v in ring.basis:
+        by_row.setdefault(v.row, []).append(v)
+    return [(x, y) for x in ring.basis for y in by_row[x.col]]
+
+
+def test_products_match_reference_exhaustive():
+    # compiled plans against label-carrying surgery, every pair n <= 3
+    for n in (1, 2, 3):
+        ring = ArcRing(n)
+        for x, y in _composable_pairs(ring):
+            assert ring.multiply_basis(x, y) == surgery_reference.ring_product(x, y)
+
+
+def test_products_match_reference_sampled_n4():
+    ring = ArcRing(4)
+    pairs = random.Random(4).sample(_composable_pairs(ring), 2000)
+    for x, y in pairs:
+        assert ring.multiply_basis(x, y) == surgery_reference.ring_product(x, y)
+
+
+def test_plan_compile_budget(plan_compiles):
+    # one plan per composable diagram triple (c, b, a), none on repeat
+    ring = ArcRing(3)
+    pairs = _composable_pairs(ring)
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    assert len(plan_compiles) == len(ring.order) ** 3 == 125
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    ring._products.clear()
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    assert len(plan_compiles) == 125
+    # an explicit arc order compiles its own plan and caches nothing
+    x, y = pairs[-1]
+    ring.multiply_basis(x, y, arc_order=tuple(reversed(x.col.pairs)))
+    assert len(plan_compiles) == 126
+
+
+def test_product_property_random_orders():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def products(draw):
+        n = draw(st.integers(1, 4))
+        ms = enumerate_matchings(n)
+        c, b, a = (draw(st.sampled_from(ms)) for _ in range(3))
+
+        def word(lower, upper):
+            k = len(glue(lower, upper).circles)
+            return "".join(draw(st.lists(st.sampled_from("1X"), min_size=k, max_size=k)))
+
+        x = BasisVector(c, b, word(c, b))
+        y = BasisVector(b, a, word(b, a))
+        return n, x, y, tuple(draw(st.permutations(b.pairs)))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(products())
+    def check(case):
+        n, x, y, arcs = case
+        ring = get_ring(n)
+        want = surgery_reference.ring_product(x, y, arcs)
+        assert ring.multiply_basis(x, y, arc_order=arcs) == want
+        assert ring.multiply_basis(x, y) == want
+
+    check()
+
+
+def test_surgery_state_topology_checks():
+    # two disjoint 2-cycles on points 1-2 and 3-4
+    edges = {"a": (1, 2), "b": (1, 2), "c": (3, 4), "d": (3, 4)}
+    assert [sorted(c) for c in SurgeryState(edges, [3, 1]).comps] == [[3, 4], [1, 2]]
+    for anchors in ([1], [1, 2, 3]):
+        with pytest.raises(InvariantError):
+            SurgeryState(edges, anchors)
+    state = SurgeryState(edges, [1, 3])
+    state.surgery("b", "c", ("x", (2, 3)), ("y", (1, 4)))
+    assert state.ops == [("merge", 0, 1)]
+    with pytest.raises(InvariantError):
+        state.finalize(lambda comp: 1)
+    assert state.finalize(lambda comp: 0) == ((("merge", 0, 1),), (0,))

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 import arcring.braid_homotopy
+import surgery_reference
 from arcring.arc_ring import BasisVector, RingElement, degree, get_ring
 from arcring.braid_homotopy import (
     BimoduleElement,
@@ -275,3 +276,58 @@ def test_null_homotopy_n3():
         report = verify_null_homotopy(i, 3, check_axioms=False)
         assert report["passed"], report
         assert report["homotopy_signs"]["left_lower_minus_right_upper"] == (-1) ** i
+
+
+def _all_products(module):
+    """Every left, right, alpha and beta product of one bimodule.
+
+    Yields (kind, computed, reference) for each composable input.
+    """
+    n, i, ring = module.n, module.i, module.ring
+    for v in module.basis:
+        yield "alpha", module.alpha_basis(v), surgery_reference.alpha(n, i, v)
+        for y in ring.basis:
+            if v.col == y.row:
+                got = module.right_mul_basis(v, y)
+                yield "right", got, surgery_reference.right_mul(n, i, v, y)
+            if y.col == v.row:
+                got = module.left_mul_basis(y, v)
+                yield "left", got, surgery_reference.left_mul(n, i, y, v)
+    for y in ring.basis:
+        yield "beta", module.beta_basis(y), surgery_reference.beta(n, i, y)
+
+
+@pytest.mark.parametrize(
+    "n, i", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)]
+)
+def test_products_match_reference(n, i):
+    # compiled plans against label-carrying surgery on every product
+    kinds = set()
+    for kind, got, want in _all_products(UiBimodule(n, i)):
+        assert got == want, kind
+        kinds.add(kind)
+    assert kinds == {"alpha", "beta", "left", "right"}
+
+
+def test_plan_compile_budget(plan_compiles):
+    # left and right products compile at most one plan per block key
+    module = UiBimodule(3, 1)
+    ring = module.ring
+    keys = set()
+    for v in module.basis:
+        for y in ring.basis:
+            if v.col == y.row:
+                module.right_mul_basis(v, y)
+                keys.add(("right", v.row, v.col, y.col))
+            if y.col == v.row:
+                module.left_mul_basis(y, v)
+                keys.add(("left", y.row, y.col, v.col))
+    assert 0 < len(plan_compiles) <= len(keys)
+    compiled = len(plan_compiles)
+    module._left.clear()
+    module._right.clear()
+    for v in module.basis:
+        for y in ring.basis:
+            module.right_mul_basis(v, y)
+            module.left_mul_basis(y, v)
+    assert len(plan_compiles) == compiled

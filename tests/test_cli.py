@@ -237,6 +237,31 @@ def test_cache_store_load_store_byte_identical(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_cache_store_is_atomic(tmp_path, monkeypatch, step):
+    # a store that fails partway leaves the old file and no temp file
+    path = cache_path(2, tmp_path)
+    path.write_text("previous cache contents\n")
+    before = path.read_bytes()
+
+    def torn_write(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    if step == "write":
+        monkeypatch.setattr(cache.Path, "write_text", torn_write)
+    else:
+        monkeypatch.setattr(cache.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        store_ring(build_ring(2), tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_cache_missing_builds_silently(tmp_path, capsys):
     ring, status = load_or_build(1, tmp_path)
     assert status == "built"

@@ -9,13 +9,19 @@ circles and rewriting labels through the Frobenius algebra.
 
 Which circles merge or split, and where the survivors land, depends
 only on the diagrams (c, b, a), never on the labels.  So the engine
-works in two steps.  Compile: a SurgeryState runs the saddles on the
+works in three steps.  Compile: a SurgeryState runs the saddles on the
 strand graph once per diagram key and records a label-free Plan of
 merge and split ops on circle positions plus the final reordering.
-Apply: _apply_plan() pushes one label word through MERGE and SPLIT
-along that plan; it is the only code that rewrites labels.  ArcRing
-keeps one plan per triple (c, b, a); the cup-cap bimodules in
-braid_homotopy compile theirs the same way, one per block key.
+Table: each distinct plan gets one table with a row per input label
+word, filled on first use by _plan_row(), which pushes the word through
+_apply_plan(), the only code that rewrites labels; the row holds the
+(output word rank, coeff) terms, where a word's rank is its position in
+label_words().  Apply: ArcRing keeps one kernel per triple (c, b, a),
+its plan, the table of that plan (shared by every triple with the same
+plan) and the basis slice of the output block (c, a), so a product is
+a row lookup, and a row is built only for products actually asked for.
+The cup-cap bimodules in braid_homotopy compile their plans the same
+way, one per block key, and apply them word by word.
 """
 
 from __future__ import annotations
@@ -257,6 +263,19 @@ def _apply_plan(plan: Plan, word: str) -> list[tuple[str, int]]:
     return sorted(("".join([w[i] for i in order]), k) for w, k in terms.items() if k)
 
 
+_BITS = str.maketrans("1X", "01")
+
+
+def _word_rank(word: str) -> int:
+    """Position of a label word in label_words(len(word))."""
+    return int(word.translate(_BITS), 2)
+
+
+def _plan_row(plan: Plan, word: str) -> tuple[tuple[int, int], ...]:
+    """_apply_plan() on one word, as (output word rank, coeff) terms."""
+    return tuple([(_word_rank(w), c) for w, c in _apply_plan(plan, word)])
+
+
 def _matching_edges(tag: str, m: Matching, offset: int) -> dict:
     return {(tag, i, j): (offset + i, offset + j) for i, j in m.pairs}
 
@@ -318,16 +337,19 @@ class ArcRing:
         self.order = list(order)
         self.basis: list[BasisVector] = []
         self.block_dims: dict[tuple[Matching, Matching], int] = {}
+        self._block_offsets: dict[tuple[Matching, Matching], int] = {}
         for b in self.order:
             for a in self.order:
                 k = len(glue(b, a).circles)
                 self.block_dims[(b, a)] = 2**k
+                self._block_offsets[(b, a)] = len(self.basis)
                 for w in label_words(k):
                     self.basis.append(BasisVector(b, a, w))
         self.index = {v: i for i, v in enumerate(self.basis)}
         self.dimension = len(self.basis)
         self._products: dict[tuple[BasisVector, BasisVector], tuple] = {}
-        self._plans: dict[tuple[Matching, Matching, Matching], Plan] = {}
+        self._kernels: dict[tuple[Matching, Matching, Matching], tuple] = {}
+        self._tables: dict[Plan, list] = {}
 
     # -- multiplication ------------------------------------------------
 
@@ -337,29 +359,53 @@ class ArcRing:
         """Product of two basis vectors as ((vector, coeff), ...).
 
         Zero unless x's source matching equals y's target matching.  The
-        optional arc_order overrides the order in which the middle arcs
-        are contracted (the result never depends on it; tests rely on
-        being able to permute it).
+        optional arc_order, a permutation of x.col.pairs, overrides the
+        order in which the middle arcs are contracted (the result never
+        depends on it; tests rely on being able to permute it).  Such a
+        product compiles its own plan and is not memoized.
         """
         if x.col != y.row:
             return ()
-        key = (x, y)
-        if arc_order is None and key in self._products:
-            return self._products[key]
         c, b, a = x.row, x.col, y.col
-        if arc_order is None:
-            plan = self._plans.get((c, b, a))
-            if plan is None:
-                plan = self._plans[(c, b, a)] = _ring_plan(c, b, a, b.pairs)
-        else:
+        if arc_order is not None:
+            if sorted(map(tuple, arc_order)) != list(b.pairs):
+                raise ValueError(f"arc_order {arc_order!r} is not a permutation of {b.pairs}")
             plan = _ring_plan(c, b, a, arc_order)
-        result = tuple(
-            (BasisVector(c, a, w), coeff)
-            for w, coeff in _apply_plan(plan, x.labels + y.labels)
-        )
-        if arc_order is None:
-            self._products[key] = result
+            return tuple(
+                (BasisVector(c, a, w), coeff)
+                for w, coeff in _apply_plan(plan, x.labels + y.labels)
+            )
+        key = (x, y)
+        result = self._products.get(key)
+        if result is None:
+            plan, table, out = self._kernel(c, b, a)
+            word = x.labels + y.labels
+            r = _word_rank(word)
+            row = table[r]
+            if row is None:
+                row = table[r] = _plan_row(plan, word)
+            result = self._products[key] = tuple([(out[o], k) for o, k in row])
         return result
+
+    def _kernel(self, c: Matching, b: Matching, a: Matching) -> tuple:
+        """(plan, table, basis slice of block (c, a)) for the triple.
+
+        The triple's plan is compiled once.  Its table has one row slot
+        per input word rank, filled on first use and shared by every
+        triple with the same plan; a row read through the slice is the
+        product of the pair whose concatenated label word has that rank.
+        """
+        kernel = self._kernels.get((c, b, a))
+        if kernel is None:
+            plan = _ring_plan(c, b, a, b.pairs)
+            table = self._tables.get(plan)
+            if table is None:
+                size = self.block_dims[(c, b)] * self.block_dims[(b, a)]
+                table = self._tables[plan] = [None] * size
+            start = self._block_offsets[(c, a)]
+            out = self.basis[start : start + self.block_dims[(c, a)]]
+            kernel = self._kernels[(c, b, a)] = (plan, table, out)
+        return kernel
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:
         if x.n != self.n or y.n != self.n:

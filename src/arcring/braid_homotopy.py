@@ -18,7 +18,10 @@ alpha, with homotopy a signed beta.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arc_ring import (
@@ -403,15 +406,17 @@ def ui_degree(v: BasisVector, n: int) -> int:
     return degree(v)
 
 
-def _composable_triples(module: UiBimodule) -> list[tuple]:
-    """Every composable basis triple for the associativity checks.
+def _triple_sampler(module: UiBimodule):
+    """(count, triple_at) for the composable basis triples, unlisted.
 
-    ("ll", y1, y2, v) for y1 (y2 v), ("rr", v, y1, y2) for (v y1) y2 and
-    ("lr", y1, v, y2) for (y1 v) y2.  The order is that of a scan over
-    ring.basis for y1, then ring.basis for y2 with the module basis
+    The triples of the associativity checks are ("ll", y1, y2, v) for
+    y1 (y2 v), ("rr", v, y1, y2) for (v y1) y2 and ("lr", y1, v, y2) for
+    (y1 v) y2.  They are numbered as a scan would list them: y1 over
+    ring.basis; inside it y2 over ring.basis with the module basis
     innermost ("ll" before "rr" for the same v), then the "lr" triples
-    of y1; the seeded sample in verify_bimodule_axioms depends on it.
-    Row and column indexes of the two bases replace the all-pairs scan.
+    of y1.  triple_at(k) decodes the k-th triple.  What y1 contributes
+    depends only on its block (y1.row, y1.col), so each block's segment
+    is laid out once as runs of equal shape.
     """
     ring = module.ring
     ring_by_row: dict[Matching, list[BasisVector]] = {}
@@ -420,27 +425,63 @@ def _composable_triples(module: UiBimodule) -> list[tuple]:
     module_by_row: dict[Matching, list[BasisVector]] = {}
     for v in module.basis:
         module_by_row.setdefault(v.row, []).append(v)
-    # per (c, d): module vectors in row c or column d, in basis order,
-    # each with the two tests v.row == c and v.col == d
-    row_or_col: dict[tuple[Matching, Matching], list[tuple]] = {}
 
-    triples = []
+    choices: dict[tuple[Matching, Matching], list[tuple]] = {}
+
+    def pick(c: Matching, d: Matching) -> list[tuple]:
+        """The ("ll" | "rr", v) choices for y1, y2 with y2.col == c, y1.row == d."""
+        if (c, d) not in choices:
+            choices[(c, d)] = [
+                (kind, v)
+                for v in module.basis
+                for kind, hit in (("ll", v.row == c), ("rr", v.col == d))
+                if hit
+            ]
+        return choices[(c, d)]
+
+    segments: dict[tuple[Matching, Matching], tuple] = {}
+
+    def segment(d: Matching, b: Matching) -> tuple:
+        """(run starts, runs, length) of the triples of one y1 in block (d, b).
+
+        A run is (start, y2 list, what): what is a list of ll/rr choices
+        crossed with the y2 list, or the module vector v of an lr run.
+        """
+        if (d, b) not in segments:
+            runs, start = [], 0
+            for a, group in groupby(ring_by_row.get(b, ()), key=attrgetter("col")):
+                y2s, ch = list(group), pick(a, d)
+                if ch:
+                    runs.append((start, y2s, ch))
+                    start += len(y2s) * len(ch)
+            for v in module_by_row.get(b, ()):
+                y2s = ring_by_row.get(v.col, [])
+                if y2s:
+                    runs.append((start, y2s, v))
+                    start += len(y2s)
+            segments[(d, b)] = ([run[0] for run in runs], runs, start)
+        return segments[(d, b)]
+
+    y1_starts, count = [], 0
     for y1 in ring.basis:
-        for y2 in ring_by_row.get(y1.col, ()):
-            key = (y2.col, y1.row)
-            if key not in row_or_col:
-                c, d = key
-                tagged = [(v, v.row == c, v.col == d) for v in module.basis]
-                row_or_col[key] = [t for t in tagged if t[1] or t[2]]
-            for v, in_row, in_col in row_or_col[key]:
-                if in_row:
-                    triples.append(("ll", y1, y2, v))
-                if in_col:
-                    triples.append(("rr", v, y1, y2))
-        for v in module_by_row.get(y1.col, ()):
-            for y2 in ring_by_row.get(v.col, ()):
-                triples.append(("lr", y1, v, y2))
-    return triples
+        y1_starts.append(count)
+        count += segment(y1.row, y1.col)[2]
+
+    def triple_at(k: int) -> tuple:
+        if not 0 <= k < count:
+            raise IndexError(f"triple {k} out of range({count})")
+        p = bisect_right(y1_starts, k) - 1
+        y1 = ring.basis[p]
+        starts, runs, _ = segment(y1.row, y1.col)
+        start, y2s, what = runs[bisect_right(starts, k - y1_starts[p]) - 1]
+        r = k - y1_starts[p] - start
+        if isinstance(what, list):
+            q, j = divmod(r, len(what))
+            kind, v = what[j]
+            return ("ll", y1, y2s[q], v) if kind == "ll" else ("rr", v, y1, y2s[q])
+        return ("lr", y1, what, y2s[r])
+
+    return count, triple_at
 
 
 def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) -> bool:
@@ -460,11 +501,11 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     def as_ring(v):
         return RingElement(n, {v: 1})
 
-    triples = _composable_triples(module)
+    # sampling indexes draws the same triples as sampling the full list
+    count, triple_at = _triple_sampler(module)
     rng = random.Random(seed)
-    if len(triples) > samples:
-        triples = rng.sample(triples, samples)
-    for kind, t1, t2, t3 in triples:
+    picks = rng.sample(range(count), samples) if count > samples else range(count)
+    for kind, t1, t2, t3 in map(triple_at, picks):
         if kind == "ll":
             lhs = module.left_mul(ring.multiply(as_ring(t1), as_ring(t2)), module.element({t3: 1}))
             rhs = module.left_mul(as_ring(t1), module.left_mul(as_ring(t2), module.element({t3: 1})))

@@ -1,11 +1,16 @@
 """On-disk cache of built rings with their full product tables.
 
 A cached ring is one JSON document: a schema stamp, the basis order,
-and every composable basis product keyed by basis indices.  Writing is
-deterministic (sorted keys, index-sorted products), so store/load/store
-round-trips byte-identically, and atomic (a temp file, then
-os.replace).  A missing file means build silently; an unreadable or
-wrong-schema file means rebuild with a warning on stderr.
+and every composable basis product keyed by basis indices.  The
+payload visits the composable pairs in basis-index order and takes
+each product from ArcRing.multiply_basis, so the file holds exactly
+what the ring's product memo holds (a ring loaded from a file stores
+its own products back without recomputing them), and no product is
+sorted.  Writing is deterministic (sorted keys, index-ordered
+products), so store/load/store round-trips byte-identically, and
+atomic (a temp file, then os.replace).  A missing file means build
+silently; an unreadable or wrong-schema file means rebuild with a
+warning on stderr.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -38,26 +43,21 @@ def cache_path(n: int, directory: str | os.PathLike | None = None) -> Path:
     return cache_dir(directory) / f"ring_n{n}.json"
 
 
-def _full_product_table(ring: ArcRing) -> None:
-    by_row: dict = {}
-    for v in ring.basis:
-        by_row.setdefault(v.row, []).append(v)
-    for x in ring.basis:
-        for y in by_row[x.col]:
-            ring.multiply_basis(x, y)
-
-
 def ring_to_payload(ring: ArcRing) -> dict:
-    """A complete, deterministic JSON description of the ring."""
-    _full_product_table(ring)
+    """A complete, deterministic JSON description of the ring.
+
+    Products come in (x index, y index) order: x over the basis, y over
+    the basis vectors in row x.col, which lie in basis order already.
+    """
+    basis, index = ring.basis, ring.index
+    by_row: dict = {}
+    for yi, y in enumerate(basis):
+        by_row.setdefault(y.row, []).append((yi, y))
     products = []
-    for (x, y), terms in sorted(
-        ring._products.items(),
-        key=lambda kv: (ring.index[kv[0][0]], ring.index[kv[0][1]]),
-    ):
-        products.append(
-            [ring.index[x], ring.index[y], [[ring.index[z], c] for z, c in terms]]
-        )
+    for xi, x in enumerate(basis):
+        for yi, y in by_row[x.col]:
+            terms = ring.multiply_basis(x, y)
+            products.append([xi, yi, [[index[z], c] for z, c in terms]])
     return {
         "schema": SCHEMA_VERSION,
         "n": ring.n,
@@ -67,7 +67,10 @@ def ring_to_payload(ring: ArcRing) -> dict:
 
 
 def payload_to_ring(payload: dict) -> ArcRing:
-    """Rebuild a ring from its payload; raises ValueError when unusable."""
+    """Rebuild a ring from its payload; raises ValueError when unusable.
+
+    Each entry is hashed once, at its insert into the product memo.
+    """
     if not isinstance(payload, dict):
         raise ValueError("cache payload is not an object")
     if payload.get("schema") != SCHEMA_VERSION:
@@ -80,13 +83,13 @@ def payload_to_ring(payload: dict) -> ArcRing:
             Matching([tuple(arc) for arc in pairs]) for pairs in payload["order"]
         ]
         ring = ArcRing(n, order)
+        basis, memo = ring.basis, ring._products
         for xi, yi, terms in payload["products"]:
-            x, y = ring.basis[xi], ring.basis[yi]
-            if x.col != y.row:
+            x, y = basis[xi], basis[yi]
+            # basis vectors share the ring's Matching objects
+            if x.col is not y.row:
                 raise ValueError("cached product joins non-composable vectors")
-            ring._products[(x, y)] = tuple(
-                (ring.basis[zi], int(c)) for zi, c in terms
-            )
+            memo[x, y] = tuple([(basis[zi], int(c)) for zi, c in terms])
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed ring cache: {exc}") from exc
     return ring

@@ -391,10 +391,16 @@ def reduce_to_admissible(p: SquareFreePoly) -> SquareFreePoly:
     return SquareFreePoly(n, done)
 
 
+@lru_cache(maxsize=None)
+def _admissible_index(n: int) -> dict[frozenset, tuple[int, ...]]:
+    """The admissible subsets of [1, 2n], keyed by their element sets."""
+    return {frozenset(s): s for s in admissible_subsets(n)}
+
+
 def admissible_coordinates(p: SquareFreePoly) -> dict[tuple[int, ...], int]:
     """Coordinates of reduce_to_admissible(p) over the admissible basis."""
     reduced = reduce_to_admissible(p)
-    allowed = {frozenset(s): s for s in admissible_subsets(p.n)}
+    allowed = _admissible_index(p.n)
     out = {}
     for s, c in reduced.terms.items():
         if s not in allowed:

@@ -40,3 +40,22 @@ def plan_compiles(monkeypatch):
 
     monkeypatch.setattr(arc_ring.SurgeryState, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def plan_rows(monkeypatch):
+    """One (plan, word) entry per label-table row the ring builds.
+
+    A ring builds each row of each distinct plan's table at most once,
+    however many diagram triples share the plan, and only when a
+    product needs it.
+    """
+    built = []
+    real = arc_ring._plan_row
+
+    def counting(plan, word):
+        built.append((plan, word))
+        return real(plan, word)
+
+    monkeypatch.setattr(arc_ring, "_plan_row", counting)
+    return built

@@ -28,6 +28,7 @@ from arcring.arc_ring import (
     unit,
     verify_ring_integrity,
 )
+from arcring.cache import ring_to_payload
 from arcring.combinatorics import Matching, distance, enumerate_matchings, glue
 from arcring.errors import CapacityError, InvariantError, SizeMismatchError
 from arcring.frobenius import label_degree
@@ -302,14 +303,70 @@ def test_plan_compile_budget(plan_compiles):
     assert len(plan_compiles) == 126
 
 
+def test_plan_row_budget(plan_compiles, plan_rows):
+    # one table per distinct plan (125 triples share 39 plans at n = 3),
+    # each row built once, when a product first needs it
+    ring = ArcRing(3)
+    pairs = _composable_pairs(ring)
+    ring.multiply_basis(*pairs[0])
+    assert len(plan_rows) == 1
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    assert len(plan_compiles) == 125
+    assert len(ring._tables) == 39
+    assert len(plan_rows) == len(set(plan_rows)) == sum(map(len, ring._tables.values()))
+    assert all(None not in table for table in ring._tables.values())
+    built = len(plan_rows)
+    ring._products.clear()
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    assert (len(plan_compiles), len(plan_rows)) == (125, built)
+
+
+def test_plan_row_budget_n4(plan_compiles, plan_rows):
+    # the full n = 4 table: 2,744 triples, 419 distinct plans
+    ring = ArcRing(4)
+    ring_to_payload(ring)
+    assert len(ring._products) == 85608
+    assert len(plan_compiles) == len(ring.order) ** 3 == 2744
+    assert len(ring._tables) == 419
+    assert len(plan_rows) == len(set(plan_rows)) == sum(map(len, ring._tables.values()))
+
+
+def test_plan_table_rows():
+    # the row of a product's label word, read through the output block's
+    # slice, is the product
+    ring = ArcRing(2)
+    for x, y in _composable_pairs(ring):
+        product = ring.multiply_basis(x, y)
+        plan, table, out = ring._kernel(x.row, x.col, y.col)
+        word = x.labels + y.labels
+        assert len(table) == 2 ** len(word)
+        row = table[label_words(len(word)).index(word)]
+        assert tuple((out[o], k) for o, k in row) == product
+        assert all(v.row == x.row and v.col == y.col for v in out)
+
+
+def test_arc_order_must_permute_the_middle_arcs():
+    ring = ArcRing(2)
+    x, y = next((x, y) for x, y in _composable_pairs(ring) if len(x.col.pairs) == 2)
+    arcs = x.col.pairs
+    assert ring.multiply_basis(x, y, arc_order=arcs[::-1]) == ring.multiply_basis(x, y)
+    for bad in (((9, 10),), arcs + arcs[:1], arcs[:1]):  # foreign, repeated, omitted
+        with pytest.raises(ValueError):
+            ring.multiply_basis(x, y, arc_order=bad)
+
+
 def test_product_property_random_orders():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    rings = {}
 
     @st.composite
     def products(draw):
         n = draw(st.integers(1, 4))
         ms = enumerate_matchings(n)
+        order = draw(st.permutations(ms))
         c, b, a = (draw(st.sampled_from(ms)) for _ in range(3))
 
         def word(lower, upper):
@@ -318,16 +375,19 @@ def test_product_property_random_orders():
 
         x = BasisVector(c, b, word(c, b))
         y = BasisVector(b, a, word(b, a))
-        return n, x, y, tuple(draw(st.permutations(b.pairs)))
+        return order, x, y, tuple(draw(st.permutations(b.pairs)))
 
     @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @hypothesis.given(products())
     def check(case):
-        n, x, y, arcs = case
-        ring = get_ring(n)
+        order, x, y, arcs = case
         want = surgery_reference.ring_product(x, y, arcs)
-        assert ring.multiply_basis(x, y, arc_order=arcs) == want
-        assert ring.multiply_basis(x, y) == want
+        # the canonical ring and one with the drawn basis order
+        if tuple(order) not in rings:
+            rings[tuple(order)] = ArcRing(x.row.n, order)
+        for ring in (get_ring(x.row.n), rings[tuple(order)]):
+            assert ring.multiply_basis(x, y, arc_order=arcs) == want
+            assert ring.multiply_basis(x, y) == want
 
     check()
 

@@ -7,6 +7,7 @@ other one the opposite, for every n up to 3.
 
 import doctest
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from arcring.arc_ring import BasisVector, RingElement, degree, get_ring
 from arcring.braid_homotopy import (
     BimoduleElement,
     UiBimodule,
-    _composable_triples,
+    _triple_sampler,
     compose_ui,
     get_bimodule,
     ui_degree,
@@ -182,11 +183,72 @@ def scanned_triples(module):
     return triples
 
 
+def _composable_triples(module):
+    """The triples listed from row and column indexes of the two bases.
+
+    The order of scanned_triples, which verify_bimodule_axioms sampled
+    from before it decoded sampled indexes instead; the oracle for
+    _triple_sampler.
+    """
+    ring = module.ring
+    ring_by_row = {}
+    for y in ring.basis:
+        ring_by_row.setdefault(y.row, []).append(y)
+    module_by_row = {}
+    for v in module.basis:
+        module_by_row.setdefault(v.row, []).append(v)
+    # per (c, d): module vectors in row c or column d, in basis order,
+    # each with the two tests v.row == c and v.col == d
+    row_or_col = {}
+
+    triples = []
+    for y1 in ring.basis:
+        for y2 in ring_by_row.get(y1.col, ()):
+            key = (y2.col, y1.row)
+            if key not in row_or_col:
+                c, d = key
+                tagged = [(v, v.row == c, v.col == d) for v in module.basis]
+                row_or_col[key] = [t for t in tagged if t[1] or t[2]]
+            for v, in_row, in_col in row_or_col[key]:
+                if in_row:
+                    triples.append(("ll", y1, y2, v))
+                if in_col:
+                    triples.append(("rr", v, y1, y2))
+        for v in module_by_row.get(y1.col, ()):
+            for y2 in ring_by_row.get(v.col, ()):
+                triples.append(("lr", y1, v, y2))
+    return triples
+
+
 def test_composable_triples_match_scan():
     cases = [(n, i) for n in (1, 2) for i in range(1, 2 * n)] + [(3, 1)]
     for n, i in cases:
         module = get_bimodule(n, i)
         assert _composable_triples(module) == scanned_triples(module)
+
+
+def test_triple_sampler_matches_list():
+    # every index for n <= 2
+    for n in (1, 2):
+        for i in range(1, 2 * n):
+            module = get_bimodule(n, i)
+            triples = _composable_triples(module)
+            count, triple_at = _triple_sampler(module)
+            assert count == len(triples)
+            assert [triple_at(k) for k in range(count)] == triples
+            with pytest.raises(IndexError):
+                triple_at(count)
+    # n = 3: the indexes verify_bimodule_axioms samples, and 1,000 more
+    for i in range(1, 6):
+        module = get_bimodule(3, i)
+        triples = _composable_triples(module)
+        count, triple_at = _triple_sampler(module)
+        assert count == len(triples)
+        picks = random.Random(0).sample(range(count), 300)
+        # the index sample picks what sampling the list picked
+        assert [triples[k] for k in picks] == random.Random(0).sample(triples, 300)
+        picks += random.Random(i).sample(range(count), 1000)
+        assert all(triple_at(k) == triples[k] for k in picks)
 
 
 def test_saddle_maps_are_bimodule_maps():

@@ -8,11 +8,12 @@ product table it was saved from.
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from arcring import cache, cli
-from arcring.arc_ring import build_ring, get_ring
+from arcring.arc_ring import ArcRing, build_ring, get_ring
 from arcring.cache import (
     cache_path,
     load_or_build,
@@ -166,6 +167,26 @@ def test_symmetric_check_hnf_budget(capsys, hnf_calls):
     assert len(hnf_calls) <= 20
 
 
+def test_symmetric_check_admissible_budget(capsys, monkeypatch):
+    from arcring import combinatorics, presentations
+
+    calls = []
+    real = combinatorics.is_admissible
+
+    def counting(subset, n):
+        calls.append(n)
+        return real(subset, n)
+
+    monkeypatch.setattr(combinatorics, "is_admissible", counting)
+    presentations._admissible_index.cache_clear()
+    code, report, _ = run_json(capsys, ["verify", "--n", "3", "--symmetric"])
+    assert code == 0 and report["passed"] is True
+    # a few enumerations of the 64 subsets of [1, 6] (84 calls when
+    # measured); rebuilding the admissible basis on every coordinate
+    # lookup takes it past 100,000
+    assert len(calls) <= 4 * 64
+
+
 def test_byte_determinism(capsys):
     for argv in (
         ["matchings", "--n", "2", "--arrows", "--order", "--graph"],
@@ -235,6 +256,53 @@ def test_cache_store_load_store_byte_identical(tmp_path):
     reloaded = load_ring(1, tmp_path)
     second = store_ring(reloaded, tmp_path).read_bytes()
     assert first == second
+
+
+def _sorted_payload(ring):
+    """The payload built the old way, as the reference for index space.
+
+    Every product is sorted by the basis indexes of its factors, and
+    each term's vector is looked up in ring.index.
+    """
+    by_row = {}
+    for v in ring.basis:
+        by_row.setdefault(v.row, []).append(v)
+    for x in ring.basis:
+        for y in by_row[x.col]:
+            ring.multiply_basis(x, y)
+    products = [
+        [ring.index[x], ring.index[y], [[ring.index[z], c] for z, c in terms]]
+        for (x, y), terms in sorted(
+            ring._products.items(), key=lambda kv: (ring.index[kv[0][0]], ring.index[kv[0][1]])
+        )
+    ]
+    return {
+        "schema": cache.SCHEMA_VERSION,
+        "n": ring.n,
+        "order": [[list(arc) for arc in m.pairs] for m in ring.order],
+        "products": products,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_payload_matches_sorted_reference(tmp_path, plan_compiles, n):
+    canonical = get_ring(n).order
+    shuffled = list(canonical)
+    random.Random(n).shuffle(shuffled)
+    assert n == 1 or shuffled != canonical
+    for order in (None, shuffled):
+        payload = ring_to_payload(ArcRing(n, order))
+        assert payload == _sorted_payload(ArcRing(n, order))
+        # a loaded ring stores the same payload and the same bytes again,
+        # from its product memo, without compiling a single plan
+        compiled = len(plan_compiles)
+        path = store_ring(payload_to_ring(payload), tmp_path)
+        first = path.read_bytes()
+        loaded = load_ring(n, tmp_path)
+        assert len(loaded._products) == len(payload["products"])
+        assert ring_to_payload(loaded) == payload
+        assert store_ring(loaded, tmp_path).read_bytes() == first
+        assert len(plan_compiles) == compiled
 
 
 @pytest.mark.parametrize("step", ["write", "replace"])

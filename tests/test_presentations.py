@@ -245,7 +245,8 @@ def test_reduce_to_admissible_bad_violation_is_typed(monkeypatch):
 
 
 def test_admissible_coordinates_leftover_is_typed(monkeypatch):
-    monkeypatch.setattr(presentations, "admissible_subsets", lambda n: [])
+    # the admissible index is cached per n; empty it for this call only
+    monkeypatch.setattr(presentations, "_admissible_index", lambda n: {})
     with pytest.raises(InvariantError):
         admissible_coordinates(SquareFreePoly.monomial(2, {2}))
 

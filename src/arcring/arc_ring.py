@@ -263,17 +263,14 @@ def _apply_plan(plan: Plan, word: str) -> list[tuple[str, int]]:
     return sorted(("".join([w[i] for i in order]), k) for w, k in terms.items() if k)
 
 
+# a label word's rank, its position in label_words(len(word)), is the
+# word read as a binary number: int(word.translate(_BITS), 2)
 _BITS = str.maketrans("1X", "01")
-
-
-def _word_rank(word: str) -> int:
-    """Position of a label word in label_words(len(word))."""
-    return int(word.translate(_BITS), 2)
 
 
 def _plan_row(plan: Plan, word: str) -> tuple[tuple[int, int], ...]:
     """_apply_plan() on one word, as (output word rank, coeff) terms."""
-    return tuple([(_word_rank(w), c) for w, c in _apply_plan(plan, word)])
+    return tuple([(int(w.translate(_BITS), 2), c) for w, c in _apply_plan(plan, word)])
 
 
 def _matching_edges(tag: str, m: Matching, offset: int) -> dict:
@@ -378,9 +375,12 @@ class ArcRing:
         key = (x, y)
         result = self._products.get(key)
         if result is None:
-            plan, table, out = self._kernel(c, b, a)
+            kernel = self._kernels.get((c, b, a))
+            if kernel is None:
+                kernel = self._kernel(c, b, a)
+            plan, table, out = kernel
             word = x.labels + y.labels
-            r = _word_rank(word)
+            r = int(word.translate(_BITS), 2)
             row = table[r]
             if row is None:
                 row = table[r] = _plan_row(plan, word)
@@ -388,23 +388,22 @@ class ArcRing:
         return result
 
     def _kernel(self, c: Matching, b: Matching, a: Matching) -> tuple:
-        """(plan, table, basis slice of block (c, a)) for the triple.
+        """Compile and store (plan, table, basis slice of block (c, a)).
 
-        The triple's plan is compiled once.  Its table has one row slot
-        per input word rank, filled on first use and shared by every
-        triple with the same plan; a row read through the slice is the
-        product of the pair whose concatenated label word has that rank.
+        Called once per triple, on its first product.  The table has one
+        row slot per input word rank, filled on first use and shared by
+        every triple with the same plan; a row read through the slice is
+        the product of the pair whose concatenated label word has that
+        rank.
         """
-        kernel = self._kernels.get((c, b, a))
-        if kernel is None:
-            plan = _ring_plan(c, b, a, b.pairs)
-            table = self._tables.get(plan)
-            if table is None:
-                size = self.block_dims[(c, b)] * self.block_dims[(b, a)]
-                table = self._tables[plan] = [None] * size
-            start = self._block_offsets[(c, a)]
-            out = self.basis[start : start + self.block_dims[(c, a)]]
-            kernel = self._kernels[(c, b, a)] = (plan, table, out)
+        plan = _ring_plan(c, b, a, b.pairs)
+        table = self._tables.get(plan)
+        if table is None:
+            size = self.block_dims[(c, b)] * self.block_dims[(b, a)]
+            table = self._tables[plan] = [None] * size
+        start = self._block_offsets[(c, a)]
+        out = self.basis[start : start + self.block_dims[(c, a)]]
+        kernel = self._kernels[(c, b, a)] = (plan, table, out)
         return kernel
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:

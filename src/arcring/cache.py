@@ -9,8 +9,10 @@ its own products back without recomputing them), and no product is
 sorted.  Writing is deterministic (sorted keys, index-ordered
 products), so store/load/store round-trips byte-identically, and
 atomic (a temp file, then os.replace).  A missing file means build
-silently; an unreadable or wrong-schema file means rebuild with a
-warning on stderr.
+silently; an unreadable or wrong-schema file, a file for another n, or
+a product entry that cannot be trusted (an index outside the basis, a
+term outside its product's block, a coefficient that is not an int)
+means rebuild with a warning on stderr.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -69,7 +71,10 @@ def ring_to_payload(ring: ArcRing) -> dict:
 def payload_to_ring(payload: dict) -> ArcRing:
     """Rebuild a ring from its payload; raises ValueError when unusable.
 
-    Each entry is hashed once, at its insert into the product memo.
+    An entry is unusable when an index lies outside range(dimension),
+    its factors do not compose, a term lies outside block (x.row, y.col)
+    or a coefficient is not exactly an int.  Each entry is hashed once,
+    at its insert into the product memo.
     """
     if not isinstance(payload, dict):
         raise ValueError("cache payload is not an object")
@@ -83,13 +88,25 @@ def payload_to_ring(payload: dict) -> ArcRing:
             Matching([tuple(arc) for arc in pairs]) for pairs in payload["order"]
         ]
         ring = ArcRing(n, order)
-        basis, memo = ring.basis, ring._products
+        basis, memo, dim = ring.basis, ring._products, ring.dimension
         for xi, yi, terms in payload["products"]:
+            if not (0 <= xi < dim and 0 <= yi < dim):
+                raise ValueError(f"cached product index {xi} or {yi} is out of range")
             x, y = basis[xi], basis[yi]
             # basis vectors share the ring's Matching objects
             if x.col is not y.row:
                 raise ValueError("cached product joins non-composable vectors")
-            memo[x, y] = tuple([(basis[zi], int(c)) for zi, c in terms])
+            product = []
+            for zi, c in terms:
+                if not 0 <= zi < dim:
+                    raise ValueError(f"cached term index {zi} is out of range")
+                z = basis[zi]
+                if z.row is not x.row or z.col is not y.col:
+                    raise ValueError(f"cached term {zi} lies outside its product's block")
+                if type(c) is not int:
+                    raise ValueError(f"cached coefficient {c!r} is not an int")
+                product.append((z, c))
+            memo[x, y] = tuple(product)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed ring cache: {exc}") from exc
     return ring
@@ -116,13 +133,15 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
 
 
 def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
-    """Load a cached ring; FileNotFoundError if absent, ValueError if bad."""
+    """Load a cached ring; FileNotFoundError if absent, ValueError if bad.
+
+    The stored n is checked before any product is decoded.
+    """
     path = cache_path(n, directory)
     payload = json.loads(path.read_text())
-    ring = payload_to_ring(payload)
-    if ring.n != n:
-        raise ValueError(f"cache file for n={n} actually contains n={ring.n}")
-    return ring
+    if isinstance(payload, dict) and payload.get("n") != n:
+        raise ValueError(f"cache file for n={n} actually contains n={payload.get('n')!r}")
+    return payload_to_ring(payload)
 
 
 def load_or_build(

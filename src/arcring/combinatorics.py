@@ -7,6 +7,12 @@ closed diagrams obtained by gluing two matchings, the arrow relation and
 the partial order it generates, the nesting graph of a single matching,
 and the admissible subsets of [1, 2n] that index monomial bases later on.
 
+Matchings are interned, one object per pair tuple, so equality is
+identity and a matching hashes by identity; ordering is by pairs.  A
+set of matchings therefore iterates in an order that changes from one
+process to the next, so nothing that reaches a report, an order or a
+file may iterate one: sort it, or iterate a list or a dict instead.
+
 Endpoints are numbered 1..2n throughout.
 """
 
@@ -43,26 +49,34 @@ def is_crossingless(pairs: tuple[Pair, ...]) -> bool:
 class Matching:
     """A crossingless perfect matching of the points 1..2n.
 
-    Stored as a sorted tuple of (smaller, larger) endpoint pairs, so
-    matchings compare and hash by value and sort lexicographically on
-    that tuple.  The hash is computed once, since matchings key every
-    basis-vector memo and index.
+    Stored as a sorted tuple of (smaller, larger) endpoint pairs.
+    Matchings are interned: constructing one returns the existing
+    instance for its pair tuple, so there is exactly one object per
+    matching, equality is identity and hashing is by identity, both in
+    C.  Matchings sort lexicographically on their pairs.
 
     >>> m = Matching([(3, 4), (1, 2)])
     >>> m.pairs
     ((1, 2), (3, 4))
     >>> m.partner[1], m.partner[4]
     (2, 3)
+    >>> Matching([(2, 1), (4, 3)]) is m
+    True
     """
 
-    __slots__ = ("n", "pairs", "partner", "_hash")
+    __slots__ = ("n", "pairs", "partner")
 
-    def __init__(self, pairs, n: int | None = None):
+    _interned: dict[tuple[Pair, ...], Matching] = {}
+
+    def __new__(cls, pairs, n: int | None = None):
         norm = tuple(sorted((min(p), max(p)) for p in pairs))
         if n is None:
             n = len(norm)
         if len(norm) != n:
             raise ValueError(f"expected {n} pairs, got {len(norm)}")
+        self = cls._interned.get(norm)
+        if self is not None:
+            return self
         seen = [p for pair in norm for p in pair]
         if sorted(seen) != list(range(1, 2 * n + 1)):
             raise ValueError(f"pairs {norm} do not cover 1..{2*n} exactly once")
@@ -74,16 +88,11 @@ class Matching:
             if (i + j) % 2 == 0:
                 raise InvariantError(f"arc ({i}, {j}) has even endpoint sum")
             partner[i], partner[j] = j, i
+        self = super().__new__(cls)
         self.n = n
         self.pairs = norm
         self.partner = tuple(partner)
-        self._hash = hash(norm)
-
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return self._hash
+        return cls._interned.setdefault(norm, self)
 
     def __lt__(self, other):
         return self.pairs < other.pairs

@@ -303,6 +303,26 @@ def test_plan_compile_budget(plan_compiles):
     assert len(plan_compiles) == 126
 
 
+def test_kernel_compiled_once_per_triple(monkeypatch):
+    # a memo miss reads the triple's kernel and compiles only a missing one
+    ring = ArcRing(3)
+    compiled = []
+    real = ring._kernel
+
+    def counting(c, b, a):
+        compiled.append((c, b, a))
+        return real(c, b, a)
+
+    monkeypatch.setattr(ring, "_kernel", counting)
+    pairs = _composable_pairs(ring)
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    ring._products.clear()
+    for x, y in pairs:
+        ring.multiply_basis(x, y)
+    assert len(compiled) == len(set(compiled)) == len(ring._kernels) == 125
+
+
 def test_plan_row_budget(plan_compiles, plan_rows):
     # one table per distinct plan (125 triples share 39 plans at n = 3),
     # each row built once, when a product first needs it
@@ -339,7 +359,7 @@ def test_plan_table_rows():
     ring = ArcRing(2)
     for x, y in _composable_pairs(ring):
         product = ring.multiply_basis(x, y)
-        plan, table, out = ring._kernel(x.row, x.col, y.col)
+        plan, table, out = ring._kernels[x.row, x.col, y.col]
         word = x.labels + y.labels
         assert len(table) == 2 ** len(word)
         row = table[label_words(len(word)).index(word)]

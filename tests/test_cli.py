@@ -8,7 +8,11 @@ product table it was saved from.
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,30 @@ def test_byte_determinism(capsys):
         assert first == second
 
 
+def test_outputs_identical_across_processes(tmp_path):
+    # a matching hashes by identity, so the iteration order of a set of
+    # matchings changes from one process to the next; no report and no
+    # cache file may depend on it, nor on the string hash seed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for hashseed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for argv in (
+            ["verify", "--n", "2", "--all"],
+            ["cache", "store", "--n", "3", "--cache-dir", str(tmp_path)],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "arcring.cli", *argv],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(done.stdout)
+        outputs.append(cache_path(3, tmp_path).read_bytes())
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
 def test_timing_flag(capsys):
     _, report, _ = run_json(capsys, ["matchings", "--n", "1", "--timing"])
     assert isinstance(report["duration_s"], float)
@@ -370,6 +398,79 @@ def test_cache_wrong_n_rejected(tmp_path):
     stored.rename(cache_path(1, tmp_path))
     with pytest.raises(ValueError):
         load_ring(1, tmp_path)
+
+
+def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
+    # an n = 1 ring filed as n = 2 is rejected without decoding a product
+    path = cache_path(2, tmp_path)
+    path.write_text(json.dumps(ring_to_payload(build_ring(1))))
+
+    def decode(payload):
+        raise AssertionError("products decoded before the n check")
+
+    monkeypatch.setattr(cache, "payload_to_ring", decode)
+    with pytest.raises(ValueError, match="n=2 actually contains n=1"):
+        load_ring(2, tmp_path)
+
+
+def _tamper(case):
+    """The n = 2 payload with one product entry edited as case says."""
+    ring = build_ring(2)
+    payload = ring_to_payload(ring)
+    entry = next(e for e in payload["products"] if e[2])
+    xi, yi, terms = entry
+    x, y = ring.basis[xi], ring.basis[yi]
+    # a negative index aliases the right vector, so only the range
+    # check can catch it
+    if case == "x_negative":
+        entry[0] = xi - ring.dimension
+    elif case == "x_too_large":
+        entry[0] = ring.dimension
+    elif case == "y_negative":
+        entry[1] = yi - ring.dimension
+    elif case == "y_too_large":
+        entry[1] = ring.dimension
+    elif case == "term_negative":
+        terms[0][0] -= ring.dimension
+    elif case == "term_too_large":
+        terms[0][0] = ring.dimension
+    elif case == "term_negative_float_coeff":
+        entry[2] = [[-1, 1.9]]
+    elif case == "term_outside_block":
+        terms[0][0] = next(
+            i for i, v in enumerate(ring.basis) if (v.row, v.col) != (x.row, y.col)
+        )
+    elif case == "float_coeff":
+        terms[0][1] = float(terms[0][1])
+    elif case == "bool_coeff":
+        terms[0][1] = True
+    return payload
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "x_negative",
+        "x_too_large",
+        "y_negative",
+        "y_too_large",
+        "term_negative",
+        "term_too_large",
+        "term_negative_float_coeff",
+        "term_outside_block",
+        "float_coeff",
+        "bool_coeff",
+    ],
+)
+def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
+    payload = _tamper(case)
+    with pytest.raises(ValueError):
+        payload_to_ring(payload)
+    cache_path(2, tmp_path).write_text(json.dumps(payload))
+    ring, status = load_or_build(2, tmp_path, store=False)
+    assert status == "rebuilt"
+    assert "rebuilding ring cache for n=2" in capsys.readouterr().err
+    assert ring is build_ring(2)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

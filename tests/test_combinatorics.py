@@ -108,15 +108,35 @@ def test_enumeration_counts():
 
 
 def test_matching_validation():
-    with pytest.raises(ValueError):
-        Matching([(1, 3), (2, 4)])  # crossing
-    with pytest.raises(ValueError):
-        Matching([(1, 2), (2, 3)])  # repeated point
-    with pytest.raises(ValueError):
-        Matching([(1, 2)], n=2)  # wrong size
+    interned = dict(Matching._interned)
+    for pairs, n in (
+        ([(1, 3), (2, 4)], None),  # crossing
+        ([(1, 2), (2, 3)], None),  # repeated point
+        ([(1, 2), (5, 6)], None),  # points 3 and 4 uncovered
+        ([(1, 2)], 2),  # wrong size
+        ([(1, 2), (3, 4)], 1),  # wrong size for an interned pair tuple
+    ):
+        with pytest.raises(ValueError):
+            Matching(pairs, n)
+    # a rejected matching leaves nothing in the intern table
+    assert Matching._interned == interned
     m = Matching([(3, 4), (1, 2)])
     assert m.pairs == ((1, 2), (3, 4))
     assert m.partner[3] == 4 and m.partner[2] == 1
+
+
+def test_matchings_are_interned():
+    # one object per pair tuple, however the pairs are written down
+    for n in range(5):
+        for m in enumerate_matchings(n):
+            assert Matching(m.pairs) is m
+            assert Matching(m.pairs[::-1]) is m
+            assert Matching([(j, i) for i, j in m.pairs], n) is m
+    # equality and hashing are object identity, run in C; order is by pairs
+    assert Matching.__eq__ is object.__eq__
+    assert Matching.__hash__ is object.__hash__
+    a, b = enumerate_matchings(2)
+    assert a < b and a <= a and not b < a
 
 
 def test_arc_endpoint_parity():

@@ -7,21 +7,41 @@ label word).  Multiplication contracts the middle matching of two
 compatible diagrams by one saddle move per arc, merging or splitting
 circles and rewriting labels through the Frobenius algebra.
 
-Which circles merge or split, and where the survivors land, depends
-only on the diagrams (c, b, a), never on the labels.  So the engine
-works in three steps.  Compile: a SurgeryState runs the saddles on the
-strand graph once per diagram key and records a label-free Plan of
-merge and split ops on circle positions plus the final reordering.
-Table: each distinct plan gets one table with a row per input label
-word, filled on first use by _plan_row(), which pushes the word through
-_apply_plan(), the only code that rewrites labels; the row holds the
-(output word rank, coeff) terms, where a word's rank is its position in
-label_words().  Apply: ArcRing keeps one kernel per triple (c, b, a),
-its plan, the table of that plan (shared by every triple with the same
-plan) and the basis slice of the output block (c, a), so a product is
-a row lookup, and a row is built only for products actually asked for.
-The cup-cap bimodules in braid_homotopy compile their plans the same
-way, one per block key, and apply them word by word.
+A product is the map Khovanov's TQFT assigns to one cobordism, from
+glue(c, b) and glue(b, a) to glue(c, a), and that map depends only on
+the cobordism's connected components: which input and output circles
+each one joins, and its genus.  So the default path never replays the
+saddles.  Key: endpoint e lies on one circle of each of glue(c, b),
+glue(b, a) and glue(c, a) (read from endpoint_to_circle), and the
+cobordism joins those three; the union-find classes of all 2n such
+triples are the components.  Each arc of b is one saddle, in the
+component of its circles.  A component is built from its k_in input
+cylinders by s saddles, each lowering the Euler characteristic by one,
+so 2 - 2g - (k_in + k_out) = -s and its genus is
+g = (2 - k_in - k_out + s) / 2.  The key of a triple (c, b, a) is the
+sorted tuple of (input mask, output mask, g) over its components, the
+masks selecting circles as bits of a word's rank, its position in
+label_words() (the word read in binary with X = 1).  Row: a component
+multiplies its t input X's into one circle, times (2X)^g, and then
+comultiplies to its outputs, so with t + g >= 2 the product is zero,
+t + g = 1 puts X on every output and t + g = 0 sums the words with
+exactly one output 1; the row is the product over the components,
+(output rank, 2^(total genus)) terms sorted by rank, built by
+_cobordism_row().  Table: each distinct key gets one table with a row
+slot per input rank, filled on first use (64 keys serve the 2,744
+triples at n = 4).  Apply: ArcRing keeps one kernel per triple, its
+key, the table of that key and the basis slice of the output block
+(c, a), so a product is a row lookup, and a row is built only for
+products actually asked for.
+
+Saddle surgery stays for everything else.  A SurgeryState runs the
+saddles on a strand graph and records a label-free Plan of merge and
+split ops on circle positions, which _apply_plan(), the only code that
+rewrites labels through MERGE and SPLIT, pushes a word along.  A ring
+product with an explicit arc_order is computed that way, so the
+surgery-order check compares two independent calculi, and the cup-cap
+bimodules in braid_homotopy compile their plans the same way, one per
+block key, and apply them word by word.
 """
 
 from __future__ import annotations
@@ -268,9 +288,76 @@ def _apply_plan(plan: Plan, word: str) -> list[tuple[str, int]]:
 _BITS = str.maketrans("1X", "01")
 
 
-def _plan_row(plan: Plan, word: str) -> tuple[tuple[int, int], ...]:
-    """_apply_plan() on one word, as (output word rank, coeff) terms."""
-    return tuple([(int(w.translate(_BITS), 2), c) for w, c in _apply_plan(plan, word)])
+def _cobordism_key(c: Matching, b: Matching, a: Matching) -> tuple:
+    """The components of the product cobordism of blocks (c, b) and (b, a).
+
+    One (input mask, output mask, genus) triple per component, sorted.
+    Input circle p of the word x.labels + y.labels is bit K - 1 - p of
+    its rank (K input circles), and output circle q of glue(c, a) is
+    bit k - 1 - q (k output circles), so a mask selects the circles of
+    one component in rank space.  Endpoint e lies on one circle of each
+    of the three diagrams, and the cobordism joins all three, so the
+    components are the classes of the union of those triples.  Each arc
+    of b is one saddle, in the component of its circles; the genus
+    follows from the Euler characteristic.
+    """
+    top, bot, out = glue(c, b), glue(b, a), glue(c, a)
+    k1 = len(top.circles)
+    k_in = k1 + len(bot.circles)
+    k_out = len(out.circles)
+    parent = list(range(k_in + k_out))
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for e in range(1, 2 * c.n + 1):
+        root = find(top.endpoint_to_circle[e])
+        parent[find(k1 + bot.endpoint_to_circle[e])] = root
+        parent[find(k_in + out.endpoint_to_circle[e])] = root
+    comps: dict[int, list[int]] = {}
+    for u in range(k_in + k_out):
+        comp = comps.setdefault(find(u), [0, 0, 0])
+        if u < k_in:
+            comp[0] |= 1 << (k_in - 1 - u)
+        else:
+            comp[1] |= 1 << (k_in + k_out - 1 - u)
+    for i, _ in b.pairs:
+        comps[find(top.endpoint_to_circle[i])][2] += 1
+    return tuple(sorted(
+        (m_in, m_out, (2 - m_in.bit_count() - m_out.bit_count() + s) // 2)
+        for m_in, m_out, s in comps.values()
+    ))
+
+
+def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
+    """The product of the input word of this rank, along the key's cobordism.
+
+    A connected component of genus g multiplies its inputs, multiplies
+    by (2X)^g, then comultiplies to its outputs.  With t the number of
+    input X's plus g, t >= 2 gives zero, t = 1 puts X on every output
+    and t = 0 sums the output words with exactly one 1.  The row is the
+    product over the components: (output word rank, coeff) terms sorted
+    by rank, every coefficient 2^(total genus).
+    """
+    outs = [0]
+    coeff = 1
+    for m_in, m_out, g in key:
+        t = (rank & m_in).bit_count() + g
+        if t >= 2:
+            return ()
+        coeff <<= g
+        if t:
+            outs = [o | m_out for o in outs]
+        else:
+            bits, m = [], m_out
+            while m:
+                bits.append(m & -m)
+                m &= m - 1
+            outs = [o | (m_out ^ bit) for o in outs for bit in bits]
+    outs.sort()
+    return tuple([(o, coeff) for o in outs])
 
 
 def _matching_edges(tag: str, m: Matching, offset: int) -> dict:
@@ -346,7 +433,7 @@ class ArcRing:
         self.dimension = len(self.basis)
         self._products: dict[tuple[BasisVector, BasisVector], tuple] = {}
         self._kernels: dict[tuple[Matching, Matching, Matching], tuple] = {}
-        self._tables: dict[Plan, list] = {}
+        self._tables: dict[tuple, list] = {}
 
     # -- multiplication ------------------------------------------------
 
@@ -372,38 +459,37 @@ class ArcRing:
                 (BasisVector(c, a, w), coeff)
                 for w, coeff in _apply_plan(plan, x.labels + y.labels)
             )
-        key = (x, y)
-        result = self._products.get(key)
+        pair = (x, y)
+        result = self._products.get(pair)
         if result is None:
             kernel = self._kernels.get((c, b, a))
             if kernel is None:
                 kernel = self._kernel(c, b, a)
-            plan, table, out = kernel
-            word = x.labels + y.labels
-            r = int(word.translate(_BITS), 2)
+            key, table, out = kernel
+            r = int((x.labels + y.labels).translate(_BITS), 2)
             row = table[r]
             if row is None:
-                row = table[r] = _plan_row(plan, word)
-            result = self._products[key] = tuple([(out[o], k) for o, k in row])
+                row = table[r] = _cobordism_row(key, r)
+            result = self._products[pair] = tuple([(out[o], k) for o, k in row])
         return result
 
     def _kernel(self, c: Matching, b: Matching, a: Matching) -> tuple:
-        """Compile and store (plan, table, basis slice of block (c, a)).
+        """Build and store (key, table, basis slice of block (c, a)).
 
         Called once per triple, on its first product.  The table has one
         row slot per input word rank, filled on first use and shared by
-        every triple with the same plan; a row read through the slice is
-        the product of the pair whose concatenated label word has that
-        rank.
+        every triple with the same cobordism key; a row read through the
+        slice is the product of the pair whose concatenated label word
+        has that rank.
         """
-        plan = _ring_plan(c, b, a, b.pairs)
-        table = self._tables.get(plan)
+        key = _cobordism_key(c, b, a)
+        table = self._tables.get(key)
         if table is None:
             size = self.block_dims[(c, b)] * self.block_dims[(b, a)]
-            table = self._tables[plan] = [None] * size
+            table = self._tables[key] = [None] * size
         start = self._block_offsets[(c, a)]
         out = self.basis[start : start + self.block_dims[(c, a)]]
-        kernel = self._kernels[(c, b, a)] = (plan, table, out)
+        kernel = self._kernels[(c, b, a)] = (key, table, out)
         return kernel
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:

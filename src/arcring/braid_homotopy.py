@@ -484,11 +484,14 @@ def _triple_sampler(module: UiBimodule):
     return count, triple_at
 
 
-def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) -> bool:
-    """Associativity and unit laws for the two actions, on basis triples.
+def _bimodule_axiom_witness(
+    n: int, i: int, samples: int = 300, seed: int = 0
+) -> list | None:
+    """The first failing case of the bimodule axiom checks, or None.
 
-    Exhaustive when the number of composable triples is small, sampled
-    with the given seed otherwise.
+    A failing unit law gives ["unit", repr(v)]; a failing associativity
+    triple gives [kind, repr(t1), repr(t2), repr(t3)], kind as in
+    _triple_sampler.
     """
     module = get_bimodule(n, i)
     ring = module.ring
@@ -496,7 +499,7 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     for v in module.basis:
         x = module.element({v: 1})
         if module.left_mul(one, x) != x or module.right_mul(x, one) != x:
-            return False
+            return ["unit", repr(v)]
 
     def as_ring(v):
         return RingElement(n, {v: 1})
@@ -516,8 +519,17 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
             lhs = module.right_mul(module.left_mul(as_ring(t1), module.element({t2: 1})), as_ring(t3))
             rhs = module.left_mul(as_ring(t1), module.right_mul(module.element({t2: 1}), as_ring(t3)))
         if lhs != rhs:
-            return False
-    return True
+            return [kind, repr(t1), repr(t2), repr(t3)]
+    return None
+
+
+def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) -> bool:
+    """Associativity and unit laws for the two actions, on basis triples.
+
+    Exhaustive when the number of composable triples is small, sampled
+    with the given seed otherwise.
+    """
+    return _bimodule_axiom_witness(n, i, samples, seed) is None
 
 
 def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
@@ -530,6 +542,16 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     vector.  Also confirms both saddle maps are homogeneous of degree 1
     and commute with the endomorphisms, and (optionally) the bimodule
     axioms.
+
+    A failing check adds a counterexample field, a passing one adds
+    none.  degree_counterexample is [map, repr(v)] for the first basis
+    vector v that alpha or beta sends off degree + 1;
+    commutes_counterexample is [endomorphism, repr(v)];
+    bimodule_axioms_counterexample is the first failing unit vector or
+    triple.  homotopy_counterexample maps each endomorphism with no sign
+    to the first basis vector where neither sign holds, or, when every
+    vector allows one sign or the other, to the first failure of each
+    sign; a vector is written "ring <repr>" or "bimodule <repr>".
     """
     from .center import central_X
 
@@ -539,17 +561,24 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     z_hi = central_X(i + 1, n, verify=False)
     report: dict = {"n": n, "i": i}
 
-    degree_ok = True
-    for v in module.basis:
-        x = module.element({v: 1})
-        image = module.alpha(x)
-        if any(degree(w) != degree(v) + 1 for w in image.terms):
-            degree_ok = False
-    for v in ring.basis:
-        image = module.beta(RingElement(n, {v: 1}))
-        if any(degree(w) != degree(v) + 1 for w in image.terms):
-            degree_ok = False
+    def saddle_images():
+        for v in module.basis:
+            yield "alpha", v, module.alpha(module.element({v: 1}))
+        for v in ring.basis:
+            yield "beta", v, module.beta(RingElement(n, {v: 1}))
+
+    degree_witness = next(
+        (
+            [kind, repr(v)]
+            for kind, v, image in saddle_images()
+            if any(degree(w) != degree(v) + 1 for w in image.terms)
+        ),
+        None,
+    )
+    degree_ok = degree_witness is None
     report["saddle_maps_degree_one"] = degree_ok
+    if not degree_ok:
+        report["degree_counterexample"] = degree_witness
 
     def phi_ring(zl, zr, y):
         return ring.multiply(zl, y) - ring.multiply(y, zr)
@@ -557,39 +586,51 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     def phi_module(zl, zr, x):
         return module.left_mul(zl, x) - module.right_mul(x, zr)
 
+    def sides(zl, zr):
+        """(vector, endomorphism image, composite image), ring basis first."""
+        for v in ring.basis:
+            y = RingElement(n, {v: 1})
+            yield f"ring {v!r}", phi_ring(zl, zr, y), module.alpha(module.beta(y))
+        for v in module.basis:
+            x = module.element({v: 1})
+            yield f"bimodule {v!r}", phi_module(zl, zr, x), module.beta(module.alpha(x))
+
     signs = {}
+    unsigned = {}
     chain_ok = True
     for name, zl, zr in (
         ("left_lower_minus_right_upper", z_lo, z_hi),
         ("left_upper_minus_right_lower", z_hi, z_lo),
     ):
         found = None
+        failures = []
         for s in (1, -1):
-            ok = True
-            for v in ring.basis:
-                y = RingElement(n, {v: 1})
-                if phi_ring(zl, zr, y) != s * module.alpha(module.beta(y)):
-                    ok = False
-                    break
-            if ok:
-                for v in module.basis:
-                    x = module.element({v: 1})
-                    if phi_module(zl, zr, x) != s * module.beta(module.alpha(x)):
-                        ok = False
-                        break
-            if ok:
+            failure = next((v for v, lhs, rhs in sides(zl, zr) if lhs != s * rhs), None)
+            if failure is None:
                 found = s
                 break
+            failures.append(failure)
+        else:
+            both = next(
+                (v for v, lhs, rhs in sides(zl, zr) if lhs != rhs and lhs != -rhs), None
+            )
+            unsigned[name] = [both] if both is not None else failures
         signs[name] = found
         for v in module.basis:
             x = module.element({v: 1})
             if module.alpha(phi_module(zl, zr, x)) != phi_ring(zl, zr, module.alpha(x)):
                 chain_ok = False
+                report.setdefault("commutes_counterexample", [name, repr(v)])
                 break
     report["homotopy_signs"] = signs
+    if unsigned:
+        report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
     if check_axioms:
-        report["bimodule_axioms"] = verify_bimodule_axioms(n, i)
+        witness = _bimodule_axiom_witness(n, i)
+        report["bimodule_axioms"] = witness is None
+        if witness is not None:
+            report["bimodule_axioms_counterexample"] = witness
     report["passed"] = (
         degree_ok
         and chain_ok

@@ -8,11 +8,20 @@ what the ring's product memo holds (a ring loaded from a file stores
 its own products back without recomputing them), and no product is
 sorted.  Writing is deterministic (sorted keys, index-ordered
 products), so store/load/store round-trips byte-identically, and
-atomic (a temp file, then os.replace).  A missing file means build
-silently; an unreadable or wrong-schema file, a file for another n, or
-a product entry that cannot be trusted (an index outside the basis, a
-term outside its product's block, a coefficient that is not an int)
-means rebuild with a warning on stderr.
+atomic (a temp file, then os.replace); a store also removes the temp
+files that earlier stores of the same n left behind when their process
+died before the replace.  A missing file means build silently; an
+unreadable or wrong-schema file, a file for another n, or a table that
+is not canonical (an entry count other than the number of composable
+pairs, a pair listed twice, an index outside the basis, a term outside
+its product's block, terms not strictly increasing by index, a
+coefficient that is zero or not an int) means rebuild with a warning
+on stderr.
+
+The decoded table is a few hundred thousand tuples and lists with no
+reference cycles, so building or decoding it would only trigger
+collector passes that find nothing; store_ring and load_ring pause the
+cyclic garbage collector around that work and restore its state after.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -20,9 +29,11 @@ ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .arc_ring import ArcRing, build_ring
@@ -43,6 +54,18 @@ def cache_dir(directory: str | os.PathLike | None = None) -> Path:
 
 def cache_path(n: int, directory: str | os.PathLike | None = None) -> Path:
     return cache_dir(directory) / f"ring_n{n}.json"
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its previous state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def ring_to_payload(ring: ArcRing) -> dict:
@@ -71,10 +94,12 @@ def ring_to_payload(ring: ArcRing) -> dict:
 def payload_to_ring(payload: dict) -> ArcRing:
     """Rebuild a ring from its payload; raises ValueError when unusable.
 
-    An entry is unusable when an index lies outside range(dimension),
-    its factors do not compose, a term lies outside block (x.row, y.col)
-    or a coefficient is not exactly an int.  Each entry is hashed once,
-    at its insert into the product memo.
+    Only a canonical table is accepted: one entry per composable pair
+    of basis vectors, each index inside range(dimension), the terms of a
+    product inside block (x.row, y.col), strictly increasing by index,
+    with nonzero coefficients that are exactly ints.  The entry count
+    is checked first; a pair listed twice leaves the product memo short
+    of it.  Each entry is hashed once, at its insert into the memo.
     """
     if not isinstance(payload, dict):
         raise ValueError("cache payload is not an object")
@@ -89,7 +114,17 @@ def payload_to_ring(payload: dict) -> ArcRing:
         ]
         ring = ArcRing(n, order)
         basis, memo, dim = ring.basis, ring._products, ring.dimension
-        for xi, yi, terms in payload["products"]:
+        entries = payload["products"]
+        dims = ring.block_dims
+        composable = sum(
+            sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
+            for b in ring.order
+        )
+        if len(entries) != composable:
+            raise ValueError(
+                f"cache holds {len(entries)} products, not the {composable} composable pairs"
+            )
+        for xi, yi, terms in entries:
             if not (0 <= xi < dim and 0 <= yi < dim):
                 raise ValueError(f"cached product index {xi} or {yi} is out of range")
             x, y = basis[xi], basis[yi]
@@ -97,19 +132,48 @@ def payload_to_ring(payload: dict) -> ArcRing:
             if x.col is not y.row:
                 raise ValueError("cached product joins non-composable vectors")
             product = []
+            last = -1
             for zi, c in terms:
-                if not 0 <= zi < dim:
-                    raise ValueError(f"cached term index {zi} is out of range")
+                if not last < zi < dim:
+                    raise ValueError(
+                        f"cached term index {zi} is out of range or out of order"
+                    )
+                last = zi
                 z = basis[zi]
                 if z.row is not x.row or z.col is not y.col:
                     raise ValueError(f"cached term {zi} lies outside its product's block")
-                if type(c) is not int:
-                    raise ValueError(f"cached coefficient {c!r} is not an int")
+                if type(c) is not int or c == 0:
+                    raise ValueError(f"cached coefficient {c!r} is not a nonzero int")
                 product.append((z, c))
             memo[x, y] = tuple(product)
+        if len(memo) != len(entries):
+            raise ValueError("cache lists a product pair more than once")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed ring cache: {exc}") from exc
     return ring
+
+
+def _sweep_stale_temps(path: Path) -> None:
+    """Remove the temp files of stores of path whose process no longer runs.
+
+    A temp file is named after the pid of the store writing it.  Signal
+    0 sends nothing; it only asks whether that pid still runs.  On
+    Windows os.kill(pid, 0) would send CTRL_C_EVENT, so nothing is
+    swept there.
+    """
+    if os.name != "posix":
+        return
+    for tmp in path.parent.glob(f"{path.name}.*.tmp"):
+        pid = tmp.name[len(path.name) + 1 : -len(".tmp")]
+        if not pid.isdecimal() or int(pid) <= 0:
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+        except (PermissionError, OverflowError):
+            # the pid runs under another user, or is no pid at all
+            pass
 
 
 def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Path:
@@ -117,11 +181,15 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
 
     The text goes to a temporary file beside the target, which then
     replaces the target in one step, so an interrupted store leaves
-    either the old file or the new one, never a torn one.
+    either the old file or the new one, never a torn one.  Temp files
+    that stores killed before their replace left behind are removed
+    first; those of stores still running are kept.
     """
     path = cache_path(ring.n, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(ring_to_payload(ring), sort_keys=True, separators=(",", ":"))
+    _sweep_stale_temps(path)
+    with _gc_paused():
+        text = json.dumps(ring_to_payload(ring), sort_keys=True, separators=(",", ":"))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text + "\n")
@@ -138,10 +206,14 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     The stored n is checked before any product is decoded.
     """
     path = cache_path(n, directory)
-    payload = json.loads(path.read_text())
-    if isinstance(payload, dict) and payload.get("n") != n:
-        raise ValueError(f"cache file for n={n} actually contains n={payload.get('n')!r}")
-    return payload_to_ring(payload)
+    text = path.read_text()
+    with _gc_paused():
+        payload = json.loads(text)
+        if isinstance(payload, dict) and payload.get("n") != n:
+            raise ValueError(
+                f"cache file for n={n} actually contains n={payload.get('n')!r}"
+            )
+        return payload_to_ring(payload)
 
 
 def load_or_build(

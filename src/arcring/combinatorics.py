@@ -22,7 +22,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 
@@ -122,8 +122,9 @@ class ClosedDiagram:
     circles: tuple[tuple[int, ...], ...]
     endpoint_to_circle: tuple[int, ...]
 
-    @property
+    @cached_property
     def circle_sets(self) -> tuple[frozenset[int], ...]:
+        """The endpoint set of each circle, built on first access only."""
         return tuple(frozenset(c) for c in self.circles)
 
 

@@ -28,8 +28,9 @@ def hnf_calls(monkeypatch):
 def plan_compiles(monkeypatch):
     """One entry per strand graph the surgery engine builds.
 
-    Every ring and bimodule plan is compiled on its own SurgeryState, so
-    this counts plan compiles.
+    Every bimodule plan, and the ring plan of a product with an
+    explicit arc order, is compiled on its own SurgeryState, so this
+    counts plan compiles.  Default ring products build none.
     """
     built = []
     real = arc_ring.SurgeryState.__init__
@@ -43,19 +44,33 @@ def plan_compiles(monkeypatch):
 
 
 @pytest.fixture
-def plan_rows(monkeypatch):
-    """One (plan, word) entry per label-table row the ring builds.
+def cobordism_keys(monkeypatch):
+    """One (c, b, a) entry per cobordism key the ring builds."""
+    built = []
+    real = arc_ring._cobordism_key
 
-    A ring builds each row of each distinct plan's table at most once,
-    however many diagram triples share the plan, and only when a
+    def counting(c, b, a):
+        built.append((c, b, a))
+        return real(c, b, a)
+
+    monkeypatch.setattr(arc_ring, "_cobordism_key", counting)
+    return built
+
+
+@pytest.fixture
+def cobordism_rows(monkeypatch):
+    """One (key, rank) entry per label-table row the ring builds.
+
+    A ring builds each row of each distinct key's table at most once,
+    however many diagram triples share the key, and only when a
     product needs it.
     """
     built = []
-    real = arc_ring._plan_row
+    real = arc_ring._cobordism_row
 
-    def counting(plan, word):
-        built.append((plan, word))
-        return real(plan, word)
+    def counting(key, rank):
+        built.append((key, rank))
+        return real(key, rank)
 
-    monkeypatch.setattr(arc_ring, "_plan_row", counting)
+    monkeypatch.setattr(arc_ring, "_cobordism_row", counting)
     return built

@@ -17,6 +17,11 @@ from arcring.arc_ring import (
     BasisVector,
     RingElement,
     SurgeryState,
+    _BITS,
+    _apply_plan,
+    _cobordism_key,
+    _cobordism_row,
+    _ring_plan,
     build_ring,
     commutator_quotient_rank,
     degree,
@@ -284,27 +289,33 @@ def test_products_match_reference_sampled_n4():
         assert ring.multiply_basis(x, y) == surgery_reference.ring_product(x, y)
 
 
-def test_plan_compile_budget(plan_compiles):
-    # one plan per composable diagram triple (c, b, a), none on repeat
+def test_plan_compile_budget(cobordism_keys, plan_compiles):
+    # one cobordism key per composable diagram triple (c, b, a), none on
+    # repeat, and no strand graph on the default path
     ring = ArcRing(3)
     pairs = _composable_pairs(ring)
     for x, y in pairs:
         ring.multiply_basis(x, y)
-    assert len(plan_compiles) == len(ring.order) ** 3 == 125
+    assert len(cobordism_keys) == len(set(cobordism_keys)) == len(ring.order) ** 3 == 125
+    assert len(ring._tables) == 13
     for x, y in pairs:
         ring.multiply_basis(x, y)
     ring._products.clear()
     for x, y in pairs:
         ring.multiply_basis(x, y)
-    assert len(plan_compiles) == 125
-    # an explicit arc order compiles its own plan and caches nothing
+    assert len(cobordism_keys) == 125
+    assert plan_compiles == []
+    # an explicit arc order compiles exactly one strand graph and caches
+    # nothing
     x, y = pairs[-1]
     ring.multiply_basis(x, y, arc_order=tuple(reversed(x.col.pairs)))
-    assert len(plan_compiles) == 126
+    assert len(plan_compiles) == 1
+    assert len(cobordism_keys) == 125
+    assert len(ring._products) == len(pairs)
 
 
 def test_kernel_compiled_once_per_triple(monkeypatch):
-    # a memo miss reads the triple's kernel and compiles only a missing one
+    # a memo miss reads the triple's kernel and builds only a missing one
     ring = ArcRing(3)
     compiled = []
     real = ring._kernel
@@ -323,34 +334,88 @@ def test_kernel_compiled_once_per_triple(monkeypatch):
     assert len(compiled) == len(set(compiled)) == len(ring._kernels) == 125
 
 
-def test_plan_row_budget(plan_compiles, plan_rows):
-    # one table per distinct plan (125 triples share 39 plans at n = 3),
-    # each row built once, when a product first needs it
+def test_plan_row_budget(cobordism_keys, cobordism_rows):
+    # one table per distinct cobordism key (125 triples share 13 keys at
+    # n = 3), each row built once, when a product first needs it
     ring = ArcRing(3)
     pairs = _composable_pairs(ring)
     ring.multiply_basis(*pairs[0])
-    assert len(plan_rows) == 1
+    assert len(cobordism_rows) == 1
     for x, y in pairs:
         ring.multiply_basis(x, y)
-    assert len(plan_compiles) == 125
-    assert len(ring._tables) == 39
-    assert len(plan_rows) == len(set(plan_rows)) == sum(map(len, ring._tables.values()))
+    assert len(cobordism_keys) == 125
+    assert len(ring._tables) == 13
+    assert len(cobordism_rows) == len(set(cobordism_rows))
+    assert len(cobordism_rows) == sum(map(len, ring._tables.values()))
     assert all(None not in table for table in ring._tables.values())
-    built = len(plan_rows)
+    built = len(cobordism_rows)
     ring._products.clear()
     for x, y in pairs:
         ring.multiply_basis(x, y)
-    assert (len(plan_compiles), len(plan_rows)) == (125, built)
+    assert (len(cobordism_keys), len(cobordism_rows)) == (125, built)
 
 
-def test_plan_row_budget_n4(plan_compiles, plan_rows):
-    # the full n = 4 table: 2,744 triples, 419 distinct plans
+def test_plan_row_budget_n4(cobordism_keys, cobordism_rows):
+    # the full n = 4 table: 2,744 triples, 64 distinct keys, 3,768 rows
     ring = ArcRing(4)
     ring_to_payload(ring)
     assert len(ring._products) == 85608
-    assert len(plan_compiles) == len(ring.order) ** 3 == 2744
-    assert len(ring._tables) == 419
-    assert len(plan_rows) == len(set(plan_rows)) == sum(map(len, ring._tables.values()))
+    assert len(cobordism_keys) == len(ring.order) ** 3 == 2744
+    assert len(ring._tables) == 64
+    assert len(cobordism_rows) == len(set(cobordism_rows)) == 3768
+    assert len(cobordism_rows) == sum(map(len, ring._tables.values()))
+
+
+def _surgery_row(plan, word):
+    """The product of one label word along a compiled saddle plan, as ranks."""
+    return tuple((int(w.translate(_BITS), 2), k) for w, k in _apply_plan(plan, word))
+
+
+def test_closed_form_rows_match_plans_exhaustive():
+    # the component formula against saddle surgery: every triple and
+    # every input rank for n <= 4 (85,608 rows at n = 4)
+    for n, total in ((1, 4), (2, 72), (3, 2168), (4, 85608)):
+        rows = 0
+        for c, b, a in itertools.product(enumerate_matchings(n), repeat=3):
+            key = _cobordism_key(c, b, a)
+            plan = _ring_plan(c, b, a, b.pairs)
+            words = label_words(len(glue(c, b).circles) + len(glue(b, a).circles))
+            for r, word in enumerate(words):
+                assert _cobordism_row(key, r) == _surgery_row(plan, word)
+            rows += len(words)
+        assert rows == total
+
+
+def test_closed_form_rows_property_n5():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ms = enumerate_matchings(5)
+
+    @st.composite
+    def cases(draw):
+        c, b, a = (draw(st.sampled_from(ms)) for _ in range(3))
+
+        def word(lower, upper):
+            k = len(glue(lower, upper).circles)
+            return "".join(draw(st.lists(st.sampled_from("1X"), min_size=k, max_size=k)))
+
+        x = BasisVector(c, b, word(c, b))
+        y = BasisVector(b, a, word(b, a))
+        return x, y, tuple(draw(st.permutations(b.pairs)))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        x, y, arcs = case
+        c, b, a = x.row, x.col, y.col
+        r = int((x.labels + y.labels).translate(_BITS), 2)
+        row = _cobordism_row(_cobordism_key(c, b, a), r)
+        assert row == _surgery_row(_ring_plan(c, b, a, arcs), x.labels + y.labels)
+        words = label_words(len(glue(c, a).circles))
+        got = tuple((BasisVector(c, a, words[o]), k) for o, k in row)
+        assert got == surgery_reference.ring_product(x, y, arcs)
+
+    check()
 
 
 def test_plan_table_rows():

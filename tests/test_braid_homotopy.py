@@ -340,6 +340,106 @@ def test_null_homotopy_n3():
         assert report["homotopy_signs"]["left_lower_minus_right_upper"] == (-1) ** i
 
 
+_COUNTEREXAMPLE_FIELDS = {
+    "degree_counterexample",
+    "commutes_counterexample",
+    "homotopy_counterexample",
+    "bimodule_axioms_counterexample",
+}
+
+
+def _patch_basis_map(monkeypatch, name, change):
+    """Replace UiBimodule.<name> by change(vector, real result)."""
+    real = getattr(UiBimodule, name)
+    monkeypatch.setattr(
+        UiBimodule, name, lambda self, *vs: change(vs, real(self, *vs))
+    )
+
+
+def test_passing_homotopy_report_has_no_counterexample():
+    report = verify_null_homotopy(1, 2)
+    assert report["passed"]
+    assert not _COUNTEREXAMPLE_FIELDS & set(report)
+
+
+def test_homotopy_counterexample_fails_both_signs(monkeypatch):
+    # with alpha doubled, the first vector with a nonzero composite is
+    # off by a factor of two under either sign
+    module = get_bimodule(2, 1)
+    ring = module.ring
+    first = next(
+        v for v in ring.basis
+        if not module.alpha(module.beta(RingElement(2, {v: 1}))).is_zero()
+    )
+    _patch_basis_map(monkeypatch, "alpha_basis", lambda vs, out: tuple((z, 2 * c) for z, c in out))
+    report = verify_null_homotopy(1, 2, check_axioms=False)
+    assert not report["passed"]
+    assert report["homotopy_signs"] == dict.fromkeys(report["homotopy_signs"])
+    assert report["homotopy_counterexample"] == dict.fromkeys(
+        report["homotopy_signs"], [f"ring {first!r}"]
+    )
+    # alpha stays degree one and commutes with both endomorphisms
+    assert _COUNTEREXAMPLE_FIELDS & set(report) == {"homotopy_counterexample"}
+
+
+def test_homotopy_counterexample_per_sign(monkeypatch):
+    # beta negated on one off-diagonal ring vector: that vector fails
+    # only the true sign, and ring.basis[0] only the other one
+    ring = get_ring(2)
+    flipped = next(v for v in ring.basis if v.row != v.col)
+    _patch_basis_map(
+        monkeypatch, "beta_basis",
+        lambda vs, out: tuple((z, -c) for z, c in out) if vs[0] == flipped else out,
+    )
+    report = verify_null_homotopy(1, 2, check_axioms=False)
+    assert not report["passed"]
+    # the true signs are -1 and +1 for i = 1
+    assert report["homotopy_counterexample"] == {
+        "left_lower_minus_right_upper": [f"ring {ring.basis[0]!r}", f"ring {flipped!r}"],
+        "left_upper_minus_right_lower": [f"ring {flipped!r}", f"ring {ring.basis[0]!r}"],
+    }
+
+
+def test_degree_counterexample(monkeypatch):
+    # alpha that drops every X lands below degree + 1
+    module = get_bimodule(2, 1)
+    first = next(v for v in module.basis if any("X" in z.labels for z, _ in module.alpha_basis(v)))
+    _patch_basis_map(
+        monkeypatch, "alpha_basis",
+        lambda vs, out: tuple((BasisVector(z.row, z.col, "1" * len(z.labels)), c) for z, c in out),
+    )
+    report = verify_null_homotopy(1, 2, check_axioms=False)
+    assert not report["passed"]
+    assert not report["saddle_maps_degree_one"]
+    assert report["degree_counterexample"] == ["alpha", repr(first)]
+
+
+def test_commutes_and_axiom_counterexamples(monkeypatch):
+    # a right action that negates products with X-labeled ring vectors
+    # breaks associativity and the saddle's commuting with phi
+    _patch_basis_map(
+        monkeypatch, "right_mul_basis",
+        lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
+    )
+    report = verify_null_homotopy(1, 2)
+    assert not report["passed"]
+    assert not report["bimodule_axioms"]
+    witness = report["bimodule_axioms_counterexample"]
+    assert witness[0] in ("ll", "rr", "lr") and len(witness) == 4
+    assert not verify_bimodule_axioms(2, 1)
+    name, vector = report["commutes_counterexample"]
+    assert name in report["homotopy_signs"]
+    assert vector.startswith("BasisVector(")
+
+
+def test_unit_counterexample(monkeypatch):
+    # a right action that kills everything fails the unit law first
+    module = get_bimodule(2, 1)
+    _patch_basis_map(monkeypatch, "right_mul_basis", lambda vs, out: ())
+    report = verify_null_homotopy(1, 2)
+    assert report["bimodule_axioms_counterexample"] == ["unit", repr(module.basis[0])]
+
+
 def _all_products(module):
     """Every left, right, alpha and beta product of one bimodule.
 

@@ -6,6 +6,7 @@ product table it was saved from.
 """
 
 import csv
+import gc
 import io
 import json
 import os
@@ -313,7 +314,7 @@ def _sorted_payload(ring):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_payload_matches_sorted_reference(tmp_path, plan_compiles, n):
+def test_payload_matches_sorted_reference(tmp_path, cobordism_keys, cobordism_rows, n):
     canonical = get_ring(n).order
     shuffled = list(canonical)
     random.Random(n).shuffle(shuffled)
@@ -322,15 +323,15 @@ def test_payload_matches_sorted_reference(tmp_path, plan_compiles, n):
         payload = ring_to_payload(ArcRing(n, order))
         assert payload == _sorted_payload(ArcRing(n, order))
         # a loaded ring stores the same payload and the same bytes again,
-        # from its product memo, without compiling a single plan
-        compiled = len(plan_compiles)
+        # from its product memo, without building a cobordism key or row
+        built = (len(cobordism_keys), len(cobordism_rows))
         path = store_ring(payload_to_ring(payload), tmp_path)
         first = path.read_bytes()
         loaded = load_ring(n, tmp_path)
         assert len(loaded._products) == len(payload["products"])
         assert ring_to_payload(loaded) == payload
         assert store_ring(loaded, tmp_path).read_bytes() == first
-        assert len(plan_compiles) == compiled
+        assert (len(cobordism_keys), len(cobordism_rows)) == built
 
 
 @pytest.mark.parametrize("step", ["write", "replace"])
@@ -444,6 +445,22 @@ def _tamper(case):
         terms[0][1] = float(terms[0][1])
     elif case == "bool_coeff":
         terms[0][1] = True
+    elif case == "entries_missing":
+        del payload["products"][len(payload["products"]) // 2 :]
+    elif case == "entry_extra":
+        payload["products"].append(list(entry))
+    elif case == "pair_repeated":
+        # the count stays right; a second entry for (x, y) with a wrong
+        # coefficient would replace the true product
+        k = payload["products"].index(entry)
+        payload["products"][k + 1] = [xi, yi, [[terms[0][0], 5]]]
+    elif case == "terms_descending":
+        entry = next(e for e in payload["products"] if len(e[2]) > 1)
+        entry[2].reverse()
+    elif case == "term_repeated":
+        entry[2] = [terms[0], list(terms[0])]
+    elif case == "zero_coeff":
+        terms[0][1] = 0
     return payload
 
 
@@ -460,6 +477,12 @@ def _tamper(case):
         "term_outside_block",
         "float_coeff",
         "bool_coeff",
+        "entries_missing",
+        "entry_extra",
+        "pair_repeated",
+        "terms_descending",
+        "term_repeated",
+        "zero_coeff",
     ],
 )
 def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
@@ -471,6 +494,71 @@ def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
     assert ring is build_ring(2)
+
+
+def test_cache_sweeps_stale_temp_files(tmp_path):
+    # a store removes the temp files of stores whose process is gone,
+    # and keeps those of running processes, of other n and of names
+    # that hold no pid
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait()
+    running = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE
+    )
+    try:
+        path = cache_path(2, tmp_path)
+        dead = tmp_path / f"ring_n2.json.{exited.pid}.tmp"
+        live = tmp_path / f"ring_n2.json.{running.pid}.tmp"
+        kept = [
+            live,
+            tmp_path / f"ring_n3.json.{exited.pid}.tmp",
+            tmp_path / "ring_n2.json.x.tmp",
+            tmp_path / f"ring_n2.json.{2**80}.tmp",
+        ]
+        for tmp in [dead, *kept]:
+            tmp.write_text("partial")
+        store_ring(build_ring(2), tmp_path)
+        assert not dead.exists()
+        assert all(tmp.exists() for tmp in kept)
+        assert path.exists()
+    finally:
+        running.stdin.close()
+        running.wait()
+
+
+def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
+    # building, encoding and decoding the table run with the cyclic
+    # collector off; its previous state comes back, also after a failure
+    seen = []
+    real_to, real_from = cache.ring_to_payload, cache.payload_to_ring
+
+    def to_payload(ring):
+        seen.append(gc.isenabled())
+        return real_to(ring)
+
+    def from_payload(payload):
+        seen.append(gc.isenabled())
+        return real_from(payload)
+
+    monkeypatch.setattr(cache, "ring_to_payload", to_payload)
+    monkeypatch.setattr(cache, "payload_to_ring", from_payload)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            store_ring(build_ring(2), tmp_path)
+            assert gc.isenabled() is enabled
+            load_ring(2, tmp_path)
+            assert gc.isenabled() is enabled
+            payload = json.loads(cache_path(2, tmp_path).read_text())
+            payload["products"][0][2] = [[0, 1.5]]
+            cache_path(2, tmp_path).write_text(json.dumps(payload))
+            with pytest.raises(ValueError):
+                load_ring(2, tmp_path)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * 6
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -158,6 +158,15 @@ def test_glue_examples():
     assert glue(b, a).circle_sets == (frozenset({1, 2, 3, 4}),)
 
 
+def test_circle_sets_built_once():
+    # glue is cached and circle_sets is computed on first access only
+    for n in range(1, 4):
+        for a, b in itertools.product(enumerate_matchings(n), repeat=2):
+            sets = glue(a, b).circle_sets
+            assert glue(a, b).circle_sets is sets
+            assert sets == tuple(frozenset(c) for c in glue(a, b).circles)
+
+
 def test_glue_partitions_endpoints():
     for n in range(1, 5):
         ms = enumerate_matchings(n)

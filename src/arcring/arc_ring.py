@@ -13,15 +13,17 @@ the cobordism's connected components: which input and output circles
 each one joins, and its genus.  So the default path never replays the
 saddles.  Key: endpoint e lies on one circle of each of glue(c, b),
 glue(b, a) and glue(c, a) (read from endpoint_to_circle), and the
-cobordism joins those three; the union-find classes of all 2n such
-triples are the components.  Each arc of b is one saddle, in the
-component of its circles.  A component is built from its k_in input
-cylinders by s saddles, each lowering the Euler characteristic by one,
-so 2 - 2g - (k_in + k_out) = -s and its genus is
-g = (2 - k_in - k_out + s) / 2.  The key of a triple (c, b, a) is the
-sorted tuple of (input mask, output mask, g) over its components, the
-masks selecting circles as bits of a word's rank, its position in
-label_words() (the word read in binary with X = 1).  Row: a component
+cobordism joins those three; the classes of all 2n such triples are
+the components.  Each arc of b is one saddle, in the component of its
+circles.  A component is built from its k_in input cylinders by s
+saddles, each lowering the Euler characteristic by one, so
+2 - 2g - (k_in + k_out) = -s and its genus is g = (2 - k_in - k_out + s) / 2.
+The key of a triple (c, b, a) is the sorted tuple of (input mask, output
+mask, g) over its components, the masks selecting circles as bits of a
+word's rank, its position in label_words() (the word read in binary
+with X = 1); _cobordism_components() builds it from the circle counts,
+links and saddles of any such cobordism, and the cup-cap bimodules of
+braid_homotopy key their four maps with it too.  Row: a component
 multiplies its t input X's into one circle, times (2X)^g, and then
 comultiplies to its outputs, so with t + g >= 2 the product is zero,
 t + g = 1 puts X on every output and t + g = 0 sums the words with
@@ -34,14 +36,13 @@ key, the table of that key and the basis slice of the output block
 (c, a), so a product is a row lookup, and a row is built only for
 products actually asked for.
 
-Saddle surgery stays for everything else.  A SurgeryState runs the
-saddles on a strand graph and records a label-free Plan of merge and
-split ops on circle positions, which _apply_plan(), the only code that
-rewrites labels through MERGE and SPLIT, pushes a word along.  A ring
-product with an explicit arc_order is computed that way, so the
-surgery-order check compares two independent calculi, and the cup-cap
-bimodules in braid_homotopy compile their plans the same way, one per
-block key, and apply them word by word.
+Saddle surgery stays as an independent second calculus.  A
+SurgeryState runs the saddles on a strand graph and records a
+label-free Plan of merge and split ops on circle positions, which
+_apply_plan(), the only code that rewrites labels through MERGE and
+SPLIT, pushes a word along.  Only a ring product with an explicit
+arc_order is computed that way, so the surgery-order check compares
+the two calculi.
 """
 
 from __future__ import annotations
@@ -288,47 +289,75 @@ def _apply_plan(plan: Plan, word: str) -> list[tuple[str, int]]:
 _BITS = str.maketrans("1X", "01")
 
 
+def _cobordism_components(k_in: int, k_out: int, links, saddles) -> tuple:
+    """The sorted (input mask, output mask, genus) key of one cobordism.
+
+    Nodes 0 .. k_in - 1 are the input circles and k_in .. k_in + k_out - 1
+    the output circles; input circle p is bit k_in - 1 - p of an input
+    rank and output circle q bit k_out - 1 - q of an output rank.  Each
+    link (u, v) says the cobordism joins nodes u and v, and the classes
+    the links generate are its components.  Each saddle node puts one
+    saddle in its component, and a component with s saddles has genus
+    g = (2 - k_in - k_out + s) / 2.  A numerator that is odd or negative
+    means the links and saddles describe no surface: InvariantError.
+    """
+    size = k_in + k_out
+    parent = list(range(size))
+    for u, v in links:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[v] = u
+    root = []
+    for u in range(size):
+        while parent[u] != u:
+            u = parent[u]
+        root.append(u)
+    # node u is bit size - 1 - u of its component's mask
+    masks = [0] * size
+    bit = 1 << (size - 1)
+    for r in root:
+        masks[r] |= bit
+        bit >>= 1
+    twice_g = [2] * size
+    for u in saddles:
+        twice_g[root[u]] += 1
+    low = (1 << k_out) - 1
+    key = []
+    for r in set(root):
+        m = masks[r]
+        t = twice_g[r] - m.bit_count()
+        if t < 0 or t & 1:
+            raise InvariantError(
+                f"a component with {m.bit_count()} boundary circles and"
+                f" {twice_g[r] - 2} saddles has no genus"
+            )
+        key.append((m >> k_out, m & low, t >> 1))
+    key.sort()
+    return tuple(key)
+
+
 def _cobordism_key(c: Matching, b: Matching, a: Matching) -> tuple:
     """The components of the product cobordism of blocks (c, b) and (b, a).
 
-    One (input mask, output mask, genus) triple per component, sorted.
-    Input circle p of the word x.labels + y.labels is bit K - 1 - p of
-    its rank (K input circles), and output circle q of glue(c, a) is
-    bit k - 1 - q (k output circles), so a mask selects the circles of
-    one component in rank space.  Endpoint e lies on one circle of each
-    of the three diagrams, and the cobordism joins all three, so the
-    components are the classes of the union of those triples.  Each arc
-    of b is one saddle, in the component of its circles; the genus
-    follows from the Euler characteristic.
+    The input circles are those of glue(c, b), then of glue(b, a), as in
+    the word x.labels + y.labels; the outputs are those of glue(c, a).
+    Endpoint e lies on one circle of each of the three diagrams, and the
+    cobordism joins all three.  Each arc of b is one saddle, on the
+    circle of glue(c, b) through its first endpoint.
     """
     top, bot, out = glue(c, b), glue(b, a), glue(c, a)
+    t, u, v = top.endpoint_to_circle, bot.endpoint_to_circle, out.endpoint_to_circle
     k1 = len(top.circles)
     k_in = k1 + len(bot.circles)
-    k_out = len(out.circles)
-    parent = list(range(k_in + k_out))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        return u
-
+    links = []
     for e in range(1, 2 * c.n + 1):
-        root = find(top.endpoint_to_circle[e])
-        parent[find(k1 + bot.endpoint_to_circle[e])] = root
-        parent[find(k_in + out.endpoint_to_circle[e])] = root
-    comps: dict[int, list[int]] = {}
-    for u in range(k_in + k_out):
-        comp = comps.setdefault(find(u), [0, 0, 0])
-        if u < k_in:
-            comp[0] |= 1 << (k_in - 1 - u)
-        else:
-            comp[1] |= 1 << (k_in + k_out - 1 - u)
-    for i, _ in b.pairs:
-        comps[find(top.endpoint_to_circle[i])][2] += 1
-    return tuple(sorted(
-        (m_in, m_out, (2 - m_in.bit_count() - m_out.bit_count() + s) // 2)
-        for m_in, m_out, s in comps.values()
-    ))
+        links += ((t[e], k1 + u[e]), (t[e], k_in + v[e]))
+    return _cobordism_components(
+        k_in, len(out.circles), links, [t[i] for i, _ in b.pairs]
+    )
 
 
 def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
@@ -360,15 +389,6 @@ def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
     return tuple([(o, coeff) for o in outs])
 
 
-def _matching_edges(tag: str, m: Matching, offset: int) -> dict:
-    return {(tag, i, j): (offset + i, offset + j) for i, j in m.pairs}
-
-
-def _anchors(diagram, offset: int) -> list[int]:
-    """One point per circle of diagram, in canonical circle order."""
-    return [offset + circle[0] for circle in diagram.circles]
-
-
 def _ring_plan(c: Matching, b: Matching, a: Matching, arc_order) -> Plan:
     """Compile the product of blocks (c, b) and (b, a) in H_n.
 
@@ -377,11 +397,12 @@ def _ring_plan(c: Matching, b: Matching, a: Matching, arc_order) -> Plan:
     """
     off = 2 * c.n
     edges = {}
-    edges.update(_matching_edges("top", c, 0))
-    edges.update(_matching_edges("mid_top", b, 0))
-    edges.update(_matching_edges("mid_bot", b, off))
-    edges.update(_matching_edges("bot", a, off))
-    state = SurgeryState(edges, _anchors(glue(c, b), 0) + _anchors(glue(b, a), off))
+    for tag, m, base in (("top", c, 0), ("mid_top", b, 0), ("mid_bot", b, off), ("bot", a, off)):
+        edges.update({(tag, i, j): (base + i, base + j) for i, j in m.pairs})
+    # one anchor point per circle, in canonical circle order
+    anchors = [circle[0] for circle in glue(c, b).circles]
+    anchors += [off + circle[0] for circle in glue(b, a).circles]
+    state = SurgeryState(edges, anchors)
     for i, j in arc_order:
         state.surgery(
             ("mid_top", i, j),

@@ -5,6 +5,12 @@ cup joining the top points i, i+1, and vertical strands elsewhere.  Its
 bimodule F(U_i) has one generator per labeling of the circles of the
 closed diagram W(b) U_i a for each block (b, a); the ring acts on both
 sides by the same saddle contraction that defines ring multiplication.
+The label positions of a block are the circles of
+glue(b, compose_ui(i, a).matching), then the free circle of U_i a when
+there is one (UiBimodule says where each point of the diagram lies).
+Like a ring product, each action and each saddle map is the TQFT map of
+a cobordism, fixed by its components: arc_ring._cobordism_components()
+keys it once per block key and arc_ring._cobordism_row() gives its rows.
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -25,20 +31,18 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arc_ring import (
+    _BITS,
     ArcRing,
     BasisVector,
-    Plan,
     RingElement,
-    SurgeryState,
-    _anchors,
-    _apply_plan,
-    _matching_edges,
+    _cobordism_components,
+    _cobordism_row,
     degree,
     get_ring,
     label_words,
 )
 from .combinatorics import Matching, glue
-from .errors import InvariantError, SizeMismatchError
+from .errors import SizeMismatchError
 
 
 class FlatComposite(NamedTuple):
@@ -133,11 +137,18 @@ class BimoduleElement:
 class UiBimodule:
     """F(U_i) as a bimodule over H_n, with the two saddle maps.
 
-    All block diagrams put the W(row) side on the upper of two point
-    lines.  Every circle of W(b) U_i a other than the free one meets
-    the upper line, and projecting its upper-line points recovers its
-    endpoint set in glue(b, compose_ui(i, a).matching); that is how
-    components are matched to canonical label positions.
+    Block (b, a) draws W(b) U_i a on two point lines, W(b) above the
+    upper one and a below the lower one.  Its label positions are the
+    circles of glue(b, compose_ui(i, a).matching), then the free circle
+    when there is one.  Upper-line point e lies on that diagram's
+    circle endpoint_to_circle[e]; a lower-line point off i, i+1 lies on
+    the circle of the upper point above it; lower points i and i+1 lie
+    on the free circle if a has the arc (i, i+1), and otherwise on the
+    circle of the upper point a.partner[e].
+
+    The two actions and the two saddle maps are cobordism maps, each
+    keyed once per block key by its components, as ArcRing keys a
+    triple, and applied as a row lookup in the table of that key.
     """
 
     def __init__(self, n: int, i: int, ring: ArcRing | None = None):
@@ -149,11 +160,13 @@ class UiBimodule:
         self.composite = {a: compose_ui(i, a) for a in self.ring.order}
         self.basis: list[BasisVector] = []
         self.block_circles: dict[tuple[Matching, Matching], int] = {}
+        self._block_offsets: dict[tuple[Matching, Matching], int] = {}
         for b in self.ring.order:
             for a in self.ring.order:
                 comp = self.composite[a]
                 k = len(glue(b, comp.matching).circles) + comp.circles
                 self.block_circles[(b, a)] = k
+                self._block_offsets[(b, a)] = len(self.basis)
                 for w in label_words(k):
                     self.basis.append(BasisVector(b, a, w))
         self.index = {v: j for j, v in enumerate(self.basis)}
@@ -162,144 +175,68 @@ class UiBimodule:
         self._right: dict = {}
         self._alpha: dict = {}
         self._beta: dict = {}
-        self._plans: dict[tuple, Plan] = {}
+        self._kernels: dict[tuple, tuple] = {}
 
     def element(self, terms: dict[BasisVector, int]) -> BimoduleElement:
         return BimoduleElement(self.n, self.i, terms)
 
-    # -- diagram plumbing ------------------------------------------------
+    # -- cobordism kernels, one per block key --------------------------------
 
-    def _tangle_edges(self, b: Matching, a: Matching, top: int, bot: int) -> dict:
-        """Edges of the closed diagram W(b) U_i a on two point lines."""
-        i, n = self.i, self.n
-        edges = {}
-        edges.update(_matching_edges("bim_cap", b, top))
-        edges["bim_cup"] = (top + i, top + i + 1)
-        edges["bim_capmid"] = (bot + i, bot + i + 1)
-        for j in range(1, 2 * n + 1):
-            if j != i and j != i + 1:
-                edges[("bim_strand", j)] = (top + j, bot + j)
-        edges.update(_matching_edges("bim_cup_a", a, bot))
-        return edges
+    def _lines(self, b: Matching, a: Matching) -> tuple:
+        """(upper, lower, k) of block (b, a): the label position of each
+        upper- and lower-line point (index 0 unused), and the circle count."""
+        comp = self.composite[a]
+        diagram = glue(b, comp.matching)
+        upper = diagram.endpoint_to_circle
+        k = len(diagram.circles)
+        lower = list(upper)
+        for e in (self.i, self.i + 1):
+            lower[e] = k if comp.circles else upper[a.partner[e]]
+        return upper, lower, k + comp.circles
 
-    def _block_anchors(self, b: Matching, a: Matching, top: int, bot: int) -> list[int]:
-        """One point per circle of W(b) U_i a, in label order.
+    def _kernel(self, kind: str, *blocks: Matching) -> tuple:
+        """Build and store (key, table, output basis slice) of one block key.
 
-        The circles of glue(b, compose_ui(i, a).matching) are picked on
-        the upper line; the free circle, when there is one, is the cap
-        of U_i closed against the arc (i, i+1) of a on the lower line.
+        right stacks bimodule (b, a) on ring (a, a') and left ring (b', b)
+        on bimodule (b, a), with one saddle per arc of the glued matching;
+        alpha takes bimodule (b, a) and beta ring (b, a) alone, with one
+        saddle at the arc (i, i+1) where the cup-cap pair is cut or made.
         """
-        comp = self.composite[a]
-        anchors = _anchors(glue(b, comp.matching), top)
-        if comp.circles:
-            anchors.append(bot + self.i)
-        return anchors
+        cut = ((self.i, self.i + 1),)
+        if kind == "right":
+            b, a, a2 = blocks
+            stack, arcs, out = [self._lines(b, a), _ring_lines(a, a2)], a.pairs, (b, a2)
+        elif kind == "left":
+            b2, b, a = blocks
+            stack, arcs, out = [_ring_lines(b2, b), self._lines(b, a)], b.pairs, (b2, a)
+        elif kind == "alpha":
+            stack, arcs, out = [self._lines(*blocks)], cut, blocks
+        else:
+            stack, arcs, out = [_ring_lines(*blocks)], cut, blocks
+        # alpha lands in the ring, the other three in the bimodule
+        target = self.ring if kind == "alpha" else self
+        lines = _ring_lines(*out) if kind == "alpha" else self._lines(*out)
+        key = _stack_key(self.n, stack, lines, arcs)
+        # a row depends only on the key, so the ring's tables serve here too
+        table = self.ring._tables.get(key)
+        if table is None:
+            table = self.ring._tables[key] = [None] * 2 ** sum(k for *_, k in stack)
+        start = target._block_offsets[out]
+        basis = target.basis[start : start + 2 ** lines[2]]
+        kernel = self._kernels[(kind, *blocks)] = (key, table, basis)
+        return kernel
 
-    def _block_position_of(self, b: Matching, a: Matching, top: int):
-        """Map surviving components to circle positions of block (b, a)."""
-        comp = self.composite[a]
-        out_circles = {
-            frozenset(c): pos for pos, c in enumerate(glue(b, comp.matching).circle_sets)
-        }
-        free_pos = len(out_circles) if comp.circles else None
-
-        def position_of(component: frozenset) -> int:
-            tops = frozenset(p - top for p in component if top < p <= top + 2 * self.n)
-            if not tops:
-                if free_pos is None:
-                    raise InvariantError("free circle appeared in a block without one")
-                return free_pos
-            return out_circles[tops]
-
-        return position_of
-
-    # -- compiled plans, one per block key ----------------------------------
-
-    def _right_plan(self, b: Matching, a: Matching, a2: Matching) -> Plan:
-        """Block (b, a) times ring block (a, a'): one saddle per arc of a."""
-        n = self.n
-        edges = self._tangle_edges(b, a, 0, 2 * n)
-        edges.update(_matching_edges("ring_cap_a", a, 4 * n))
-        edges.update(_matching_edges("ring_cup", a2, 4 * n))
-        anchors = self._block_anchors(b, a, 0, 2 * n) + _anchors(glue(a, a2), 4 * n)
-        state = SurgeryState(edges, anchors)
-        for r, s in a.pairs:
-            state.surgery(
-                ("bim_cup_a", r, s),
-                ("ring_cap_a", r, s),
-                (("vert", r), (2 * n + r, 4 * n + r)),
-                (("vert", s), (2 * n + s, 4 * n + s)),
-            )
-        return state.finalize(self._block_position_of(b, a2, 0))
-
-    def _left_plan(self, b2: Matching, b: Matching, a: Matching) -> Plan:
-        """Ring block (b', b) times block (b, a): one saddle per arc of b."""
-        n = self.n
-        edges = {}
-        edges.update(_matching_edges("ring_cap", b2, 0))
-        edges.update(_matching_edges("ring_cup_b", b, 0))
-        edges.update(self._tangle_edges(b, a, 2 * n, 4 * n))
-        anchors = _anchors(glue(b2, b), 0) + self._block_anchors(b, a, 2 * n, 4 * n)
-        state = SurgeryState(edges, anchors)
-        for r, s in b.pairs:
-            state.surgery(
-                ("ring_cup_b", r, s),
-                ("bim_cap", r, s),
-                (("vert", r), (r, 2 * n + r)),
-                (("vert", s), (s, 2 * n + s)),
-            )
-        # the output's upper line is the ring line at offset 0
-        return state.finalize(self._block_position_of(b2, a, 0))
-
-    def _alpha_plan(self, b: Matching, a: Matching) -> Plan:
-        """Collapse the cup-cap pair of block (b, a) into ring block (b, a)."""
-        n, i = self.n, self.i
-        state = SurgeryState(
-            self._tangle_edges(b, a, 0, 2 * n), self._block_anchors(b, a, 0, 2 * n)
-        )
-        state.surgery(
-            "bim_cup",
-            "bim_capmid",
-            (("vert", i), (i, 2 * n + i)),
-            (("vert", i + 1), (i + 1, 2 * n + i + 1)),
-        )
-        out_circles = {
-            frozenset(c): pos for pos, c in enumerate(glue(b, a).circle_sets)
-        }
-        return state.finalize(
-            lambda component: out_circles[frozenset(p for p in component if p <= 2 * n)]
-        )
-
-    def _beta_plan(self, b: Matching, a: Matching) -> Plan:
-        """Pinch strands i, i+1 of ring block (b, a) into a cup-cap pair."""
-        n, i = self.n, self.i
-        edges = {}
-        edges.update(_matching_edges("bim_cap", b, 0))
-        for j in range(1, 2 * n + 1):
-            edges[("bim_strand", j)] = (j, 2 * n + j)
-        edges.update(_matching_edges("bim_cup_a", a, 2 * n))
-        state = SurgeryState(edges, _anchors(glue(b, a), 0))
-        state.surgery(
-            ("bim_strand", i),
-            ("bim_strand", i + 1),
-            ("bim_cup", (i, i + 1)),
-            ("bim_capmid", (2 * n + i, 2 * n + i + 1)),
-        )
-        return state.finalize(self._block_position_of(b, a, 0))
-
-    def _plan(self, kind: str, *blocks: Matching) -> Plan:
-        """The plan for one product kind on one block key, compiled once."""
-        key = (kind, *blocks)
-        plan = self._plans.get(key)
-        if plan is None:
-            compile_plan = {
-                "right": self._right_plan,
-                "left": self._left_plan,
-                "alpha": self._alpha_plan,
-                "beta": self._beta_plan,
-            }[kind]
-            plan = self._plans[key] = compile_plan(*blocks)
-        return plan
+    def _product(self, kind: str, blocks: tuple, word: str) -> tuple:
+        """The product of one input label word under the block key's kernel."""
+        kernel = self._kernels.get((kind, *blocks))
+        if kernel is None:
+            kernel = self._kernel(kind, *blocks)
+        key, table, out = kernel
+        r = int(word.translate(_BITS), 2)
+        row = table[r]
+        if row is None:
+            row = table[r] = _cobordism_row(key, r)
+        return tuple([(out[o], k) for o, k in row])
 
     # -- module structure -------------------------------------------------
 
@@ -308,14 +245,10 @@ class UiBimodule:
         if x.col != y.row:
             return ()
         key = (x, y)
-        if key in self._right:
-            return self._right[key]
-        b, a2 = x.row, y.col
-        plan = self._plan("right", b, x.col, a2)
-        result = tuple(
-            (BasisVector(b, a2, w), c) for w, c in _apply_plan(plan, x.labels + y.labels)
-        )
-        self._right[key] = result
+        result = self._right.get(key)
+        if result is None:
+            blocks = (x.row, x.col, y.col)
+            result = self._right[key] = self._product("right", blocks, x.labels + y.labels)
         return result
 
     def left_mul_basis(self, y: BasisVector, x: BasisVector) -> tuple:
@@ -323,14 +256,10 @@ class UiBimodule:
         if y.col != x.row:
             return ()
         key = (y, x)
-        if key in self._left:
-            return self._left[key]
-        b2, a = y.row, x.col
-        plan = self._plan("left", b2, y.col, a)
-        result = tuple(
-            (BasisVector(b2, a, w), c) for w, c in _apply_plan(plan, y.labels + x.labels)
-        )
-        self._left[key] = result
+        result = self._left.get(key)
+        if result is None:
+            blocks = (y.row, y.col, x.col)
+            result = self._left[key] = self._product("left", blocks, y.labels + x.labels)
         return result
 
     def right_mul(self, x: BimoduleElement, y: RingElement) -> BimoduleElement:
@@ -357,24 +286,16 @@ class UiBimodule:
 
     def alpha_basis(self, x: BasisVector) -> tuple:
         """One saddle collapsing the cup-cap pair: F(U_i) -> H, degree 1."""
-        if x in self._alpha:
-            return self._alpha[x]
-        plan = self._plan("alpha", x.row, x.col)
-        result = tuple(
-            (BasisVector(x.row, x.col, w), c) for w, c in _apply_plan(plan, x.labels)
-        )
-        self._alpha[x] = result
+        result = self._alpha.get(x)
+        if result is None:
+            result = self._alpha[x] = self._product("alpha", (x.row, x.col), x.labels)
         return result
 
     def beta_basis(self, y: BasisVector) -> tuple:
         """The reverse saddle: H -> F(U_i), degree 1."""
-        if y in self._beta:
-            return self._beta[y]
-        plan = self._plan("beta", y.row, y.col)
-        result = tuple(
-            (BasisVector(y.row, y.col, w), c) for w, c in _apply_plan(plan, y.labels)
-        )
-        self._beta[y] = result
+        result = self._beta.get(y)
+        if result is None:
+            result = self._beta[y] = self._product("beta", (y.row, y.col), y.labels)
         return result
 
     def alpha(self, x: BimoduleElement) -> RingElement:
@@ -394,6 +315,37 @@ class UiBimodule:
             for vz, cz in self.beta_basis(v):
                 acc[vz] = acc.get(vz, 0) + c * cz
         return BimoduleElement(self.n, self.i, acc)
+
+
+def _ring_lines(b: Matching, a: Matching) -> tuple:
+    """(upper, lower, k) of ring block (b, a), whose two lines are one."""
+    diagram = glue(b, a)
+    return diagram.endpoint_to_circle, diagram.endpoint_to_circle, len(diagram.circles)
+
+
+def _stack_key(n: int, stack: list, out: tuple, arcs) -> tuple:
+    """The cobordism key from the diagrams of stack, top to bottom, to out.
+
+    Each diagram is given by its (upper, lower, k) lines, and the input
+    circles are numbered down the stack.  At every point e the
+    cobordism joins the top input's upper line to out's upper line,
+    each input's lower line to the next input's upper line, and the
+    bottom input's lower line to out's lower line.  Each arc (r, s) is
+    one saddle, on the top input's lower line at r.
+    """
+    points = range(1, 2 * n + 1)
+    k_in = sum(k for *_, k in stack)
+    out_upper, out_lower, k_out = out
+    top = stack[0][0]
+    links = [(top[e], k_in + out_upper[e]) for e in points]
+    base = 0
+    for (_, lower, k), (upper, _, _) in zip(stack, stack[1:]):
+        links += [(base + lower[e], base + k + upper[e]) for e in points]
+        base += k
+    bottom = stack[-1][1]
+    links += [(base + bottom[e], k_in + out_lower[e]) for e in points]
+    saddles = [stack[0][1][r] for r, _ in arcs]
+    return _cobordism_components(k_in, k_out, links, saddles)
 
 
 @lru_cache(maxsize=None)

@@ -213,6 +213,10 @@ class CenterPresentation:
     admissible: list[tuple[int, ...]]
     products: list[RingElement]
     matrix: IntMatrix
+    _position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._position = {s: j for j, s in enumerate(self.admissible)}
 
     def center_coords(self, z: RingElement) -> list[int]:
         """Coordinates of a central element in the center basis."""
@@ -222,11 +226,12 @@ class CenterPresentation:
         return sol
 
     def from_admissible(self, coords: dict[tuple[int, ...], int]) -> RingElement:
-        out = RingElement(self.n)
-        pos = {s: j for j, s in enumerate(self.admissible)}
+        """The sum of c times the product of X_I, summed in one pass."""
+        acc: dict[BasisVector, int] = {}
         for subset, c in coords.items():
-            out = out + c * self.products[pos[tuple(subset)]]
-        return out
+            for v, k in self.products[self._position[tuple(subset)]].terms.items():
+                acc[v] = acc.get(v, 0) + c * k
+        return RingElement(self.n, acc)
 
     def to_admissible(self, z: RingElement) -> dict[tuple[int, ...], int]:
         """Invert the presentation on a central element."""

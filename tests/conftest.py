@@ -28,9 +28,9 @@ def hnf_calls(monkeypatch):
 def plan_compiles(monkeypatch):
     """One entry per strand graph the surgery engine builds.
 
-    Every bimodule plan, and the ring plan of a product with an
-    explicit arc order, is compiled on its own SurgeryState, so this
-    counts plan compiles.  Default ring products build none.
+    Only a ring product with an explicit arc order compiles its plan
+    on a SurgeryState, so this counts those compiles.  Default ring
+    products and every bimodule product build none.
     """
     built = []
     real = arc_ring.SurgeryState.__init__

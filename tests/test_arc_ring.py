@@ -19,6 +19,7 @@ from arcring.arc_ring import (
     SurgeryState,
     _BITS,
     _apply_plan,
+    _cobordism_components,
     _cobordism_key,
     _cobordism_row,
     _ring_plan,
@@ -490,3 +491,25 @@ def test_surgery_state_topology_checks():
     with pytest.raises(InvariantError):
         state.finalize(lambda comp: 1)
     assert state.finalize(lambda comp: 0) == ((("merge", 0, 1),), (0,))
+
+
+def test_cobordism_components_rejects_impossible_genus():
+    # a merge: two input circles, one output, one saddle
+    assert _cobordism_components(2, 1, [(0, 2), (1, 2)], [0]) == ((0b11, 0b1, 0),)
+    # a cylinder with a handle: one saddle too many for genus 0 is odd
+    with pytest.raises(InvariantError):
+        _cobordism_components(1, 1, [(0, 1)], [0])
+    # the merge without its saddle: odd
+    with pytest.raises(InvariantError):
+        _cobordism_components(2, 1, [(0, 2), (1, 2)], [])
+    # three inputs joined to one output with no saddle: negative
+    with pytest.raises(InvariantError):
+        _cobordism_components(3, 1, [(0, 3), (1, 3), (2, 3)], [])
+    # a real product, one circle times one circle into two by two
+    # saddles, then the same cobordism with one saddle dropped
+    c = a = Matching([(1, 2), (3, 4)])
+    b = Matching([(1, 4), (2, 3)])
+    links = [(0, 1), (0, 2), (0, 3)]
+    assert _cobordism_key(c, b, a) == _cobordism_components(2, 2, links, [0, 0])
+    with pytest.raises(InvariantError):
+        _cobordism_components(2, 2, links, [0])

@@ -460,10 +460,11 @@ def _all_products(module):
 
 
 @pytest.mark.parametrize(
-    "n, i", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)]
+    "n, i", [(1, 1), (2, 1), (2, 2), (2, 3)] + [(3, i) for i in range(1, 6)]
 )
 def test_products_match_reference(n, i):
-    # compiled plans against label-carrying surgery on every product
+    # closed-form cobordism maps against label-carrying surgery on every
+    # product
     kinds = set()
     for kind, got, want in _all_products(UiBimodule(n, i)):
         assert got == want, kind
@@ -471,25 +472,70 @@ def test_products_match_reference(n, i):
     assert kinds == {"alpha", "beta", "left", "right"}
 
 
-def test_plan_compile_budget(plan_compiles):
-    # left and right products compile at most one plan per block key
+def test_products_property_n4():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ms = enumerate_matchings(4)
+
+    @st.composite
+    def cases(draw):
+        i = draw(st.integers(1, 7))
+        module = get_bimodule(4, i)
+        b2, b, a, a2 = (draw(st.sampled_from(ms)) for _ in range(4))
+
+        def word(k):
+            return "".join(draw(st.lists(st.sampled_from("1X"), min_size=k, max_size=k)))
+
+        def ring_vector(row, col):
+            return BasisVector(row, col, word(len(glue(row, col).circles)))
+
+        x = BasisVector(b, a, word(module.block_circles[(b, a)]))
+        return module, x, ring_vector(a, a2), ring_vector(b2, b), ring_vector(b, a)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        module, x, right, left, z = case
+        n, i = module.n, module.i
+        assert module.right_mul_basis(x, right) == surgery_reference.right_mul(n, i, x, right)
+        assert module.left_mul_basis(left, x) == surgery_reference.left_mul(n, i, left, x)
+        assert module.alpha_basis(x) == surgery_reference.alpha(n, i, x)
+        assert module.beta_basis(z) == surgery_reference.beta(n, i, z)
+
+    check()
+
+
+def test_plan_compile_budget(plan_compiles, monkeypatch):
+    # no bimodule product builds a strand graph; each (kind, blocks)
+    # kernel is built once, and none again after the memos are cleared
     module = UiBimodule(3, 1)
     ring = module.ring
-    keys = set()
-    for v in module.basis:
-        for y in ring.basis:
-            if v.col == y.row:
+    built = []
+    real = module._kernel
+
+    def counting(kind, *blocks):
+        built.append((kind, *blocks))
+        return real(kind, *blocks)
+
+    monkeypatch.setattr(module, "_kernel", counting)
+
+    def every_product():
+        for v in module.basis:
+            module.alpha_basis(v)
+            for y in ring.basis:
                 module.right_mul_basis(v, y)
-                keys.add(("right", v.row, v.col, y.col))
-            if y.col == v.row:
                 module.left_mul_basis(y, v)
-                keys.add(("left", y.row, y.col, v.col))
-    assert 0 < len(plan_compiles) <= len(keys)
-    compiled = len(plan_compiles)
-    module._left.clear()
-    module._right.clear()
-    for v in module.basis:
         for y in ring.basis:
-            module.right_mul_basis(v, y)
-            module.left_mul_basis(y, v)
-    assert len(plan_compiles) == compiled
+            module.beta_basis(y)
+
+    every_product()
+    assert len(built) == len(set(built)) == len(module._kernels) == 300
+    kinds = [kind for kind, *_ in built]
+    assert [kinds.count(k) for k in ("right", "left", "alpha", "beta")] == [125, 125, 25, 25]
+    # 300 block kernels share 53 cobordism keys
+    assert len({key for key, _, _ in module._kernels.values()}) == 53
+    for memo in (module._left, module._right, module._alpha, module._beta):
+        memo.clear()
+    every_product()
+    assert len(built) == 300
+    assert plan_compiles == []

@@ -7,6 +7,7 @@ of their ingredients are re-checked directly here at small n.
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -199,6 +200,28 @@ def test_presentation_roundtrip():
             assert pres.from_admissible(coords) == z
         for j, s in enumerate(pres.admissible):
             assert pres.to_admissible(pres.products[j]) == {tuple(s): 1}
+
+
+def _term_by_term(pres, coords):
+    """The sum of c * product over the coords, one RingElement per term."""
+    out = RingElement(pres.n)
+    for subset, c in coords.items():
+        out = out + c * pres.products[pres.admissible.index(tuple(subset))]
+    return out
+
+
+def test_from_admissible_matches_term_by_term_sum():
+    for n in (1, 2, 3):
+        pres = presentation_map(n)
+        for j, s in enumerate(pres.admissible):
+            assert pres.from_admissible({s: 1}) == _term_by_term(pres, {s: 1}) == pres.products[j]
+        rng = random.Random(n)
+        for _ in range(30):
+            picked = rng.sample(pres.admissible, rng.randint(1, len(pres.admissible)))
+            coords = {s: rng.randint(-3, 3) for s in picked}
+            # zero coefficients included: no zero term survives either way
+            assert pres.from_admissible(coords) == _term_by_term(pres, coords)
+        assert pres.from_admissible({}) == RingElement(n)
 
 
 def test_presentation_multiplicative_spot():

@@ -24,12 +24,10 @@ from .arc_ring import (
     ArcRing,
     BasisVector,
     RingElement,
-    build_ring,
     commutator_quotient_rank,
     degree,
     get_ring,
     idempotent,
-    multiply,
     unit,
     verify_ring_integrity,
 )
@@ -84,12 +82,10 @@ __all__ = [
     "ArcRing",
     "BasisVector",
     "RingElement",
-    "build_ring",
     "commutator_quotient_rank",
     "degree",
     "get_ring",
     "idempotent",
-    "multiply",
     "unit",
     "verify_ring_integrity",
     "SquareFreePoly",

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .combinatorics import Matching, glue, total_order, enumerate_matchings
 from .errors import CapacityError, InvariantError, SizeMismatchError
-from .frobenius import MERGE, SPLIT, X
+from .frobenius import MERGE, SPLIT, X, Combination
 
 MAX_RING_N = 6
 
@@ -86,51 +86,19 @@ def degree(v: BasisVector) -> int:
     return 2 * v.labels.count(X) + (v.row.n - len(v.labels))
 
 
-class RingElement:
+class RingElement(Combination):
     """An integer combination of basis vectors of one ring H_n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: dict[BasisVector, int] | None = None):
-        self.n = n
-        self.terms = {v: c for v, c in (terms or {}).items() if c != 0}
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) + c
-        return RingElement(self.n, out)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "RingElement":
-        return (-1) * self
-
-    def __rmul__(self, k: int) -> "RingElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        return RingElement(self.n, {v: k * c for v, c in self.terms.items()})
+    @property
+    def n(self) -> int:
+        return self.space
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return get_ring(self.n).multiply(self, other)
         return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "RingElement") -> None:
-        if self.n != other.n:
-            raise SizeMismatchError(f"elements of H_{self.n} and H_{other.n}")
 
     def __repr__(self):
         if not self.terms:
@@ -140,17 +108,6 @@ class RingElement:
             for v, c in sorted(self.terms.items())
         ]
         return "RingElement(" + " + ".join(bits) + ")"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "row": v.row.to_json(),
-                "col": v.col.to_json(),
-                "labels": v.labels,
-                "coeff": c,
-            }
-            for v, c in sorted(self.terms.items())
-        ]
 
 
 class Plan(NamedTuple):
@@ -514,16 +471,18 @@ class ArcRing:
         return kernel
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:
-        if x.n != self.n or y.n != self.n:
+        if x.space != self.n or y.space != self.n:
             raise SizeMismatchError("element size does not match the ring")
-        acc: dict[BasisVector, int] = {}
-        for vx, cx in x.terms.items():
-            for vy, cy in y.terms.items():
-                if vx.col != vy.row:
-                    continue
-                for vz, cz in self.multiply_basis(vx, vy):
-                    acc[vz] = acc.get(vz, 0) + cx * cy * cz
-        return RingElement(self.n, acc)
+        product = self.multiply_basis
+        return RingElement._sum(
+            self.n,
+            (
+                (cx * cy, product(vx, vy))
+                for vx, cx in x.terms.items()
+                for vy, cy in y.terms.items()
+                if vx.col == vy.row
+            ),
+        )
 
     # -- distinguished elements ----------------------------------------
 
@@ -539,30 +498,11 @@ class ArcRing:
             out = out + self.idempotent(a)
         return out
 
-    def coords(self, elt: RingElement) -> list[int]:
-        v = [0] * self.dimension
-        for bv, c in elt.terms.items():
-            v[self.index[bv]] = c
-        return v
-
-    def element(self, terms: dict[BasisVector, int]) -> RingElement:
-        return RingElement(self.n, terms)
-
 
 @lru_cache(maxsize=None)
 def get_ring(n: int) -> ArcRing:
     """The ring H_n with the canonical basis order, built once."""
     return ArcRing(n)
-
-
-def build_ring(n: int, order: list[Matching] | None = None) -> ArcRing:
-    if order is None:
-        return get_ring(n)
-    return ArcRing(n, order)
-
-
-def multiply(x: RingElement, y: RingElement) -> RingElement:
-    return get_ring(x.n).multiply(x, y)
 
 
 def idempotent(a: Matching) -> RingElement:
@@ -571,10 +511,6 @@ def idempotent(a: Matching) -> RingElement:
 
 def unit(n: int) -> RingElement:
     return get_ring(n).unit()
-
-
-def element_degrees(elt: RingElement) -> set[int]:
-    return {degree(v) for v in elt.terms}
 
 
 def verify_ring_integrity(

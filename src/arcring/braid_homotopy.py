@@ -43,6 +43,7 @@ from .arc_ring import (
 )
 from .combinatorics import Matching, glue
 from .errors import SizeMismatchError
+from .frobenius import Combination
 
 
 class FlatComposite(NamedTuple):
@@ -77,7 +78,7 @@ def compose_ui(i: int, a: Matching) -> FlatComposite:
     return FlatComposite(Matching(pairs), 0)
 
 
-class BimoduleElement:
+class BimoduleElement(Combination):
     """An integer combination of generators of one bimodule F(U_i).
 
     Generators reuse BasisVector; the label word runs over the circles
@@ -85,44 +86,18 @@ class BimoduleElement:
     the free circle of U_i col last when there is one.
     """
 
-    __slots__ = ("n", "i", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, i: int, terms: dict[BasisVector, int] | None = None):
-        self.n = n
-        self.i = i
-        self.terms = {v: c for v, c in (terms or {}).items() if c != 0}
+        super().__init__((n, i), terms)
 
-    def _check(self, other: "BimoduleElement") -> None:
-        if self.n != other.n or self.i != other.i:
-            raise SizeMismatchError("elements of different bimodules")
+    @property
+    def n(self) -> int:
+        return self.space[0]
 
-    def __add__(self, other: "BimoduleElement") -> "BimoduleElement":
-        self._check(other)
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) + c
-        return BimoduleElement(self.n, self.i, out)
-
-    def __sub__(self, other: "BimoduleElement") -> "BimoduleElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "BimoduleElement":
-        return (-1) * self
-
-    def __rmul__(self, k: int) -> "BimoduleElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        return BimoduleElement(self.n, self.i, {v: k * c for v, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BimoduleElement)
-            and (self.n, self.i) == (other.n, other.i)
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def i(self) -> int:
+        return self.space[1]
 
     def __repr__(self):
         if not self.terms:
@@ -156,6 +131,8 @@ class UiBimodule:
             raise ValueError(f"tangle index {i} out of range 1..{2*n-1}")
         self.n = n
         self.i = i
+        # the space tag of its elements
+        self.space = (n, i)
         self.ring = ring or get_ring(n)
         self.composite = {a: compose_ui(i, a) for a in self.ring.order}
         self.basis: list[BasisVector] = []
@@ -263,24 +240,30 @@ class UiBimodule:
         return result
 
     def right_mul(self, x: BimoduleElement, y: RingElement) -> BimoduleElement:
-        if x.n != self.n or x.i != self.i or y.n != self.n:
+        if x.space != self.space or y.space != self.n:
             raise SizeMismatchError("operands do not match the bimodule")
-        acc: dict[BasisVector, int] = {}
-        for vx, cx in x.terms.items():
-            for vy, cy in y.terms.items():
-                for vz, cz in self.right_mul_basis(vx, vy):
-                    acc[vz] = acc.get(vz, 0) + cx * cy * cz
-        return BimoduleElement(self.n, self.i, acc)
+        product = self.right_mul_basis
+        return BimoduleElement._sum(
+            self.space,
+            (
+                (cx * cy, product(vx, vy))
+                for vx, cx in x.terms.items()
+                for vy, cy in y.terms.items()
+            ),
+        )
 
     def left_mul(self, y: RingElement, x: BimoduleElement) -> BimoduleElement:
-        if x.n != self.n or x.i != self.i or y.n != self.n:
+        if x.space != self.space or y.space != self.n:
             raise SizeMismatchError("operands do not match the bimodule")
-        acc: dict[BasisVector, int] = {}
-        for vy, cy in y.terms.items():
-            for vx, cx in x.terms.items():
-                for vz, cz in self.left_mul_basis(vy, vx):
-                    acc[vz] = acc.get(vz, 0) + cx * cy * cz
-        return BimoduleElement(self.n, self.i, acc)
+        product = self.left_mul_basis
+        return BimoduleElement._sum(
+            self.space,
+            (
+                (cx * cy, product(vy, vx))
+                for vy, cy in y.terms.items()
+                for vx, cx in x.terms.items()
+            ),
+        )
 
     # -- the saddle maps ---------------------------------------------------
 
@@ -299,22 +282,16 @@ class UiBimodule:
         return result
 
     def alpha(self, x: BimoduleElement) -> RingElement:
-        if x.n != self.n or x.i != self.i:
+        if x.space != self.space:
             raise SizeMismatchError("element does not match the bimodule")
-        acc: dict[BasisVector, int] = {}
-        for v, c in x.terms.items():
-            for vz, cz in self.alpha_basis(v):
-                acc[vz] = acc.get(vz, 0) + c * cz
-        return RingElement(self.n, acc)
+        saddle = self.alpha_basis
+        return RingElement._sum(self.n, ((c, saddle(v)) for v, c in x.terms.items()))
 
     def beta(self, y: RingElement) -> BimoduleElement:
-        if y.n != self.n:
+        if y.space != self.n:
             raise SizeMismatchError("element does not match the bimodule")
-        acc: dict[BasisVector, int] = {}
-        for v, c in y.terms.items():
-            for vz, cz in self.beta_basis(v):
-                acc[vz] = acc.get(vz, 0) + c * cz
-        return BimoduleElement(self.n, self.i, acc)
+        saddle = self.beta_basis
+        return BimoduleElement._sum(self.space, ((c, saddle(v)) for v, c in y.terms.items()))
 
 
 def _ring_lines(b: Matching, a: Matching) -> tuple:
@@ -351,11 +328,6 @@ def _stack_key(n: int, stack: list, out: tuple, arcs) -> tuple:
 @lru_cache(maxsize=None)
 def get_bimodule(n: int, i: int) -> UiBimodule:
     return UiBimodule(n, i)
-
-
-def ui_degree(v: BasisVector, n: int) -> int:
-    """Same formula as the ring degree: 2 per X plus n minus circles."""
-    return degree(v)
 
 
 def _triple_sampler(module: UiBimodule):
@@ -539,13 +511,15 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
         return module.left_mul(zl, x) - module.right_mul(x, zr)
 
     def sides(zl, zr):
-        """(vector, endomorphism image, composite image), ring basis first."""
+        """(kind, vector, endomorphism image, composite image, alpha image),
+        ring basis first; a ring vector has no alpha image."""
         for v in ring.basis:
             y = RingElement(n, {v: 1})
-            yield f"ring {v!r}", phi_ring(zl, zr, y), module.alpha(module.beta(y))
+            yield "ring", v, phi_ring(zl, zr, y), module.alpha(module.beta(y)), None
         for v in module.basis:
             x = module.element({v: 1})
-            yield f"bimodule {v!r}", phi_module(zl, zr, x), module.beta(module.alpha(x))
+            a = module.alpha(x)
+            yield "bimodule", v, phi_module(zl, zr, x), module.beta(a), a
 
     signs = {}
     unsigned = {}
@@ -554,26 +528,29 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
         ("left_lower_minus_right_upper", z_lo, z_hi),
         ("left_upper_minus_right_lower", z_hi, z_lo),
     ):
-        found = None
-        failures = []
-        for s in (1, -1):
-            failure = next((v for v, lhs, rhs in sides(zl, zr) if lhs != s * rhs), None)
-            if failure is None:
-                found = s
-                break
-            failures.append(failure)
-        else:
-            both = next(
-                (v for v, lhs, rhs in sides(zl, zr) if lhs != rhs and lhs != -rhs), None
-            )
-            unsigned[name] = [both] if both is not None else failures
-        signs[name] = found
-        for v in module.basis:
-            x = module.element({v: 1})
-            if module.alpha(phi_module(zl, zr, x)) != phi_ring(zl, zr, module.alpha(x)):
-                chain_ok = False
+        # one pass computes each image once and feeds both signs, the
+        # scan for a vector neither sign holds on, and the commute check;
+        # holding the images instead would raise the peak memory
+        plus = minus = neither = None
+        commutes = True
+        for kind, v, lhs, rhs, a in sides(zl, zr):
+            off_plus, off_minus = lhs != rhs, lhs != -rhs
+            if off_plus:
+                plus = plus or f"{kind} {v!r}"
+            if off_minus:
+                minus = minus or f"{kind} {v!r}"
+            if off_plus and off_minus:
+                neither = neither or f"{kind} {v!r}"
+            if commutes and a is not None and module.alpha(lhs) != phi_ring(zl, zr, a):
+                commutes = chain_ok = False
                 report.setdefault("commutes_counterexample", [name, repr(v)])
-                break
+        if plus is None:
+            signs[name] = 1
+        elif minus is None:
+            signs[name] = -1
+        else:
+            signs[name] = None
+            unsigned[name] = [neither] if neither is not None else [plus, minus]
     report["homotopy_signs"] = signs
     if unsigned:
         report["homotopy_counterexample"] = unsigned

@@ -36,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .arc_ring import ArcRing, build_ring
+from .arc_ring import ArcRing, get_ring
 from .combinatorics import Matching
 
 SCHEMA_VERSION = 1
@@ -232,7 +232,7 @@ def load_or_build(
     except ValueError as exc:
         print(f"warning: rebuilding ring cache for n={n}: {exc}", file=sys.stderr)
         status = "rebuilt"
-    ring = build_ring(n)
+    ring = get_ring(n)
     if store:
         store_ring(ring, directory)
     return ring, status

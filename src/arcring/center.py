@@ -227,11 +227,11 @@ class CenterPresentation:
 
     def from_admissible(self, coords: dict[tuple[int, ...], int]) -> RingElement:
         """The sum of c times the product of X_I, summed in one pass."""
-        acc: dict[BasisVector, int] = {}
-        for subset, c in coords.items():
-            for v, k in self.products[self._position[tuple(subset)]].terms.items():
-                acc[v] = acc.get(v, 0) + c * k
-        return RingElement(self.n, acc)
+        products, position = self.products, self._position
+        return RingElement._sum(
+            self.n,
+            ((c, products[position[tuple(s)]].terms.items()) for s, c in coords.items()),
+        )
 
     def to_admissible(self, z: RingElement) -> dict[tuple[int, ...], int]:
         """Invert the presentation on a central element."""

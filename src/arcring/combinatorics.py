@@ -103,9 +103,6 @@ class Matching:
     def __repr__(self):
         return f"Matching({list(self.pairs)!r})"
 
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.pairs]
-
 
 @dataclass(frozen=True)
 class ClosedDiagram:

@@ -1,25 +1,26 @@
-"""The rank-two Frobenius algebra driving all circle relabelings.
+"""The rank-two Frobenius algebra, and the one integer-combination type.
 
-The algebra is Z[X]/(X^2) with basis {1, X}, trace tr(1) = 0, tr(X) = 1,
-and grading deg(1) = 0, deg(X) = 2.  Merging two circles multiplies
-their labels; splitting a circle comultiplies:
+The algebra is Z[X]/(X^2) with basis {1, X}.  Merging two circles
+multiplies their labels; splitting a circle comultiplies:
 
     1 * 1 = 1     1 * X = X * 1 = X     X * X = 0
     split(1) = 1 (x) X + X (x) 1        split(X) = X (x) X
 
 Labels are the one-character strings "1" and "X" so that label words of
 a multi-circle diagram are plain strings.
+
+Every module the package computes in (the ring H_n, the bimodules
+F(U_i), the square-free quotient of Z[X_1..X_2n]) is a free Z-module,
+and each of its elements is a Combination of basis keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .errors import SizeMismatchError
 
 ONE = "1"
 X = "X"
 LABELS = (ONE, X)
-
-LABEL_DEGREE = {ONE: 0, X: 2}
 
 # merge table: pair of labels -> tuple of (label, coefficient)
 MERGE = {
@@ -36,71 +37,84 @@ SPLIT = {
     X: (((X, X), 1),),
 }
 
-TRACE = {ONE: 0, X: 1}
 
+class Combination:
+    """A finite integer combination of basis keys of one free Z-module.
 
-def label_degree(word: str) -> int:
-    """Total degree of a label word: 2 per X."""
-    return 2 * word.count(X)
+    terms maps keys to nonzero integers.  space tags the module: n for
+    H_n and for the polynomials in 2n variables, (n, i) for F(U_i).
+    +, - and == take an operand of the same class; another class or a
+    non-combination gives NotImplemented, so mixing raises TypeError,
+    and the same class over another space raises SizeMismatchError.
 
+    >>> a = Combination(1, {"1": 1, "X": 2})
+    >>> (a - Combination(1, {"X": 2})).terms
+    {'1': 1}
+    >>> (0 * a).is_zero()
+    True
+    >>> a + 0
+    Traceback (most recent call last):
+    ...
+    TypeError: unsupported operand type(s) for +: 'Combination' and 'int'
+    """
 
-@dataclass
-class TensorElement:
-    """An integer combination of label words of fixed tensor arity."""
+    __slots__ = ("space", "terms")
 
-    arity: int
-    terms: dict[str, int] = field(default_factory=dict)
+    def __init__(self, space, terms: dict | None = None):
+        self.space = space
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c != 0}
-        for w in self.terms:
-            if len(w) != self.arity or any(ch not in LABELS for ch in w):
-                raise ValueError(f"bad word {w!r} for arity {self.arity}")
+    @classmethod
+    def _sum(cls, space, images) -> "Combination":
+        """The element of space summing c * image over (c, image) in images.
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return TensorElement(self.arity, out)
+        Each image is an iterable of (key, coefficient) pairs, so a basis
+        map f extends linearly as _sum(space, ((c, f(v)) for v, c in
+        x.terms.items())), and bilinearly with a double loop.  This is
+        the package's one accumulation loop.
+        """
+        acc: dict = {}
+        get = acc.get
+        for c, image in images:
+            for key, k in image:
+                acc[key] = get(key, 0) + c * k
+        elt = cls.__new__(cls)
+        elt.space = space
+        elt.terms = {key: c for key, c in acc.items() if c}
+        return elt
 
-    def __rmul__(self, k: int) -> "TensorElement":
-        return TensorElement(self.arity, {w: k * c for w, c in self.terms.items()})
+    def _compatible(self, other) -> bool:
+        """Whether other is of this class; raises if its space differs."""
+        if type(other) is not type(self):
+            return False
+        if other.space != self.space:
+            raise SizeMismatchError(
+                f"{type(self).__name__} over {self.space!r} and {other.space!r}"
+            )
+        return True
+
+    def __add__(self, other):
+        if not self._compatible(other):
+            return NotImplemented
+        return self._sum(self.space, ((1, self.terms.items()), (1, other.terms.items())))
+
+    def __sub__(self, other):
+        if not self._compatible(other):
+            return NotImplemented
+        return self._sum(self.space, ((1, self.terms.items()), (-1, other.terms.items())))
+
+    def __neg__(self):
+        return self._sum(self.space, ((-1, self.terms.items()),))
+
+    def __rmul__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return self._sum(self.space, ((k, self.terms.items()),))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def merge(x: str, y: str) -> TensorElement:
-    """Multiply two circle labels.
-
-    >>> merge("X", "X").is_zero()
-    True
-    >>> merge("1", "X").terms
-    {'X': 1}
-    """
-    return TensorElement(1, {lab: c for lab, c in MERGE[(x, y)]})
-
-
-def split(x: str) -> TensorElement:
-    """Comultiply one circle label into a two-circle combination.
-
-    >>> sorted(split("1").terms.items())
-    [('1X', 1), ('X1', 1)]
-    >>> split("X").terms
-    {'XX': 1}
-    """
-    return TensorElement(2, {a + b: c for (a, b), c in SPLIT[x]})
-
-
-def trace(x: str) -> int:
-    """The Frobenius trace: tr(1) = 0, tr(X) = 1."""
-    return TRACE[x]

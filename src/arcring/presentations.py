@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .combinatorics import admissible_subsets
 from .errors import InvariantError, SizeMismatchError, TorsionError
+from .frobenius import Combination
 from .integer_linalg import (
     IntMatrix,
     hermite_normal_form,
@@ -29,25 +30,30 @@ from .integer_linalg import (
 Subset = frozenset[int]
 
 
-class SquareFreePoly:
+class SquareFreePoly(Combination):
     """An integer polynomial in the square-free quotient of Z[X_1..X_2n].
 
     Terms map frozen subsets of [1, 2n] to coefficients; the product of
     two monomials is their union when disjoint and zero otherwise.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: dict[Subset, int] | None = None):
-        self.n = n
-        self.terms: dict[Subset, int] = {}
+        variables = frozenset(range(1, 2 * n + 1))
+        checked: dict[Subset, int] = {}
         for sub, c in (terms or {}).items():
             sub = frozenset(sub)
             if c == 0:
                 continue
-            if not sub <= frozenset(range(1, 2 * n + 1)):
+            if not sub <= variables:
                 raise ValueError(f"{sorted(sub)} is not a subset of 1..{2*n}")
-            self.terms[sub] = c
+            checked[sub] = c
+        super().__init__(n, checked)
+
+    @property
+    def n(self) -> int:
+        return self.space
 
     @classmethod
     def monomial(cls, n: int, subset, coeff: int = 1) -> "SquareFreePoly":
@@ -57,56 +63,23 @@ class SquareFreePoly:
     def zero(cls, n: int) -> "SquareFreePoly":
         return cls(n)
 
-    def _check(self, other: "SquareFreePoly") -> None:
-        if self.n != other.n:
-            raise SizeMismatchError(f"polynomials over 2*{self.n} and 2*{other.n} variables")
-
-    def __add__(self, other: "SquareFreePoly") -> "SquareFreePoly":
-        self._check(other)
-        out = dict(self.terms)
-        for sub, c in other.terms.items():
-            out[sub] = out.get(sub, 0) + c
-        return SquareFreePoly(self.n, out)
-
-    def __sub__(self, other: "SquareFreePoly") -> "SquareFreePoly":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SquareFreePoly":
-        return (-1) * self
-
-    def __rmul__(self, k: int) -> "SquareFreePoly":
-        if not isinstance(k, int):
-            return NotImplemented
-        return SquareFreePoly(self.n, {s: k * c for s, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        self._check(other)
-        out: dict[Subset, int] = {}
-        for s, c in self.terms.items():
-            for t, d in other.terms.items():
-                if s & t:
-                    continue
-                u = s | t
-                out[u] = out.get(u, 0) + c * d
-        return SquareFreePoly(self.n, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareFreePoly)
-            and self.n == other.n
-            and self.terms == other.terms
+        if not self._compatible(other):
+            return NotImplemented
+        return self._sum(
+            self.n,
+            (
+                (c * d, ((s | t, 1),))
+                for s, c in self.terms.items()
+                for t, d in other.terms.items()
+                if not s & t
+            ),
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degrees(self) -> set[int]:
         return {len(s) for s in self.terms}
-
-    def homogeneous_part(self, d: int) -> "SquareFreePoly":
-        return SquareFreePoly(self.n, {s: c for s, c in self.terms.items() if len(s) == d})
 
     def permuted(self, sigma: dict[int, int]) -> "SquareFreePoly":
         """Apply a permutation of the variable indices."""
@@ -122,12 +95,6 @@ class SquareFreePoly:
             mono = "*".join(f"X{i}" for i in sorted(s)) if s else "1"
             bits.append(f"{c}*{mono}")
         return "SquareFreePoly(" + " + ".join(bits) + ")"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"subset": sorted(s), "coeff": c}
-            for s, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), sorted(t[0])))
-        ]
 
 
 def elem_sym(k: int, indices, n: int) -> SquareFreePoly:

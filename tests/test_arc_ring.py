@@ -23,21 +23,17 @@ from arcring.arc_ring import (
     _cobordism_key,
     _cobordism_row,
     _ring_plan,
-    build_ring,
     commutator_quotient_rank,
     degree,
-    element_degrees,
     get_ring,
     idempotent,
     label_words,
-    multiply,
     unit,
     verify_ring_integrity,
 )
 from arcring.cache import ring_to_payload
 from arcring.combinatorics import Matching, distance, enumerate_matchings, glue
 from arcring.errors import CapacityError, InvariantError, SizeMismatchError
-from arcring.frobenius import label_degree
 
 
 def test_label_words():
@@ -93,7 +89,7 @@ def test_degree_formula():
     for n in (1, 2, 3):
         for v in get_ring(n).basis:
             circles = len(glue(v.row, v.col).circles)
-            assert degree(v) == label_degree(v.labels) + (n - circles)
+            assert degree(v) == 2 * v.labels.count("X") + (n - circles)
 
 
 def test_n1_multiplication_table():
@@ -141,7 +137,7 @@ def test_idempotents():
         for a in ring.order:
             e = idempotent(a)
             assert ring.multiply(e, e) == e
-            assert element_degrees(e) == {0}
+            assert {degree(v) for v in e.terms} == {0}
         for a, b in itertools.permutations(ring.order, 2):
             assert ring.multiply(idempotent(a), idempotent(b)).is_zero()
 
@@ -150,7 +146,7 @@ def test_unit_law():
     for n in (1, 2):
         ring = get_ring(n)
         one = unit(n)
-        assert sorted(element_degrees(one)) == [0]
+        assert {degree(v) for v in one.terms} == {0}
         for v in ring.basis:
             e = RingElement(n, {v: 1})
             assert ring.multiply(one, e) == e
@@ -226,40 +222,33 @@ def test_verify_ring_integrity():
 
 
 def test_ring_element_arithmetic():
+    # the ring product of elements; sums and scalars are tested on the
+    # shared base in test_frobenius
     ring = get_ring(1)
     (a,) = enumerate_matchings(1)
     one = RingElement(1, {BasisVector(a, a, "1"): 1})
     x = RingElement(1, {BasisVector(a, a, "X"): 1})
-    assert (one + x) - one == x
-    assert -x == (-1) * x
-    assert (0 * x).is_zero()
-    assert multiply(x, x).is_zero()
-    assert x * x == multiply(x, x)
+    assert (x * x).is_zero()
+    assert one * x == ring.multiply(one, x) == x
+    assert (one + x) * (one - x) == one
     with pytest.raises(SizeMismatchError):
-        one + unit(2)
+        one * unit(2)
     with pytest.raises(SizeMismatchError):
         get_ring(2).multiply(one, one)
-
-
-def test_element_to_json():
-    ring = get_ring(1)
-    (a,) = enumerate_matchings(1)
-    elt = RingElement(1, {BasisVector(a, a, "X"): 2})
-    assert elt.to_json() == [
-        {"row": [[1, 2]], "col": [[1, 2]], "labels": "X", "coeff": 2}
-    ]
+    with pytest.raises(TypeError):
+        x * 2
 
 
 def test_custom_order_same_products():
     # the same basis vectors multiply identically whatever the order
     base = get_ring(2)
-    reversed_ring = build_ring(2, list(reversed(base.order)))
+    reversed_ring = ArcRing(2, list(reversed(base.order)))
     assert set(reversed_ring.basis) == set(base.basis)
     for x in base.basis:
         for y in base.basis:
             assert base.multiply_basis(x, y) == reversed_ring.multiply_basis(x, y)
     with pytest.raises(ValueError):
-        build_ring(2, [base.order[0], base.order[0]])
+        ArcRing(2, [base.order[0], base.order[0]])
 
 
 def test_commutator_quotient_ranks():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from arcring import cache, cli
-from arcring.arc_ring import ArcRing, build_ring, get_ring
+from arcring.arc_ring import ArcRing, get_ring
 from arcring.cache import (
     cache_path,
     load_or_build,
@@ -265,7 +265,7 @@ def test_render_report_shapes():
 
 
 def test_cache_roundtrip_products(tmp_path):
-    ring = build_ring(2)
+    ring = get_ring(2)
     store_ring(ring, tmp_path)
     loaded = load_ring(2, tmp_path)
     assert loaded.n == 2
@@ -279,7 +279,7 @@ def test_cache_roundtrip_products(tmp_path):
 
 
 def test_cache_store_load_store_byte_identical(tmp_path):
-    ring = build_ring(1)
+    ring = get_ring(1)
     path = store_ring(ring, tmp_path)
     first = path.read_bytes()
     reloaded = load_ring(1, tmp_path)
@@ -354,7 +354,7 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch, step):
     else:
         monkeypatch.setattr(cache.os, "replace", failing_replace)
     with pytest.raises(OSError):
-        store_ring(build_ring(2), tmp_path)
+        store_ring(get_ring(2), tmp_path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
@@ -380,7 +380,7 @@ def test_cache_corrupt_rebuilds_with_warning(tmp_path, capsys):
 
 
 def test_cache_schema_bump_rejected(tmp_path, capsys):
-    ring = build_ring(1)
+    ring = get_ring(1)
     payload = ring_to_payload(ring)
     payload["schema"] = 99
     path = cache_path(1, tmp_path)
@@ -394,7 +394,7 @@ def test_cache_schema_bump_rejected(tmp_path, capsys):
 
 
 def test_cache_wrong_n_rejected(tmp_path):
-    store_ring(build_ring(2), tmp_path)
+    store_ring(get_ring(2), tmp_path)
     stored = cache_path(2, tmp_path)
     stored.rename(cache_path(1, tmp_path))
     with pytest.raises(ValueError):
@@ -404,7 +404,7 @@ def test_cache_wrong_n_rejected(tmp_path):
 def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
     # an n = 1 ring filed as n = 2 is rejected without decoding a product
     path = cache_path(2, tmp_path)
-    path.write_text(json.dumps(ring_to_payload(build_ring(1))))
+    path.write_text(json.dumps(ring_to_payload(get_ring(1))))
 
     def decode(payload):
         raise AssertionError("products decoded before the n check")
@@ -416,7 +416,7 @@ def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
 
 def _tamper(case):
     """The n = 2 payload with one product entry edited as case says."""
-    ring = build_ring(2)
+    ring = get_ring(2)
     payload = ring_to_payload(ring)
     entry = next(e for e in payload["products"] if e[2])
     xi, yi, terms = entry
@@ -493,7 +493,7 @@ def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
     ring, status = load_or_build(2, tmp_path, store=False)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
-    assert ring is build_ring(2)
+    assert ring is get_ring(2)
 
 
 def test_cache_sweeps_stale_temp_files(tmp_path):
@@ -517,7 +517,7 @@ def test_cache_sweeps_stale_temp_files(tmp_path):
         ]
         for tmp in [dead, *kept]:
             tmp.write_text("partial")
-        store_ring(build_ring(2), tmp_path)
+        store_ring(get_ring(2), tmp_path)
         assert not dead.exists()
         assert all(tmp.exists() for tmp in kept)
         assert path.exists()
@@ -546,7 +546,7 @@ def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            store_ring(build_ring(2), tmp_path)
+            store_ring(get_ring(2), tmp_path)
             assert gc.isenabled() is enabled
             load_ring(2, tmp_path)
             assert gc.isenabled() is enabled

@@ -9,8 +9,10 @@ The label positions of a block are the circles of
 glue(b, compose_ui(i, a).matching), then the free circle of U_i a when
 there is one (UiBimodule says where each point of the diagram lies).
 Like a ring product, each action and each saddle map is the TQFT map of
-a cobordism, fixed by its components: arc_ring._cobordism_components()
-keys it once per block key and arc_ring._cobordism_row() gives its rows.
+a cobordism, fixed by its components.  It is keyed once per block key
+by arc_ring._cobordism_key(), the one key routine, from the stack of
+its diagrams, and applied through the ring's kernel lookup:
+arc_ring._build_kernel() and arc_ring._kernel_product().
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -31,12 +33,12 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arc_ring import (
-    _BITS,
     ArcRing,
     BasisVector,
     RingElement,
-    _cobordism_components,
-    _cobordism_row,
+    _build_kernel,
+    _kernel_product,
+    _ring_lines,
     degree,
     get_ring,
     label_words,
@@ -123,7 +125,7 @@ class UiBimodule:
 
     The two actions and the two saddle maps are cobordism maps, each
     keyed once per block key by its components, as ArcRing keys a
-    triple, and applied as a row lookup in the table of that key.
+    triple, and applied as a row lookup in the ring's table of that key.
     """
 
     def __init__(self, n: int, i: int, ring: ArcRing | None = None):
@@ -193,27 +195,15 @@ class UiBimodule:
         # alpha lands in the ring, the other three in the bimodule
         target = self.ring if kind == "alpha" else self
         lines = _ring_lines(*out) if kind == "alpha" else self._lines(*out)
-        key = _stack_key(self.n, stack, lines, arcs)
-        # a row depends only on the key, so the ring's tables serve here too
-        table = self.ring._tables.get(key)
-        if table is None:
-            table = self.ring._tables[key] = [None] * 2 ** sum(k for *_, k in stack)
-        start = target._block_offsets[out]
-        basis = target.basis[start : start + 2 ** lines[2]]
-        kernel = self._kernels[(kind, *blocks)] = (key, table, basis)
+        kernel = self._kernels[(kind, *blocks)] = _build_kernel(
+            self.ring, target, stack, lines, arcs, out
+        )
         return kernel
 
     def _product(self, kind: str, blocks: tuple, word: str) -> tuple:
         """The product of one input label word under the block key's kernel."""
-        kernel = self._kernels.get((kind, *blocks))
-        if kernel is None:
-            kernel = self._kernel(kind, *blocks)
-        key, table, out = kernel
-        r = int(word.translate(_BITS), 2)
-        row = table[r]
-        if row is None:
-            row = table[r] = _cobordism_row(key, r)
-        return tuple([(out[o], k) for o, k in row])
+        kernel = self._kernels.get((kind, *blocks)) or self._kernel(kind, *blocks)
+        return _kernel_product(kernel, word)
 
     # -- module structure -------------------------------------------------
 
@@ -292,37 +282,6 @@ class UiBimodule:
             raise SizeMismatchError("element does not match the bimodule")
         saddle = self.beta_basis
         return BimoduleElement._sum(self.space, ((c, saddle(v)) for v, c in y.terms.items()))
-
-
-def _ring_lines(b: Matching, a: Matching) -> tuple:
-    """(upper, lower, k) of ring block (b, a), whose two lines are one."""
-    diagram = glue(b, a)
-    return diagram.endpoint_to_circle, diagram.endpoint_to_circle, len(diagram.circles)
-
-
-def _stack_key(n: int, stack: list, out: tuple, arcs) -> tuple:
-    """The cobordism key from the diagrams of stack, top to bottom, to out.
-
-    Each diagram is given by its (upper, lower, k) lines, and the input
-    circles are numbered down the stack.  At every point e the
-    cobordism joins the top input's upper line to out's upper line,
-    each input's lower line to the next input's upper line, and the
-    bottom input's lower line to out's lower line.  Each arc (r, s) is
-    one saddle, on the top input's lower line at r.
-    """
-    points = range(1, 2 * n + 1)
-    k_in = sum(k for *_, k in stack)
-    out_upper, out_lower, k_out = out
-    top = stack[0][0]
-    links = [(top[e], k_in + out_upper[e]) for e in points]
-    base = 0
-    for (_, lower, k), (upper, _, _) in zip(stack, stack[1:]):
-        links += [(base + lower[e], base + k + upper[e]) for e in points]
-        base += k
-    bottom = stack[-1][1]
-    links += [(base + bottom[e], k_in + out_lower[e]) for e in points]
-    saddles = [stack[0][1][r] for r, _ in arcs]
-    return _cobordism_components(k_in, k_out, links, saddles)
 
 
 @lru_cache(maxsize=None)

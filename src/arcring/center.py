@@ -277,7 +277,7 @@ def presentation_map(n: int, ring: ArcRing | None = None) -> CenterPresentation:
     return CenterPresentation(n, ring, center, admissible, products, matrix)
 
 
-def verify_presentation_iso(n: int, sample_products: int = 40, seed: int = 0) -> dict:
+def verify_presentation_iso(n: int, seed: int = 0) -> dict:
     """Machine check that the admissible presentation is the center.
 
     Returns a JSON-ready report: relation images vanish, graded ranks
@@ -326,6 +326,7 @@ def verify_presentation_iso(n: int, sample_products: int = 40, seed: int = 0) ->
 
     rng = random.Random(seed)
     pairs = list(itertools.product(range(len(pres.admissible)), repeat=2))
+    sample_products = 40
     if len(pairs) > sample_products:
         pairs = rng.sample(pairs, sample_products)
     mult_ok = True
@@ -380,7 +381,7 @@ def _compose(sigma: dict[int, int], tau: dict[int, int]) -> dict[int, int]:
     return {j: sigma[tau[j]] for j in tau}
 
 
-def verify_symmetric_action(n: int, seed: int = 0, pair_samples: int = 10) -> dict:
+def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     """The permutation action on the center, machine checked.
 
     Checks that the defining relations are permutation-stable (the full
@@ -421,7 +422,8 @@ def verify_symmetric_action(n: int, seed: int = 0, pair_samples: int = 10) -> di
         for p in itertools.permutations(range(1, 2 * n + 1))
     ]
     pairs = list(itertools.product(transpositions, repeat=2))
-    for _ in range(pair_samples):
+    # ten seeded pairs of arbitrary permutations
+    for _ in range(10):
         pairs.append((rng.choice(all_perms), rng.choice(all_perms)))
     action_ok = True
     for sigma, tau in pairs:
@@ -452,21 +454,21 @@ def verify_symmetric_action(n: int, seed: int = 0, pair_samples: int = 10) -> di
     return report
 
 
-def total_order_independence(n: int, extra_orders: int = 3, seed: int = 0) -> dict:
+def total_order_independence(n: int, seed: int = 0) -> dict:
     """Check the center lattice does not depend on the basis order.
 
     Recomputes the center under every linear extension of the arrow
     order (there are at most two for n <= 3) and additionally under
-    seeded arbitrary matching orders, then compares all the lattices in
-    canonical coordinates.
+    three seeded arbitrary matching orders, then compares all the
+    lattices in canonical coordinates.
     """
     extensions = all_linear_extensions(n, cap=6)
     orders = list(extensions)
     rng = random.Random(seed)
     base = enumerate_matchings(n)
-    # there are only len(base)! distinct orders at all, which caps the
-    # request for extra ones (n = 1 has a single order, n = 2 has two)
-    target = min(len(extensions) + extra_orders, math.factorial(len(base)))
+    # three extra orders, but there are only len(base)! distinct orders
+    # at all (n = 1 has a single order, n = 2 has two)
+    target = min(len(extensions) + 3, math.factorial(len(base)))
     seen = {tuple(o) for o in orders}
     while len(orders) < target:
         shuffled = base[:]

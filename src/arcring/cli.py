@@ -24,7 +24,6 @@ from .braid_homotopy import verify_null_homotopy
 from .cache import cache_path, load_or_build, store_ring
 from .center import (
     center_basis,
-    total_order_independence,
     verify_presentation_iso,
     verify_symmetric_action,
 )

@@ -171,10 +171,20 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(a, cols=n), IntMatrix(u, cols=m)
 
 
+def row_span_canonical(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """A canonical basis of the lattice spanned by the rows of M.
+
+    The nonzero rows of its Hermite normal form, as tuples; the
+    transform is not used.  Two matrices span the same row lattice iff
+    these agree.
+    """
+    h, _ = hermite_normal_form(M)
+    return tuple(tuple(row) for row in h.data if any(row))
+
+
 def rank(M: IntMatrix) -> int:
     """Rank over the rationals (torsion does not affect it)."""
-    h, _ = hermite_normal_form(M)
-    return sum(1 for row in h.data if any(row))
+    return len(row_span_canonical(M))
 
 
 def kernel_basis(M: IntMatrix) -> list[list[int]]:
@@ -353,11 +363,10 @@ def in_column_span(M: IntMatrix, target) -> bool:
 def column_span_canonical(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """A canonical basis of the lattice spanned by the columns of M.
 
-    The nonzero rows of the Hermite form of the transpose, as tuples.
-    Two matrices span the same column lattice iff these agree.
+    The canonical rows of the transpose.  Two matrices span the same
+    column lattice iff these agree.
     """
-    h, _ = hermite_normal_form(M.transpose())
-    return tuple(tuple(row) for row in h.data if any(row))
+    return row_span_canonical(M.transpose())
 
 
 def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:

@@ -22,8 +22,8 @@ from .errors import InvariantError, SizeMismatchError, TorsionError
 from .frobenius import Combination
 from .integer_linalg import (
     IntMatrix,
-    hermite_normal_form,
     invariant_factors,
+    row_span_canonical,
     solve_in_column_span,
 )
 
@@ -171,13 +171,6 @@ class GradedIdealSpan:
         return True
 
 
-def _canonical_rows(rows: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
-    if not rows:
-        return ()
-    h, _ = hermite_normal_form(IntMatrix(rows, cols=width))
-    return tuple(tuple(r) for r in h.data if any(r))
-
-
 def build_ideal_span(generators: list[SquareFreePoly], n: int) -> GradedIdealSpan:
     """Close homogeneous generators under multiplication by variables.
 
@@ -214,7 +207,8 @@ def build_ideal_span(generators: list[SquareFreePoly], n: int) -> GradedIdealSpa
                             hit = True
                     if hit:
                         rows.append(vec)
-        canon = _canonical_rows(rows, len(monomials_of_degree(n, d)))
+        width = len(monomials_of_degree(n, d))
+        canon = row_span_canonical(IntMatrix(rows, cols=width)) if rows else ()
         if canon:
             by_degree[d] = canon
         prev_rows = canon

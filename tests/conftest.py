@@ -2,15 +2,15 @@
 
 import pytest
 
-from arcring import arc_ring, integer_linalg, presentations
+from arcring import arc_ring, integer_linalg
 
 
 @pytest.fixture
 def hnf_calls(monkeypatch):
     """Shapes of the matrices hermite_normal_form receives during a test.
 
-    Patched in every module that binds the function, so calls through
-    the lattice solves and through the ideal spans are both counted.
+    Only integer_linalg binds the function: the lattice solves and the
+    ideal spans (through row_span_canonical) both call it there.
     """
     calls = []
     real = integer_linalg.hermite_normal_form
@@ -19,39 +19,38 @@ def hnf_calls(monkeypatch):
         calls.append(M.shape)
         return real(M)
 
-    for module in (integer_linalg, presentations):
-        monkeypatch.setattr(module, "hermite_normal_form", counting)
+    monkeypatch.setattr(integer_linalg, "hermite_normal_form", counting)
     return calls
 
 
 @pytest.fixture
 def plan_compiles(monkeypatch):
-    """One entry per strand graph the surgery engine builds.
+    """One entry per diagram the saddle-surgery calculus cuts up.
 
-    Only a ring product with an explicit arc order compiles its plan
-    on a SurgeryState, so this counts those compiles.  Default ring
-    products and every bimodule product build none.
+    Only a ring product with an explicit arc order runs the saddles
+    one at a time, through _saddle_steps, so this counts those runs.
+    Default ring products and every bimodule product run none.
     """
     built = []
-    real = arc_ring.SurgeryState.__init__
+    real = arc_ring._saddle_steps
 
-    def counting(self, edges, anchors):
-        built.append(len(edges))
-        real(self, edges, anchors)
+    def counting(c, b, a, arc_order):
+        built.append((c, b, a, arc_order))
+        return real(c, b, a, arc_order)
 
-    monkeypatch.setattr(arc_ring.SurgeryState, "__init__", counting)
+    monkeypatch.setattr(arc_ring, "_saddle_steps", counting)
     return built
 
 
 @pytest.fixture
 def cobordism_keys(monkeypatch):
-    """One (c, b, a) entry per cobordism key the ring builds."""
+    """One (n, stack, out, arcs) entry per cobordism key built."""
     built = []
     real = arc_ring._cobordism_key
 
-    def counting(c, b, a):
-        built.append((c, b, a))
-        return real(c, b, a)
+    def counting(n, stack, out, arcs):
+        built.append((n, stack, out, arcs))
+        return real(n, stack, out, arcs)
 
     monkeypatch.setattr(arc_ring, "_cobordism_key", counting)
     return built

@@ -16,13 +16,13 @@ from arcring.arc_ring import (
     ArcRing,
     BasisVector,
     RingElement,
-    SurgeryState,
     _BITS,
-    _apply_plan,
     _cobordism_components,
     _cobordism_key,
     _cobordism_row,
-    _ring_plan,
+    _ring_lines,
+    _saddle_steps,
+    _surgery_product,
     commutator_quotient_rank,
     degree,
     get_ring,
@@ -189,23 +189,13 @@ def test_associativity_exhaustive_n2():
 
 
 def test_surgery_order_independence():
-    rng = random.Random(11)
+    # every arc order of every composable pair for n <= 3
     for n in (2, 3):
         ring = get_ring(n)
-        pairs = [
-            (x, y)
-            for x in ring.basis
-            for y in ring.basis
-            if x.col == y.row and len(x.col.pairs) > 1
-        ]
-        if len(pairs) > 200:
-            pairs = rng.sample(pairs, 200)
-        for x, y in pairs:
+        for x, y in _composable_pairs(ring):
             base = ring.multiply_basis(x, y)
-            arcs = list(x.col.pairs)
-            for _ in range(3):
-                rng.shuffle(arcs)
-                assert ring.multiply_basis(x, y, arc_order=tuple(arcs)) == base
+            for arcs in itertools.permutations(x.col.pairs):
+                assert ring.multiply_basis(x, y, arc_order=arcs) == base
 
 
 def test_verify_ring_integrity():
@@ -265,7 +255,7 @@ def _composable_pairs(ring):
 
 
 def test_products_match_reference_exhaustive():
-    # compiled plans against label-carrying surgery, every pair n <= 3
+    # cobordism kernels against label-carrying surgery, every pair n <= 3
     for n in (1, 2, 3):
         ring = ArcRing(n)
         for x, y in _composable_pairs(ring):
@@ -281,12 +271,13 @@ def test_products_match_reference_sampled_n4():
 
 def test_plan_compile_budget(cobordism_keys, plan_compiles):
     # one cobordism key per composable diagram triple (c, b, a), none on
-    # repeat, and no strand graph on the default path
+    # repeat, and no saddle surgery on the default path; two triples can
+    # hand the key routine equal lines, so one key per kernel is counted
     ring = ArcRing(3)
     pairs = _composable_pairs(ring)
     for x, y in pairs:
         ring.multiply_basis(x, y)
-    assert len(cobordism_keys) == len(set(cobordism_keys)) == len(ring.order) ** 3 == 125
+    assert len(cobordism_keys) == len(ring._kernels) == len(ring.order) ** 3 == 125
     assert len(ring._tables) == 13
     for x, y in pairs:
         ring.multiply_basis(x, y)
@@ -295,8 +286,8 @@ def test_plan_compile_budget(cobordism_keys, plan_compiles):
         ring.multiply_basis(x, y)
     assert len(cobordism_keys) == 125
     assert plan_compiles == []
-    # an explicit arc order compiles exactly one strand graph and caches
-    # nothing
+    # an explicit arc order cuts the diagram once by saddle surgery and
+    # caches nothing
     x, y = pairs[-1]
     ring.multiply_basis(x, y, arc_order=tuple(reversed(x.col.pairs)))
     assert len(plan_compiles) == 1
@@ -356,22 +347,29 @@ def test_plan_row_budget_n4(cobordism_keys, cobordism_rows):
     assert len(cobordism_rows) == sum(map(len, ring._tables.values()))
 
 
-def _surgery_row(plan, word):
-    """The product of one label word along a compiled saddle plan, as ranks."""
-    return tuple((int(w.translate(_BITS), 2), k) for w, k in _apply_plan(plan, word))
+def _ring_key(c, b, a):
+    """The cobordism key of ring triple (c, b, a)."""
+    stack = [_ring_lines(c, b), _ring_lines(b, a)]
+    return _cobordism_key(c.n, stack, _ring_lines(c, a), b.pairs)
+
+
+def _surgery_row(steps, word):
+    """The product of one label word along saddle steps, as ranks."""
+    return tuple((int(w.translate(_BITS), 2), k) for w, k in _surgery_product(steps, word))
 
 
 def test_closed_form_rows_match_plans_exhaustive():
     # the component formula against saddle surgery: every triple and
-    # every input rank for n <= 4 (85,608 rows at n = 4)
+    # every input rank for n <= 4 (85,608 rows at n = 4); the steps are
+    # cut once per triple and carry every word of it
     for n, total in ((1, 4), (2, 72), (3, 2168), (4, 85608)):
         rows = 0
         for c, b, a in itertools.product(enumerate_matchings(n), repeat=3):
-            key = _cobordism_key(c, b, a)
-            plan = _ring_plan(c, b, a, b.pairs)
+            key = _ring_key(c, b, a)
+            steps = _saddle_steps(c, b, a, b.pairs)
             words = label_words(len(glue(c, b).circles) + len(glue(b, a).circles))
             for r, word in enumerate(words):
-                assert _cobordism_row(key, r) == _surgery_row(plan, word)
+                assert _cobordism_row(key, r) == _surgery_row(steps, word)
             rows += len(words)
         assert rows == total
 
@@ -399,8 +397,8 @@ def test_closed_form_rows_property_n5():
         x, y, arcs = case
         c, b, a = x.row, x.col, y.col
         r = int((x.labels + y.labels).translate(_BITS), 2)
-        row = _cobordism_row(_cobordism_key(c, b, a), r)
-        assert row == _surgery_row(_ring_plan(c, b, a, arcs), x.labels + y.labels)
+        row = _cobordism_row(_ring_key(c, b, a), r)
+        assert row == _surgery_row(_saddle_steps(c, b, a, arcs), x.labels + y.labels)
         words = label_words(len(glue(c, a).circles))
         got = tuple((BasisVector(c, a, words[o]), k) for o, k in row)
         assert got == surgery_reference.ring_product(x, y, arcs)
@@ -414,7 +412,7 @@ def test_plan_table_rows():
     ring = ArcRing(2)
     for x, y in _composable_pairs(ring):
         product = ring.multiply_basis(x, y)
-        plan, table, out = ring._kernels[x.row, x.col, y.col]
+        key, table, out = ring._kernels[x.row, x.col, y.col]
         word = x.labels + y.labels
         assert len(table) == 2 ** len(word)
         row = table[label_words(len(word)).index(word)]
@@ -467,19 +465,17 @@ def test_product_property_random_orders():
     check()
 
 
-def test_surgery_state_topology_checks():
-    # two disjoint 2-cycles on points 1-2 and 3-4
-    edges = {"a": (1, 2), "b": (1, 2), "c": (3, 4), "d": (3, 4)}
-    assert [sorted(c) for c in SurgeryState(edges, [3, 1]).comps] == [[3, 4], [1, 2]]
-    for anchors in ([1], [1, 2, 3]):
+def test_saddle_steps_reject_an_arc_cut_twice():
+    # each cut of the product diagram merges two circles or splits one;
+    # a second cut of the same arc does neither
+    c = a = Matching([(1, 2), (3, 4)])
+    b = Matching([(1, 4), (2, 3)])
+    steps = _saddle_steps(c, b, a, b.pairs)
+    # two circles merge into one, which splits into the two of glue(c, a)
+    assert steps == [((), (0, 1), (0,)), ((), (0,), (0, 1))]
+    for arcs in (b.pairs + b.pairs[:1], b.pairs[:1] * 2):
         with pytest.raises(InvariantError):
-            SurgeryState(edges, anchors)
-    state = SurgeryState(edges, [1, 3])
-    state.surgery("b", "c", ("x", (2, 3)), ("y", (1, 4)))
-    assert state.ops == [("merge", 0, 1)]
-    with pytest.raises(InvariantError):
-        state.finalize(lambda comp: 1)
-    assert state.finalize(lambda comp: 0) == ((("merge", 0, 1),), (0,))
+            _saddle_steps(c, b, a, arcs)
 
 
 def test_cobordism_components_rejects_impossible_genus():
@@ -499,6 +495,6 @@ def test_cobordism_components_rejects_impossible_genus():
     c = a = Matching([(1, 2), (3, 4)])
     b = Matching([(1, 4), (2, 3)])
     links = [(0, 1), (0, 2), (0, 3)]
-    assert _cobordism_key(c, b, a) == _cobordism_components(2, 2, links, [0, 0])
+    assert _ring_key(c, b, a) == _cobordism_components(2, 2, links, [0, 0])
     with pytest.raises(InvariantError):
         _cobordism_components(2, 2, links, [0])

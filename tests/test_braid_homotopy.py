@@ -536,7 +536,7 @@ def test_products_property_n4():
 
 
 def test_plan_compile_budget(plan_compiles, monkeypatch):
-    # no bimodule product builds a strand graph; each (kind, blocks)
+    # no bimodule product runs saddle surgery; each (kind, blocks)
     # kernel is built once, and none again after the memos are cleared
     module = UiBimodule(3, 1)
     ring = module.ring

@@ -227,6 +227,20 @@ def test_outputs_identical_across_processes(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_readme_quick_tour_runs():
+    # the python block under "A quick tour in code" in the README runs
+    # as written, in a fresh interpreter
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    tour = readme.read_text().split("A quick tour in code:", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_presentation_iso(2)" in block
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_timing_flag(capsys):
     _, report, _ = run_json(capsys, ["matchings", "--n", "1", "--timing"])
     assert isinstance(report["duration_s"], float)

@@ -18,7 +18,6 @@ Endpoints are numbered 1..2n throughout.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -273,40 +272,28 @@ def precedes(a: Matching, b: Matching) -> bool:
 def total_order(n: int) -> list[Matching]:
     """A deterministic linear extension of the arrow order.
 
-    Kahn's algorithm with lexicographic tie-break: whenever several
+    The first extension all_linear_extensions finds: whenever several
     matchings have no remaining predecessors, the lexicographically
-    smallest pair list goes first.  Arrow sources always appear before
-    arrow targets.
+    smallest pair list goes first (Kahn's algorithm with lexicographic
+    tie-break).  Arrow sources always appear before arrow targets.
 
     >>> [m.pairs for m in total_order(2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
-    ms = enumerate_matchings(n)
-    succ = {a: [] for a in ms}
-    indeg = {a: 0 for a in ms}
-    for a, b in arrows(n):
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [a for a in ms if indeg[a] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        a = heapq.heappop(ready)
-        out.append(a)
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(ready, b)
-    if len(out) != len(ms):
+    extensions = all_linear_extensions(n, cap=1)
+    if not extensions:
         raise InvariantError("arrow digraph has a cycle")
-    return out
+    return extensions[0]
 
 
 def all_linear_extensions(n: int, cap: int = 1000) -> list[list[Matching]]:
     """Every linear extension of the arrow order, up to cap many.
 
-    Exhaustive backtracking; intended for small n where the extension
-    count is tiny (n <= 3 admits at most two).
+    Exhaustive backtracking that always tries the lexicographically
+    smallest ready matching first, so the extensions come out in lex
+    order and the first is total_order's.  Intended for small n where
+    the extension count is tiny (n <= 3 admits at most two); cap=1
+    costs a single descent.
     """
     ms = enumerate_matchings(n)
     succ = {a: [] for a in ms}
@@ -432,18 +419,23 @@ def bottom_arc_count(a: Matching) -> int:
     )
 
 
+def _first_violation(subset, n: int) -> int | None:
+    """The first m with more than floor(m/2) elements of subset in [1, m]."""
+    count = 0
+    for m in range(1, 2 * n + 1):
+        if m in subset:
+            count += 1
+        if 2 * count > m:
+            return m
+    return None
+
+
 def is_admissible(subset, n: int) -> bool:
     """True if every prefix [1, m] contains at most floor(m/2) elements."""
     elems = set(subset)
     if not elems <= set(range(1, 2 * n + 1)):
         raise ValueError(f"{sorted(elems)} is not a subset of 1..{2*n}")
-    count = 0
-    for m in range(1, 2 * n + 1):
-        if m in elems:
-            count += 1
-        if 2 * count > m:
-            return False
-    return True
+    return _first_violation(elems, n) is None
 
 
 def admissible_subsets(n: int) -> list[tuple[int, ...]]:

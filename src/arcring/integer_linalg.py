@@ -1,11 +1,18 @@
 """Exact linear algebra over the integers.
 
 Everything here works with arbitrary-precision Python ints: Hermite and
-Smith normal forms with their unimodular transforms, saturated kernel
-bases, ranks, membership of a vector in the integer span of columns, and
-equality of column-span lattices.  Pivots are always chosen with the
-smallest nonzero magnitude, which keeps intermediate entries small on
-the sparse, tiny-entry matrices this package produces.
+Smith normal forms, canonical row spans, saturated kernel bases, ranks,
+membership of a vector in the integer span of columns, and equality of
+column-span lattices.
+
+All of it runs on one echelon loop, _echelon, which always picks the
+pivot of smallest nonzero magnitude; that keeps intermediate entries
+small on the sparse, tiny-entry matrices this package produces.  A
+transform is carried, as an identity riding along in extra columns,
+only where it is read: hermite_normal_form returns it, for kernels and
+solves.  Canonical spans, ranks and lattice equality carry none, and
+the Smith diagonal comes from alternating row and column passes of the
+same loop, with no transforms at all.
 
 A matrix factors itself once: the first solve_in_column_span against
 it stores the Hermite factorization of its transpose on the matrix, and
@@ -15,6 +22,8 @@ a fresh matrix with no stored factorization.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class IntMatrix:
@@ -123,18 +132,21 @@ def is_unimodular(M: IntMatrix) -> bool:
     return M.rows == M.cols and abs(determinant(M)) == 1
 
 
-def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def _echelon(a: list[list[int]], width: int) -> int:
+    """Row-reduce a in place to Hermite form on its first width columns.
 
-    Returns (H, U) with H = U @ M, U unimodular, H in echelon form with
-    positive pivots and the entries above each pivot reduced into
-    [0, pivot).  Zero rows sit at the bottom.
+    The one pivoting loop of this module.  Column by column, the row
+    with the smallest nonzero |entry| (ties to the lower index) becomes
+    the pivot, Euclid-style, until the rows below are clear; pivots are
+    made positive and the entries above each pivot reduced into
+    [0, pivot).  Columns past width are not searched for pivots but
+    ride along with every row operation, which is how a transform is
+    carried.  Returns the number of pivot rows; the rows after them are
+    zero on the first width columns.
     """
-    m, n = M.rows, M.cols
-    a = [row[:] for row in M.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(a)
     r = 0
-    for c in range(n):
+    for c in range(width):
         if r == m:
             break
         while True:
@@ -144,10 +156,8 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             p = a[r][c]
             clean = True
             for i in range(r + 1, m):
@@ -155,7 +165,6 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     q = a[i][c] // p
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if a[i][c] != 0:
                         clean = False
             if clean:
@@ -166,20 +175,34 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 q = a[i][c] // p
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return IntMatrix(a, cols=n), IntMatrix(u, cols=m)
+    return r
+
+
+def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U @ M, U unimodular, H in echelon form with
+    positive pivots and the entries above each pivot reduced into
+    [0, pivot).  Zero rows sit at the bottom.  U is the identity that
+    rode along with the echelon loop.
+    """
+    m, n = M.rows, M.cols
+    a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
+    _echelon(a, n)
+    return IntMatrix([row[:n] for row in a], cols=n), IntMatrix([row[n:] for row in a], cols=m)
 
 
 def row_span_canonical(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """A canonical basis of the lattice spanned by the rows of M.
 
-    The nonzero rows of its Hermite normal form, as tuples; the
-    transform is not used.  Two matrices span the same row lattice iff
-    these agree.
+    The nonzero rows of its Hermite normal form, as tuples, computed
+    without a transform.  Zero rows are dropped first: they change
+    neither the lattice nor its (unique) Hermite basis.  Two matrices
+    span the same row lattice iff these agree.
     """
-    h, _ = hermite_normal_form(M)
-    return tuple(tuple(row) for row in h.data if any(row))
+    a = [row[:] for row in M.data if any(row)]
+    return tuple(tuple(row) for row in a[: _echelon(a, M.cols)])
 
 
 def rank(M: IntMatrix) -> int:
@@ -195,125 +218,50 @@ def kernel_basis(M: IntMatrix) -> list[list[int]]:
     basis of the kernel, and the lattice they span is saturated.
     """
     h, u = hermite_normal_form(M.transpose())
-    out = [u.data[i][:] for i in range(h.rows) if not any(h.data[i])]
-    return out
+    return [u.data[i][:] for i in range(h.rows) if not any(h.data[i])]
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def smith_normal_form(M: IntMatrix) -> IntMatrix:
+    """The Smith normal form D of M, without transforms.
 
-    Returns (U, D, V) with D = U @ M @ V diagonal, U and V unimodular,
-    and each diagonal entry nonnegative and dividing the next.
+    D has M's shape and is zero off the diagonal; its diagonal entries
+    are nonnegative, each divides the next, and zeros come last.
+
+    One echelon pass over the rows of M, then echelon passes over the
+    transpose of the result while any off-diagonal entry is nonzero,
+    then a pairwise gcd/lcm pass over the nonzero diagonal entries.
+    Every pass leaves positive pivots and its zero rows last, so even an
+    input that is already diagonal comes out nonnegative.
+
+    The passes end.  From the second pass on, the (0, 0) pivot is the
+    gcd of row 0 of the previous result, which holds the old pivot, so
+    it can only shrink by divisibility.  A pass in which it does not
+    shrink found it dividing that whole row: it cleared the row, and
+    row and column 0 stay zero off the pivot for good, since no later
+    pass subtracts anything from them.  The remaining block evolves by
+    the same passes, so the argument repeats on it.
     """
-    m, n = M.rows, M.cols
     a = [row[:] for row in M.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(i, k, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_sub(j, k, q):
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    t = 0
-    while True:
-        pivots = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if a[i][j] != 0
-        ]
-        if not pivots:
-            break
-        _, pi, pj = min(pivots)
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
-        while True:
-            # clear column t with row operations, Euclid-style
-            while True:
-                nz = [i for i in range(t + 1, m) if a[i][t] != 0]
-                if not nz:
-                    break
-                for i in nz:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                nz = [i for i in range(t + 1, m) if a[i][t] != 0]
-                if nz:
-                    i0 = min(nz, key=lambda i: abs(a[i][t]))
-                    a[t], a[i0] = a[i0], a[t]
-                    u[t], u[i0] = u[i0], u[t]
-                    if a[t][t] < 0:
-                        a[t] = [-x for x in a[t]]
-                        u[t] = [-x for x in u[t]]
-            # clear row t with column operations; a column swap can
-            # repopulate column t, in which case we loop again
-            while True:
-                nz = [j for j in range(t + 1, n) if a[t][j] != 0]
-                if not nz:
-                    break
-                for j in nz:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                nz = [j for j in range(t + 1, n) if a[t][j] != 0]
-                if nz:
-                    j0 = min(nz, key=lambda j: abs(a[t][j]))
-                    for row in a:
-                        row[t], row[j0] = row[j0], row[t]
-                    for row in v:
-                        row[t], row[j0] = row[j0], row[t]
-                    if a[t][t] < 0:
-                        a[t] = [-x for x in a[t]]
-                        u[t] = [-x for x in u[t]]
-            if all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-
-        # force the divisibility chain: if the pivot misses some entry,
-        # fold that row in and redo the elimination at this position
-        d = a[t][t]
-        bad = next(
-            (
-                (i, j)
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % d != 0
-            ),
-            None,
-        )
-        if bad is not None:
-            i, _ = bad
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
-            u[t] = [x + y for x, y in zip(u[t], u[i])]
-            continue
-        t += 1
-        if t == min(m, n):
-            break
-
-    return IntMatrix(u, cols=m), IntMatrix(a, cols=n), IntMatrix(v, cols=n)
+    _echelon(a, M.cols)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = [list(col) for col in zip(*a)]
+        _echelon(a, len(a[0]))
+    diag = [a[t][t] for t in range(min(M.rows, M.cols))]
+    k = sum(1 for x in diag if x)
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    d = IntMatrix.zeros(M.rows, M.cols)
+    for t, x in enumerate(diag):
+        d.data[t][t] = x
+    return d
 
 
 def invariant_factors(M: IntMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, in order."""
-    _, d, _ = smith_normal_form(M)
-    out = []
-    for t in range(min(d.rows, d.cols)):
-        if d.data[t][t] != 0:
-            out.append(d.data[t][t])
-    return out
+    d = smith_normal_form(M)
+    return [d.data[t][t] for t in range(min(d.rows, d.cols)) if d.data[t][t]]
 
 
 def _span_factors(M: IntMatrix) -> tuple[list, list[list[int]]]:
@@ -356,21 +304,11 @@ def solve_in_column_span(M: IntMatrix, target) -> list[int] | None:
     return x
 
 
-def in_column_span(M: IntMatrix, target) -> bool:
-    return solve_in_column_span(M, target) is not None
-
-
-def column_span_canonical(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """A canonical basis of the lattice spanned by the columns of M.
-
-    The canonical rows of the transpose.  Two matrices span the same
-    column lattice iff these agree.
-    """
-    return row_span_canonical(M.transpose())
-
-
 def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    """Do the columns of A and B span the same sublattice of Z^rows?"""
+    """Do the columns of A and B span the same sublattice of Z^rows?
+
+    Compares the canonical row spans of the transposes.
+    """
     if A.rows != B.rows:
         raise ValueError(f"ambient ranks differ: {A.rows} vs {B.rows}")
-    return column_span_canonical(A) == column_span_canonical(B)
+    return row_span_canonical(A.transpose()) == row_span_canonical(B.transpose())

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import admissible_subsets
+from .combinatorics import _first_violation, admissible_subsets
 from .errors import InvariantError, SizeMismatchError, TorsionError
 from .frobenius import Combination
 from .integer_linalg import (
@@ -82,7 +82,14 @@ class SquareFreePoly(Combination):
         return {len(s) for s in self.terms}
 
     def permuted(self, sigma: dict[int, int]) -> "SquareFreePoly":
-        """Apply a permutation of the variable indices."""
+        """Apply a permutation of the variable indices.
+
+        sigma maps i to sigma.get(i, i); that map must permute 1..2n, or
+        terms would merge or vanish, so anything else is a ValueError.
+        """
+        variables = range(1, 2 * self.n + 1)
+        if sorted(sigma.get(i, i) for i in variables) != list(variables):
+            raise ValueError("sigma must permute 1..2n")
         return SquareFreePoly(
             self.n, {frozenset(sigma.get(i, i) for i in s): c for s, c in self.terms.items()}
         )
@@ -303,16 +310,6 @@ def reduction_identities_vanish(n: int) -> bool:
         term = elem_sym(i, range(n + 2, 2 * n + 1), n) * elem_sym(n + 1 - i, full, n)
         acc = acc + (-1) ** i * term
     return (lead - acc).is_zero()
-
-
-def _first_violation(subset: frozenset[int], n: int) -> int | None:
-    count = 0
-    for m in range(1, 2 * n + 1):
-        if m in subset:
-            count += 1
-        if 2 * count > m:
-            return m
-    return None
 
 
 def reduce_to_admissible(p: SquareFreePoly) -> SquareFreePoly:

@@ -10,7 +10,8 @@ def hnf_calls(monkeypatch):
     """Shapes of the matrices hermite_normal_form receives during a test.
 
     Only integer_linalg binds the function: the lattice solves and the
-    ideal spans (through row_span_canonical) both call it there.
+    kernels call it there.  Canonical spans and the Smith form run the
+    echelon loop directly and do not show up here.
     """
     calls = []
     real = integer_linalg.hermite_normal_form

@@ -262,6 +262,16 @@ def test_total_order_n2():
     ]
 
 
+def test_total_order_n3():
+    assert [m.pairs for m in total_order(3)] == [
+        ((1, 2), (3, 4), (5, 6)),
+        ((1, 2), (3, 6), (4, 5)),
+        ((1, 4), (2, 3), (5, 6)),
+        ((1, 6), (2, 3), (4, 5)),
+        ((1, 6), (2, 5), (3, 4)),
+    ]
+
+
 def test_total_order_extends_arrows():
     for n in range(1, 5):
         order = total_order(n)

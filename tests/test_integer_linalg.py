@@ -14,12 +14,12 @@ from arcring.integer_linalg import (
     IntMatrix,
     determinant,
     hermite_normal_form,
-    in_column_span,
     invariant_factors,
     is_unimodular,
     kernel_basis,
     lattice_equal,
     rank,
+    row_span_canonical,
     smith_normal_form,
     solve_in_column_span,
 )
@@ -113,13 +113,22 @@ def test_hermite_normal_form_properties():
             pivots.append((r, p))
 
 
+def test_row_span_canonical_is_nonzero_hermite_rows():
+    rng = random.Random(9)
+    for trial in range(40):
+        m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), bound=rng.choice([1, 4, 9]))
+        h, _ = hermite_normal_form(m)
+        assert row_span_canonical(m) == tuple(tuple(row) for row in h.data if any(row))
+
+
 def test_smith_normal_form_examples():
-    _, d, _ = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
-    assert d.data == [[1, 0], [0, 6]]
-    _, d, _ = smith_normal_form(IntMatrix.zeros(2, 3))
-    assert d.data == [[0, 0, 0], [0, 0, 0]]
-    _, d, _ = smith_normal_form(IntMatrix.identity(3))
-    assert d.data == IntMatrix.identity(3).data
+    assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])).data == [[1, 0], [0, 6]]
+    assert smith_normal_form(IntMatrix.zeros(2, 3)).data == [[0, 0, 0], [0, 0, 0]]
+    assert smith_normal_form(IntMatrix.identity(3)).data == IntMatrix.identity(3).data
+    assert smith_normal_form(IntMatrix([[-1]])).data == [[1]]
+    assert smith_normal_form(IntMatrix([[0, 0], [0, -4], [0, 6]])).data == [[2, 0], [0, 0], [0, 0]]
+    assert smith_normal_form(IntMatrix([], cols=3)).shape == (0, 3)
+    assert smith_normal_form(IntMatrix([[], []], cols=0)).shape == (2, 0)
 
 
 def test_smith_normal_form_decomposition():
@@ -128,9 +137,8 @@ def test_smith_normal_form_decomposition():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        u, d, v = smith_normal_form(m)
-        assert is_unimodular(u) and is_unimodular(v)
-        assert (u @ m @ v).data == d.data
+        d = smith_normal_form(m)
+        assert d.shape == m.shape
         diagonal = [d.data[i][i] for i in range(min(rows, cols))]
         for i in range(d.rows):
             for j in range(d.cols):
@@ -147,6 +155,18 @@ def test_invariant_factors_against_minors_gcd():
     rng = random.Random(4)
     for trial in range(20):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bound=4)
+        assert invariant_factors(m) == minors_gcd_invariant_factors(m)
+    # empty shapes, and inputs that are already diagonal but negative
+    shapes = [IntMatrix([], cols=3), IntMatrix([[], []], cols=0)]
+    for trial in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        shapes.append(
+            IntMatrix(
+                [[-rng.randint(0, 6) if i == j else 0 for j in range(cols)] for i in range(rows)],
+                cols=cols,
+            )
+        )
+    for m in shapes:
         assert invariant_factors(m) == minors_gcd_invariant_factors(m)
 
 
@@ -207,8 +227,8 @@ def test_solve_in_column_span():
     assert m.mul_vector(sol) == [3, 4, 5]
     # [0, 1, ...] needs half the second column
     assert solve_in_column_span(m, [0, 1, 0]) is None
-    assert in_column_span(m, [1, 2, 2])
-    assert not in_column_span(m, [0, 1, 1])
+    assert solve_in_column_span(m, [1, 2, 2]) is not None
+    assert solve_in_column_span(m, [0, 1, 1]) is None
 
 
 def test_solve_factors_each_matrix_once(hnf_calls):

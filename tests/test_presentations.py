@@ -68,6 +68,16 @@ def test_polynomial_permuted():
     assert p.permuted(swap) == SquareFreePoly(
         2, {frozenset({2, 3}): 2, frozenset({1}): -1}
     )
+    # entries left out are fixed points
+    assert p.permuted({1: 2, 2: 1}) == p.permuted(swap)
+
+
+def test_polynomial_permuted_rejects_non_permutations():
+    p = SquareFreePoly(1, {frozenset({1}): 1, frozenset({2}): 1})
+    # merging X1 and X2 would silently give 1*X2
+    for sigma in ({1: 2, 2: 2}, {1: 2}, {1: 3, 2: 1}):
+        with pytest.raises(ValueError):
+            p.permuted(sigma)
 
 
 def test_elem_sym_examples():

@@ -112,6 +112,19 @@ class RingElement(Combination):
         return "RingElement(" + " + ".join(bits) + ")"
 
 
+def _terms_by(z: RingElement, side: str) -> dict[Matching, list[tuple[BasisVector, int]]]:
+    """The terms of z grouped by the "row" or "col" matching of their vectors.
+
+    A basis-level loop multiplies a vector v by z on the left through the
+    terms at v.row of _terms_by(z, "col"), and on the right through those
+    at v.col of _terms_by(z, "row"): the terms a product with v can use.
+    """
+    groups: dict[Matching, list[tuple[BasisVector, int]]] = {}
+    for u, c in z.terms.items():
+        groups.setdefault(getattr(u, side), []).append((u, c))
+    return groups
+
+
 # a label word's rank, its position in label_words(len(word)), is the
 # word read as a binary number: int(word.translate(_BITS), 2)
 _BITS = str.maketrans("1X", "01")
@@ -481,11 +494,16 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
         by_row.setdefault(v.row, []).append(v)
     report: dict = {"n": n, "dimension": ring.dimension}
 
+    # both laws on basis vectors, each side one _sum over basis products
+    product = ring.multiply_basis
     one = ring.unit()
+    one_left, one_right = _terms_by(one, "col"), _terms_by(one, "row")
     unit_ok = True
     for v in ring.basis:
-        e = RingElement(n, {v: 1})
-        if ring.multiply(one, e) != e or ring.multiply(e, one) != e:
+        e = {v: 1}
+        left = RingElement._sum(n, ((c, product(u, v)) for u, c in one_left.get(v.row, ())))
+        right = RingElement._sum(n, ((c, product(v, u)) for u, c in one_right.get(v.col, ())))
+        if left.terms != e or right.terms != e:
             unit_ok = False
             report["unit_counterexample"] = repr(v)
             break
@@ -509,10 +527,9 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
         report["associativity_mode"] = "sampled"
     assoc_ok = True
     for x, y, z in triples:
-        ex, ey, ez = (RingElement(n, {v: 1}) for v in (x, y, z))
-        if ring.multiply(ring.multiply(ex, ey), ez) != ring.multiply(
-            ex, ring.multiply(ey, ez)
-        ):
+        lhs = RingElement._sum(n, ((c, product(w, z)) for w, c in product(x, y)))
+        rhs = RingElement._sum(n, ((c, product(x, w)) for w, c in product(y, z)))
+        if lhs != rhs:
             assoc_ok = False
             report["associativity_counterexample"] = [repr(x), repr(y), repr(z)]
             break

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache
-from itertools import groupby
+from functools import lru_cache, partial
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -39,6 +39,7 @@ from .arc_ring import (
     _build_kernel,
     _kernel_product,
     _ring_lines,
+    _terms_by,
     degree,
     get_ring,
     label_words,
@@ -306,17 +307,24 @@ def _triple_sampler(module: UiBimodule):
     for y in ring.basis:
         ring_by_row.setdefault(y.row, []).append(y)
     module_by_row: dict[Matching, list[BasisVector]] = {}
+    module_by_col: dict[Matching, list[BasisVector]] = {}
     for v in module.basis:
         module_by_row.setdefault(v.row, []).append(v)
+        module_by_col.setdefault(v.col, []).append(v)
 
     choices: dict[tuple[Matching, Matching], list[tuple]] = {}
 
     def pick(c: Matching, d: Matching) -> list[tuple]:
         """The ("ll" | "rr", v) choices for y1, y2 with y2.col == c, y1.row == d."""
         if (c, d) not in choices:
+            # the module vectors in row c or column d, in basis order
+            hits = {
+                module.index[v]: v
+                for v in chain(module_by_row.get(c, ()), module_by_col.get(d, ()))
+            }
             choices[(c, d)] = [
                 (kind, v)
-                for v in module.basis
+                for _, v in sorted(hits.items())
                 for kind, hit in (("ll", v.row == c), ("rr", v.col == d))
                 if hit
             ]
@@ -374,33 +382,37 @@ def _bimodule_axiom_witness(
 
     A failing unit law gives ["unit", repr(v)]; a failing associativity
     triple gives [kind, repr(t1), repr(t2), repr(t3)], kind as in
-    _triple_sampler.
+    _triple_sampler.  Both sides of each law are computed from the
+    per-basis maps, each side one _sum.
     """
     module = get_bimodule(n, i)
     ring = module.ring
+    left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
+    total = partial(BimoduleElement._sum, module.space)
     one = ring.unit()
+    one_left, one_right = _terms_by(one, "col"), _terms_by(one, "row")
     for v in module.basis:
-        x = module.element({v: 1})
-        if module.left_mul(one, x) != x or module.right_mul(x, one) != x:
+        x = {v: 1}
+        if (
+            total((c, left(u, v)) for u, c in one_left.get(v.row, ())).terms != x
+            or total((c, right(v, u)) for u, c in one_right.get(v.col, ())).terms != x
+        ):
             return ["unit", repr(v)]
-
-    def as_ring(v):
-        return RingElement(n, {v: 1})
 
     # sampling indexes draws the same triples as sampling the full list
     count, triple_at = _triple_sampler(module)
     rng = random.Random(seed)
     picks = rng.sample(range(count), samples) if count > samples else range(count)
     for kind, t1, t2, t3 in map(triple_at, picks):
-        if kind == "ll":
-            lhs = module.left_mul(ring.multiply(as_ring(t1), as_ring(t2)), module.element({t3: 1}))
-            rhs = module.left_mul(as_ring(t1), module.left_mul(as_ring(t2), module.element({t3: 1})))
-        elif kind == "rr":
-            lhs = module.right_mul(module.element({t1: 1}), ring.multiply(as_ring(t2), as_ring(t3)))
-            rhs = module.right_mul(module.right_mul(module.element({t1: 1}), as_ring(t2)), as_ring(t3))
-        else:
-            lhs = module.right_mul(module.left_mul(as_ring(t1), module.element({t2: 1})), as_ring(t3))
-            rhs = module.left_mul(as_ring(t1), module.right_mul(module.element({t2: 1}), as_ring(t3)))
+        if kind == "ll":  # (t1 t2) t3 against t1 (t2 t3), t3 in the bimodule
+            lhs = total((c, left(w, t3)) for w, c in product(t1, t2))
+            rhs = total((c, left(t1, w)) for w, c in left(t2, t3))
+        elif kind == "rr":  # t1 (t2 t3) against (t1 t2) t3, t1 in the bimodule
+            lhs = total((c, right(t1, w)) for w, c in product(t2, t3))
+            rhs = total((c, right(w, t3)) for w, c in right(t1, t2))
+        else:  # (t1 t2) t3 against t1 (t2 t3), t2 in the bimodule
+            lhs = total((c, right(w, t3)) for w, c in left(t1, t2))
+            rhs = total((c, left(t1, w)) for w, c in right(t2, t3))
         if lhs != rhs:
             return [kind, repr(t1), repr(t2), repr(t3)]
     return None
@@ -424,7 +436,9 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     bimodule and s alpha after beta on the ring, over every basis
     vector.  Also confirms both saddle maps are homogeneous of degree 1
     and commute with the endomorphisms, and (optionally) the bimodule
-    axioms.
+    axioms.  Every image is computed on basis vectors from the per-basis
+    maps, each side of each identity one _sum; the element-level maps
+    give the same verdicts.
 
     A failing check adds a counterexample field, a passing one adds
     none.  degree_counterexample is [map, repr(v)] for the first basis
@@ -440,21 +454,24 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
 
     module = get_bimodule(n, i)
     ring = module.ring
+    left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
+    alpha, beta = module.alpha_basis, module.beta_basis
+    space = module.space
     z_lo = central_X(i, n, verify=False)
     z_hi = central_X(i + 1, n, verify=False)
     report: dict = {"n": n, "i": i}
 
     def saddle_images():
         for v in module.basis:
-            yield "alpha", v, module.alpha(module.element({v: 1}))
+            yield "alpha", v, alpha(v)
         for v in ring.basis:
-            yield "beta", v, module.beta(RingElement(n, {v: 1}))
+            yield "beta", v, beta(v)
 
     degree_witness = next(
         (
             [kind, repr(v)]
             for kind, v, image in saddle_images()
-            if any(degree(w) != degree(v) + 1 for w in image.terms)
+            if any(c and degree(w) != degree(v) + 1 for w, c in image)
         ),
         None,
     )
@@ -463,22 +480,25 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     if not degree_ok:
         report["degree_counterexample"] = degree_witness
 
-    def phi_ring(zl, zr, y):
-        return ring.multiply(zl, y) - ring.multiply(y, zr)
+    def endomorphism(zl, zr, mul_left, mul_right, cls, space):
+        """items -> zl y - y zr for y the combination of the (vector, coeff)
+        items, in one _sum of basis products."""
+        at_left, at_right = _terms_by(zl, "col"), _terms_by(zr, "row")
+        return lambda items: cls._sum(space, chain(
+            ((c * cz, mul_left(u, w)) for w, c in items for u, cz in at_left.get(w.row, ())),
+            ((-c * cz, mul_right(w, u)) for w, c in items for u, cz in at_right.get(w.col, ())),
+        ))
 
-    def phi_module(zl, zr, x):
-        return module.left_mul(zl, x) - module.right_mul(x, zr)
-
-    def sides(zl, zr):
+    def sides(phi_ring, phi_module):
         """(kind, vector, endomorphism image, composite image, alpha image),
         ring basis first; a ring vector has no alpha image."""
         for v in ring.basis:
-            y = RingElement(n, {v: 1})
-            yield "ring", v, phi_ring(zl, zr, y), module.alpha(module.beta(y)), None
+            composite = RingElement._sum(n, ((c, alpha(w)) for w, c in beta(v)))
+            yield "ring", v, phi_ring(((v, 1),)), composite, None
         for v in module.basis:
-            x = module.element({v: 1})
-            a = module.alpha(x)
-            yield "bimodule", v, phi_module(zl, zr, x), module.beta(a), a
+            a = alpha(v)
+            composite = BimoduleElement._sum(space, ((c, beta(w)) for w, c in a))
+            yield "bimodule", v, phi_module(((v, 1),)), composite, a
 
     signs = {}
     unsigned = {}
@@ -490,9 +510,11 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
         # one pass computes each image once and feeds both signs, the
         # scan for a vector neither sign holds on, and the commute check;
         # holding the images instead would raise the peak memory
+        phi_ring = endomorphism(zl, zr, product, product, RingElement, n)
+        phi_module = endomorphism(zl, zr, left, right, BimoduleElement, space)
         plus = minus = neither = None
         commutes = True
-        for kind, v, lhs, rhs, a in sides(zl, zr):
+        for kind, v, lhs, rhs, a in sides(phi_ring, phi_module):
             off_plus, off_minus = lhs != rhs, lhs != -rhs
             if off_plus:
                 plus = plus or f"{kind} {v!r}"
@@ -500,7 +522,7 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
                 minus = minus or f"{kind} {v!r}"
             if off_plus and off_minus:
                 neither = neither or f"{kind} {v!r}"
-            if commutes and a is not None and module.alpha(lhs) != phi_ring(zl, zr, a):
+            if commutes and a is not None and module.alpha(lhs) != phi_ring(a):
                 commutes = chain_ok = False
                 report.setdefault("commutes_counterexample", [name, repr(v)])
         if plus is None:

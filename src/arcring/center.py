@@ -205,6 +205,10 @@ class CenterPresentation:
     center basis.  When the matrix is unimodular the assignment
     X_I -> product realizes the quotient presentation as an integral
     isomorphism onto the center.
+
+    The symmetric action reads two tables kept on the instance and
+    filled on first use: the products' diagonal vectors as one lattice,
+    and the ring image of the reduction of each square-free monomial.
     """
 
     n: int
@@ -214,16 +218,11 @@ class CenterPresentation:
     products: list[RingElement]
     matrix: IntMatrix
     _position: dict = field(init=False, repr=False, compare=False)
+    _product_lattice: IntMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._position = {s: j for j, s in enumerate(self.admissible)}
-
-    def center_coords(self, z: RingElement) -> list[int]:
-        """Coordinates of a central element in the center basis."""
-        sol = solve_in_column_span(self.center.lattice_matrix(), diagonal_vector(z))
-        if sol is None:
-            raise ValueError("element does not lie in the center lattice")
-        return sol
 
     def from_admissible(self, coords: dict[tuple[int, ...], int]) -> RingElement:
         """The sum of c times the product of X_I, summed in one pass."""
@@ -234,23 +233,49 @@ class CenterPresentation:
         )
 
     def to_admissible(self, z: RingElement) -> dict[tuple[int, ...], int]:
-        """Invert the presentation on a central element."""
-        x = self.center_coords(z)
-        sol = solve_in_column_span(self.matrix, x)
+        """Invert the presentation on a central element.
+
+        One solve against the lattice of the products' diagonal vectors;
+        they are a basis of the center lattice when the presentation
+        matrix is unimodular.
+        """
+        if self._product_lattice is None:
+            self._product_lattice = IntMatrix.from_columns(
+                [diagonal_vector(p) for p in self.products],
+                rows=len(_diagonal_positions(self.n)),
+            )
+        sol = solve_in_column_span(self._product_lattice, diagonal_vector(z))
         if sol is None:
             raise ValueError("element is not an integral combination of the products")
         return {s: c for s, c in zip(self.admissible, sol) if c != 0}
 
+    def _image(self, subset: frozenset) -> tuple:
+        """The ring image of the admissible reduction of X_subset."""
+        image = self._images.get(subset)
+        if image is None:
+            reduced = admissible_coordinates(SquareFreePoly(self.n, {subset: 1}))
+            image = self._images[subset] = tuple(self.from_admissible(reduced).terms.items())
+        return image
+
     def act(self, sigma: dict[int, int], z: RingElement) -> RingElement:
         """The symmetric group action transported through the presentation.
 
-        Express z over the admissible monomials, permute the variable
-        indices, reduce back to admissible form, and map into the ring.
+        Express z over the admissible monomials, move each X_I to
+        X_sigma(I), and sum the ring images of their reductions.  The
+        reduction and the map into the ring are linear and sigma permutes
+        the monomials, so this is the image of the permuted polynomial.
         """
-        coords = self.to_admissible(z)
-        p = SquareFreePoly(self.n, {frozenset(s): c for s, c in coords.items()})
-        moved = p.permuted(sigma)
-        return self.from_admissible(admissible_coordinates(moved))
+        variables = range(1, 2 * self.n + 1)
+        if sorted(sigma.get(i, i) for i in variables) != list(variables):
+            raise ValueError("sigma must permute 1..2n")
+        image = self._image
+        return RingElement._sum(
+            self.n,
+            (
+                (c, image(frozenset(sigma.get(i, i) for i in s)))
+                for s, c in self.to_admissible(z).items()
+            ),
+        )
 
 
 def presentation_map(n: int, ring: ArcRing | None = None) -> CenterPresentation:

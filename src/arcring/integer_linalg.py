@@ -105,33 +105,6 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def determinant(M: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in M.data]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(M: IntMatrix) -> bool:
-    return M.rows == M.cols and abs(determinant(M)) == 1
-
-
 def _echelon(a: list[list[int]], width: int) -> int:
     """Row-reduce a in place to Hermite form on its first width columns.
 
@@ -264,11 +237,12 @@ def invariant_factors(M: IntMatrix) -> list[int]:
     return [d.data[t][t] for t in range(min(d.rows, d.cols)) if d.data[t][t]]
 
 
-def _span_factors(M: IntMatrix) -> tuple[list, list[list[int]]]:
+def _span_factors(M: IntMatrix) -> tuple[list, list[list[tuple[int, int]]]]:
     """Pivot rows of HNF(M^T) and the transform U, computed once per matrix.
 
     Returns (pivots, U) where pivots lists (pivot column, nonzero
-    entries of the row) for each nonzero row of H = U @ M^T, in order.
+    entries of the row) for each nonzero row of H = U @ M^T, in order,
+    and U holds the nonzero entries (j, x) of each matching row of U.
     """
     if M._span_factors is None:
         h, u = hermite_normal_form(M.transpose())
@@ -278,7 +252,8 @@ def _span_factors(M: IntMatrix) -> tuple[list, list[list[int]]]:
             if not entries:
                 break
             pivots.append((entries[0][0], entries))
-        M._span_factors = (pivots, u.data)
+        sparse_u = [[(j, x) for j, x in enumerate(row) if x] for row in u.data[: len(pivots)]]
+        M._span_factors = (pivots, sparse_u)
     return M._span_factors
 
 
@@ -298,7 +273,8 @@ def solve_in_column_span(M: IntMatrix, target) -> list[int] | None:
         if q:
             for j, y in entries:
                 w[j] -= q * y
-            x = [a + q * b for a, b in zip(x, u[i])]
+            for j, y in u[i]:
+                x[j] += q * y
     if any(w):
         return None
     return x

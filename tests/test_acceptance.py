@@ -146,7 +146,7 @@ def test_criterion_10_null_homotopy():
 
 def test_criterion_11_symmetric_action():
     start = time.perf_counter()
-    ok = all(verify_symmetric_action(n)["passed"] for n in (1, 2))
+    ok = all(verify_symmetric_action(n)["passed"] for n in (1, 2, 3))
     report(11, "symmetric group action", ok, time.perf_counter() - start, 60.0)
 
 

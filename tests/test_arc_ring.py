@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import element_reference
 import surgery_reference
 from arcring.arc_ring import (
     MAX_RING_N,
@@ -196,6 +197,47 @@ def test_surgery_order_independence():
             base = ring.multiply_basis(x, y)
             for arcs in itertools.permutations(x.col.pairs):
                 assert ring.multiply_basis(x, y, arc_order=arcs) == base
+
+
+def _ring_law_fields(report):
+    return [(k, v) for k, v in report.items() if k.startswith(("unit", "associativ"))]
+
+
+def test_ring_integrity_matches_element_level():
+    # the basis-level unit and associativity loops give the fields the
+    # element-level maps give, key for key and in order
+    for n in (1, 2, 3):
+        report = verify_ring_integrity(n, samples=2000)
+        assert _ring_law_fields(report) == list(
+            element_reference.ring_laws_report(n, samples=2000).items()
+        )
+
+
+def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
+    # one ring product with the wrong sign: both paths name the same
+    # first failing unit vector and associativity triple
+    ring = get_ring(2)
+    for x, y in (
+        # an idempotent times an off-diagonal vector breaks the unit law
+        next((x, y) for x in ring.basis for y in ring.basis
+             if x.row == x.col == y.row != y.col and "X" not in x.labels),
+        # an X-labeled diagonal vector times an off-diagonal one breaks
+        # associativity only
+        next((x, y) for x in ring.basis for y in ring.basis
+             if x.row == x.col == y.row != y.col and "X" in x.labels
+             and ring.multiply_basis(x, y)),
+    ):
+        real = ArcRing.multiply_basis
+
+        def flipped(self, u, v, arc_order=None, _pair=(x, y), _real=real):
+            out = _real(self, u, v, arc_order)
+            return tuple((w, -c) for w, c in out) if (u, v) == _pair else out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ArcRing, "multiply_basis", flipped)
+            report = verify_ring_integrity(2)
+            assert not report["passed"]
+            assert _ring_law_fields(report) == list(element_reference.ring_laws_report(2).items())
 
 
 def test_verify_ring_integrity():

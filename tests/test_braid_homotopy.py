@@ -12,8 +12,9 @@ import random
 import pytest
 
 import arcring.braid_homotopy
+import element_reference
 import surgery_reference
-from arcring.arc_ring import BasisVector, RingElement, degree, get_ring
+from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring
 from arcring.braid_homotopy import (
     UiBimodule,
     _triple_sampler,
@@ -447,11 +448,26 @@ def test_unit_counterexample(monkeypatch):
 
 
 def test_null_homotopy_computes_each_image_once(monkeypatch):
-    # one image per bimodule vector and endomorphism; alpha and beta once
-    # per vector for the degree check, then per endomorphism once per
-    # vector, once per composite and, for alpha, once per commute check
+    # the images are computed on basis vectors: alpha is the only
+    # element-level map called, once per bimodule vector and
+    # endomorphism, on the image the commute check pushes through it.
+    # Per endomorphism each bimodule vector takes one left and one right
+    # product (a central X has one term per diagonal block).  alpha and
+    # beta run once per vector for the degree check, then per
+    # endomorphism once per term of each composite, once per bimodule
+    # vector for its composite, and once per term of each commute image
     module = get_bimodule(3, 2)
-    calls = {name: 0 for name in ("left_mul", "right_mul", "alpha", "beta")}
+    ring = module.ring
+    dim, ring_dim = module.dimension, ring.dimension
+    phi_terms = 0
+    for zl, zr in ((central_X(2, 3), central_X(3, 3)), (central_X(3, 3), central_X(2, 3))):
+        for v in module.basis:
+            x = module.element({v: 1})
+            phi_terms += len((module.left_mul(zl, x) - module.right_mul(x, zr)).terms)
+    beta_terms = sum(len(module.beta_basis(y)) for y in ring.basis)
+    alpha_terms = sum(len(module.alpha_basis(v)) for v in module.basis)
+    names = ("left_mul", "right_mul", "alpha", "beta")
+    calls = {name: 0 for name in names + tuple(f"{name}_basis" for name in names)}
     for name in calls:
         real = getattr(UiBimodule, name)
 
@@ -461,13 +477,63 @@ def test_null_homotopy_computes_each_image_once(monkeypatch):
 
         monkeypatch.setattr(UiBimodule, name, counting)
     assert verify_null_homotopy(2, 3, check_axioms=False)["passed"]
-    dim, ring_dim = module.dimension, module.ring.dimension
     assert calls == {
-        "left_mul": 2 * dim,
-        "right_mul": 2 * dim,
-        "alpha": dim + 2 * (dim + ring_dim + dim),
-        "beta": ring_dim + 2 * (ring_dim + dim),
+        "left_mul": 0,
+        "right_mul": 0,
+        "alpha": 2 * dim,
+        "beta": 0,
+        "left_mul_basis": 2 * dim,
+        "right_mul_basis": 2 * dim,
+        "alpha_basis": dim + 2 * (beta_terms + dim) + phi_terms,
+        "beta_basis": ring_dim + 2 * (ring_dim + alpha_terms),
     }
+
+
+@pytest.mark.parametrize("n, i", [(n, i) for n in (1, 2, 3) for i in range(1, 2 * n)])
+def test_basis_level_verdict_matches_element_level(n, i):
+    # the homotopy, commute, degree and axiom verdicts on basis vectors
+    # equal those of the element-level maps, key for key and in order
+    report = verify_null_homotopy(i, n)
+    assert report["passed"]
+    assert list(report.items()) == list(element_reference.null_homotopy_report(i, n).items())
+
+
+def test_wrong_alpha_sign_matches_element_level(monkeypatch):
+    # alpha negated on one bimodule vector: both paths name the same
+    # counterexamples
+    module = get_bimodule(2, 1)
+    flipped = [v for v in module.basis if module.alpha_basis(v)][3]
+    _patch_basis_map(
+        monkeypatch, "alpha_basis",
+        lambda vs, out: tuple((z, -c) for z, c in out) if vs[0] == flipped else out,
+    )
+    report = verify_null_homotopy(1, 2)
+    assert not report["passed"]
+    assert "homotopy_counterexample" in report
+    assert list(report.items()) == list(element_reference.null_homotopy_report(1, 2).items())
+
+
+def test_wrong_ring_product_sign_matches_element_level(monkeypatch):
+    # one ring product negated, a term of the central X at endpoint 1
+    # times an off-diagonal vector: the endomorphisms and the bimodule
+    # axioms fail, and both paths name the same counterexamples
+    ring = get_ring(2)
+    z = central_X(1, 2)
+    pair = next(
+        (u, y) for u in z.terms for y in ring.basis
+        if y.row == u.col != y.col and ring.multiply_basis(u, y)
+    )
+    real = ArcRing.multiply_basis
+
+    def flipped(self, x, y, arc_order=None):
+        out = real(self, x, y, arc_order)
+        return tuple((w, -c) for w, c in out) if (x, y) == pair else out
+
+    monkeypatch.setattr(ArcRing, "multiply_basis", flipped)
+    report = verify_null_homotopy(1, 2)
+    assert not report["passed"]
+    assert "bimodule_axioms_counterexample" in report
+    assert list(report.items()) == list(element_reference.null_homotopy_report(1, 2).items())
 
 
 def _all_products(module):

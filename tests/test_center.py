@@ -82,7 +82,7 @@ def test_cached_solves_match_uncached():
             assert cached is not None
             assert cached == solve_in_column_span(lattice.copy(), target)
         for prod in pres.products:
-            x = pres.center_coords(prod)
+            x = solve_in_column_span(lattice, diagonal_vector(prod))
             assert solve_in_column_span(pres.matrix, x) == solve_in_column_span(
                 pres.matrix.copy(), x
             )
@@ -272,6 +272,49 @@ def test_symmetric_action_group_property():
     for z in pres.center.elements:
         twice = symmetric_action(swap, symmetric_action(swap, z, pres), pres)
         assert twice == z
+
+
+def _act_by_reduction(pres, sigma, z):
+    """The action computed from scratch: center coordinates, presentation
+    coordinates, the permuted polynomial, its reduction, its image."""
+    x = solve_in_column_span(pres.center.lattice_matrix(), diagonal_vector(z))
+    coords = solve_in_column_span(pres.matrix, x)
+    p = SquareFreePoly(pres.n, {frozenset(s): c for s, c in zip(pres.admissible, coords)})
+    return pres.from_admissible(admissible_coordinates(p.permuted(sigma))), coords
+
+
+def test_act_matches_reduction_pipeline():
+    # every transposition and ten seeded permutations, on every center
+    # basis element: the image table gives the reduction pipeline's result
+    for n in (1, 2, 3):
+        pres = presentation_map(n)
+        identity = {j: j for j in range(1, 2 * n + 1)}
+        perms = [{**identity, i: i + 1, i + 1: i} for i in range(1, 2 * n)]
+        rng = random.Random(n)
+        for _ in range(10):
+            images = list(identity)
+            rng.shuffle(images)
+            perms.append(dict(zip(identity, images)))
+        for z in pres.center.elements:
+            for sigma in perms:
+                want, coords = _act_by_reduction(pres, sigma, z)
+                assert pres.act(sigma, z) == want
+            assert pres.to_admissible(z) == {
+                s: c for s, c in zip(pres.admissible, coords) if c
+            }
+
+
+def test_act_rejects_non_permutations():
+    pres = presentation_map(2)
+    z = pres.center.elements[1]
+    with pytest.raises(ValueError):
+        pres.act({1: 2, 2: 2}, z)
+    with pytest.raises(ValueError):
+        pres.act({1: 5}, z)
+
+
+def test_verify_symmetric_action_n4():
+    assert verify_symmetric_action(4)["passed"]
 
 
 def test_verify_symmetric_action():

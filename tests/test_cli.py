@@ -203,6 +203,25 @@ def test_byte_determinism(capsys):
         assert first == second
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify_n3_all_seed0.json", ["verify", "--n", "3", "--all", "--seed", "0"]),
+        ("verify_n3_all_seed7.json", ["verify", "--n", "3", "--all", "--seed", "7"]),
+        ("verify_n2_all.json", ["verify", "--n", "2", "--all"]),
+    ],
+)
+def test_golden_reports(capsys, name, argv):
+    # the checked-in default outputs: a faster path through any check
+    # must reproduce every report byte for byte
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_outputs_identical_across_processes(tmp_path):
     # a matching hashes by identity, so the iteration order of a set of
     # matchings changes from one process to the next; no report and no

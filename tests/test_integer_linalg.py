@@ -12,10 +12,8 @@ import pytest
 
 from arcring.integer_linalg import (
     IntMatrix,
-    determinant,
     hermite_normal_form,
     invariant_factors,
-    is_unimodular,
     kernel_basis,
     lattice_equal,
     rank,
@@ -29,6 +27,37 @@ def random_matrix(rng, rows, cols, bound=6):
     return IntMatrix(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def determinant(M):
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Independent of the echelon loop, so it serves as the oracle for the
+    minors-gcd invariant factors and for unimodularity.
+    """
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [row[:] for row in M.data]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(M):
+    return M.rows == M.cols and abs(determinant(M)) == 1
 
 
 def minors_gcd_invariant_factors(M):
@@ -251,6 +280,44 @@ def test_solve_random_roundtrip():
         sol = solve_in_column_span(m, target)
         assert sol is not None
         assert m.mul_vector(sol) == target
+
+
+def dense_solve(M, target):
+    """The solve with the whole transform row added per pivot: the oracle
+    for the sparse accumulation of solve_in_column_span."""
+    h, u = hermite_normal_form(M.transpose())
+    w, x = list(target), [0] * M.cols
+    for hrow, urow in zip(h.data, u.data):
+        nz = [j for j, y in enumerate(hrow) if y]
+        if not nz:
+            break
+        piv = nz[0]
+        if w[piv] % hrow[piv]:
+            return None
+        q = w[piv] // hrow[piv]
+        w = [a - q * b for a, b in zip(w, hrow)]
+        x = [a + q * b for a, b in zip(x, urow)]
+    return None if any(w) else x
+
+
+def test_solve_matches_dense_transform():
+    # the seeded matrices of the solve tests, with reachable and
+    # unreachable targets, and the real center lattice at n = 3
+    from arcring.center import diagonal_vector, presentation_map
+
+    cases = []
+    rng = random.Random(7)
+    for trial in range(30):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        cases.append((m, m.mul_vector([rng.randint(-5, 5) for _ in range(m.cols)])))
+        cases.append((m, [rng.randint(-5, 5) for _ in range(m.rows)]))
+    m = IntMatrix([[1, 0], [0, 2], [1, 1]])
+    cases += [(m, t) for t in ([3, 4, 5], [0, 1, 0], [1, 2, 2], [0, 1, 1])]
+    pres = presentation_map(3)
+    lattice = pres.center.lattice_matrix()
+    cases += [(lattice, diagonal_vector(p)) for p in pres.products]
+    for m, target in cases:
+        assert solve_in_column_span(m, target) == dense_solve(m, target)
 
 
 def test_lattice_equal_examples():

@@ -52,7 +52,6 @@ from .center import (
     is_central,
     presentation_map,
     symmetric_action,
-    total_order_independence,
     verify_presentation_iso,
     verify_symmetric_action,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "is_central",
     "presentation_map",
     "symmetric_action",
-    "total_order_independence",
     "verify_presentation_iso",
     "verify_symmetric_action",
     "BimoduleElement",

@@ -2,17 +2,22 @@
 
 An element z = sum_a z_a supported on the diagonal blocks is central
 exactly when z_a 1_ab = 1_ab z_b for every ordered pair of matchings,
-where 1_ab is the all-ones labeling of glue(a, b).  That condition is
-integer-linear in the diagonal coordinates and homogeneous in the
-grading, so the center is computed degree by degree as a saturated
-kernel lattice.
+where 1_ab is the all-ones labeling of glue(a, b).  Both sides are pure
+circle merges: every circle of glue(a, a) lies on one circle of
+glue(a, b), so each X of a diagonal label word moves onto that circle,
+and two X's meeting give zero.  The condition is integer-linear in the
+diagonal coordinates and homogeneous in the grading, so the center is
+computed degree by degree as a saturated kernel lattice.
 
 The distinguished central elements X_i (one per endpoint, with an
-alternating sign) generate the center; sending the admissible monomial
-X_I to the product of the corresponding X_i realizes the Springer
-cohomology presentation, and this module verifies that the resulting
+alternating sign) generate the center.  The diagonal blocks multiply
+as square-free label words, so the product X_I has a closed form.
+Sending the admissible monomial X_I to it realizes the Springer
+cohomology presentation; this module verifies that the resulting
 integer matrix is an isomorphism and transports the symmetric group
-action.
+action onto admissible coordinates.  The center, the presentation and
+the action never build H_n: only the checks that test the ring itself
+(is_central, and the ring products in verify_presentation_iso) do.
 """
 
 from __future__ import annotations
@@ -23,23 +28,11 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring, label_words
-from .combinatorics import (
-    Matching,
-    admissible_subsets,
-    all_linear_extensions,
-    enumerate_matchings,
-    glue,
-)
+from .arc_ring import BasisVector, RingElement, _terms_by, degree, get_ring, label_words
+from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
 from .errors import InvariantError, SizeMismatchError
-from .frobenius import ONE, X
-from .integer_linalg import (
-    IntMatrix,
-    invariant_factors,
-    kernel_basis,
-    lattice_equal,
-    solve_in_column_span,
-)
+from .frobenius import ONE, X, Combination
+from .integer_linalg import IntMatrix, invariant_factors, kernel_basis, solve_in_column_span
 from .presentations import SquareFreePoly, admissible_coordinates
 
 
@@ -98,52 +91,54 @@ class CenterBasis:
         return self._lattice
 
 
-def center_basis(n: int, ring: ArcRing | None = None) -> CenterBasis:
+def _push(diagram: ClosedDiagram, points) -> str | None:
+    """The word on the circles of diagram with X on each circle through points.
+
+    None when two points share a circle: X times X is zero, with no sign.
+    """
+    marks = {diagram.endpoint_to_circle[p] for p in points}
+    if len(marks) < len(points):
+        return None
+    return "".join(X if j in marks else ONE for j in range(len(diagram.circles)))
+
+
+def center_basis(n: int) -> CenterBasis:
     """Solve the equalizer condition for the center of H_n.
 
     One kernel computation per degree 2k: the unknowns are the diagonal
-    labelings with k X's, the constraints compare z_a 1_ab with 1_ab z_b
-    in every off-diagonal block.  Kernel bases are saturated, so the
-    result is a basis of the full center lattice, not just a finite
-    index sublattice.
+    labelings with k X's, in diagonal_coordinates order, and the
+    constraints compare z_a 1_ab with 1_ab z_b in every off-diagonal
+    block.  Both sides are merges: each X of z_a or z_b sits on a circle
+    of glue(a, a) or glue(b, b) and moves to the circle of glue(a, b)
+    through the same points.  glue(b, a) has the circles of glue(a, b)
+    in the same order, so block (b, a) repeats the rows of block (a, b)
+    with the opposite sign, and each unordered pair is taken once.
+    Kernel bases are saturated, so the result is a basis of the full
+    center lattice, not just a finite index sublattice.
     """
-    ring = ring or get_ring(n)
-    order = ring.order
-    ones = {
-        (a, b): BasisVector(a, b, ONE * len(glue(a, b).circles))
-        for a in order
-        for b in order
-        if a != b
-    }
+    matchings = enumerate_matchings(n)
     elements: list[RingElement] = []
     graded: dict[int, int] = {}
     for k in range(n + 1):
-        cols = [
-            (a, w)
-            for a in order
-            for w in label_words(n)
-            if w.count(X) == k
-        ]
+        words = [w for w in label_words(n) if w.count(X) == k]
+        cols = [(a, w) for a in matchings for w in words]
         col_pos = {key: i for i, key in enumerate(cols)}
-        row_pos: dict[tuple[Matching, Matching, str], int] = {}
-        for a, b in itertools.permutations(order, 2):
-            for w in label_words(len(glue(a, b).circles)):
-                if w.count(X) == k:
-                    row_pos[(a, b, w)] = len(row_pos)
-        matrix = [[0] * len(cols) for _ in range(len(row_pos))]
-        for a, b in itertools.permutations(order, 2):
-            e_ab = ones[(a, b)]
-            for w in label_words(n):
-                if w.count(X) != k:
-                    continue
-                za = BasisVector(a, a, w)
-                for bv, c in ring.multiply_basis(za, e_ab):
-                    matrix[row_pos[(a, b, bv.labels)]][col_pos[(a, w)]] += c
-                zb = BasisVector(b, b, w)
-                for bv, c in ring.multiply_basis(e_ab, zb):
-                    matrix[row_pos[(a, b, bv.labels)]][col_pos[(b, w)]] -= c
-        if row_pos:
-            kernel = kernel_basis(IntMatrix(matrix, cols=len(cols)))
+        # one endpoint of each circle of glue(a, a) that w labels X
+        points = {
+            (a, w): [circle[0] for circle, label in zip(glue(a, a).circles, w) if label == X]
+            for a, w in cols
+        }
+        rows: dict[tuple[Matching, Matching, str], list[int]] = {}
+        for a, b in itertools.combinations(matchings, 2):
+            target = glue(a, b)
+            for w in words:
+                for c, sign in ((a, 1), (b, -1)):
+                    pushed = _push(target, points[(c, w)])
+                    if pushed is not None:
+                        row = rows.setdefault((a, b, pushed), [0] * len(cols))
+                        row[col_pos[(c, w)]] += sign
+        if rows:
+            kernel = kernel_basis(IntMatrix(list(rows.values()), cols=len(cols)))
         else:
             kernel = IntMatrix.identity(len(cols)).data
         graded[2 * k] = len(kernel)
@@ -161,14 +156,42 @@ def center_basis(n: int, ring: ArcRing | None = None) -> CenterBasis:
     return CenterBasis(n, elements, graded)
 
 
-def is_central(z: RingElement, ring: ArcRing | None = None) -> bool:
-    """Direct commutation of z with every basis vector."""
-    ring = ring or get_ring(z.n)
-    for bv in ring.basis:
-        v = RingElement(ring.n, {bv: 1})
-        if ring.multiply(z, v) != ring.multiply(v, z):
+def is_central(z: RingElement) -> bool:
+    """Direct commutation of z with every basis vector of H_n.
+
+    Each commutator z v - v z is one _sum over the terms of z that
+    compose with v.
+    """
+    ring = get_ring(z.n)
+    product = ring.multiply_basis
+    on_left, on_right = _terms_by(z, "col"), _terms_by(z, "row")
+    for v in ring.basis:
+        commutator = RingElement._sum(
+            z.n,
+            itertools.chain(
+                ((c, product(u, v)) for u, c in on_left.get(v.row, ())),
+                ((-c, product(v, u)) for u, c in on_right.get(v.col, ())),
+            ),
+        )
+        if not commutator.is_zero():
             return False
     return True
+
+
+def _diagonal_monomial(n: int, subset) -> RingElement:
+    """The product of the X_i over subset, in closed form.
+
+    On block a it is (-1)^(sum of subset) times the word with X on the
+    circles of glue(a, a) through subset, or nothing when two points of
+    subset share a circle.
+    """
+    sign = (-1) ** sum(subset)
+    terms: dict[BasisVector, int] = {}
+    for a in enumerate_matchings(n):
+        word = _push(glue(a, a), subset)
+        if word is not None:
+            terms[BasisVector(a, a, word)] = sign
+    return RingElement(n, terms)
 
 
 def central_X(i: int, n: int, verify: bool | None = None) -> RingElement:
@@ -181,14 +204,7 @@ def central_X(i: int, n: int, verify: bool | None = None) -> RingElement:
     """
     if not 1 <= i <= 2 * n:
         raise ValueError(f"endpoint {i} out of range 1..{2*n}")
-    sign = (-1) ** i
-    terms: dict[BasisVector, int] = {}
-    for a in enumerate_matchings(n):
-        diagram = glue(a, a)
-        which = diagram.endpoint_to_circle[i]
-        word = "".join(X if j == which else ONE for j in range(len(diagram.circles)))
-        terms[BasisVector(a, a, word)] = sign
-    z = RingElement(n, terms)
+    z = _diagonal_monomial(n, (i,))
     if verify is None:
         verify = n <= 3
     if verify and not is_central(z):
@@ -200,19 +216,18 @@ def central_X(i: int, n: int, verify: bool | None = None) -> RingElement:
 class CenterPresentation:
     """The admissible-monomial coordinates on the center.
 
-    products[j] is the product of central_X over the j-th admissible
+    products[j] is the product of the X_i over the j-th admissible
     subset; matrix columns give those products in the coordinates of the
     center basis.  When the matrix is unimodular the assignment
     X_I -> product realizes the quotient presentation as an integral
     isomorphism onto the center.
 
-    The symmetric action reads two tables kept on the instance and
-    filled on first use: the products' diagonal vectors as one lattice,
-    and the ring image of the reduction of each square-free monomial.
+    Two tables are kept on the instance and filled on first use: the
+    products' diagonal vectors as one lattice, and the admissible
+    coordinates of the reduction of each square-free monomial.
     """
 
     n: int
-    ring: ArcRing
     center: CenterBasis
     admissible: list[tuple[int, ...]]
     products: list[RingElement]
@@ -250,56 +265,45 @@ class CenterPresentation:
         return {s: c for s, c in zip(self.admissible, sol) if c != 0}
 
     def _image(self, subset: frozenset) -> tuple:
-        """The ring image of the admissible reduction of X_subset."""
+        """The admissible coordinates of the reduction of X_subset."""
         image = self._images.get(subset)
         if image is None:
             reduced = admissible_coordinates(SquareFreePoly(self.n, {subset: 1}))
-            image = self._images[subset] = tuple(self.from_admissible(reduced).terms.items())
+            image = self._images[subset] = tuple(reduced.items())
         return image
 
-    def act(self, sigma: dict[int, int], z: RingElement) -> RingElement:
-        """The symmetric group action transported through the presentation.
+    def act(
+        self, sigma: dict[int, int], coords: dict[tuple[int, ...], int]
+    ) -> dict[tuple[int, ...], int]:
+        """The symmetric group action on admissible coordinates.
 
-        Express z over the admissible monomials, move each X_I to
-        X_sigma(I), and sum the ring images of their reductions.  The
-        reduction and the map into the ring are linear and sigma permutes
-        the monomials, so this is the image of the permuted polynomial.
+        Move each X_I to X_sigma(I) and sum the coordinates of their
+        reductions.  The reduction is linear and sigma permutes the
+        monomials, so this is the reduction of the permuted polynomial.
         """
         variables = range(1, 2 * self.n + 1)
         if sorted(sigma.get(i, i) for i in variables) != list(variables):
             raise ValueError("sigma must permute 1..2n")
         image = self._image
-        return RingElement._sum(
+        return Combination._sum(
             self.n,
-            (
-                (c, image(frozenset(sigma.get(i, i) for i in s)))
-                for s, c in self.to_admissible(z).items()
-            ),
-        )
+            ((c, image(frozenset(sigma.get(i, i) for i in s))) for s, c in coords.items()),
+        ).terms
 
 
-def presentation_map(n: int, ring: ArcRing | None = None) -> CenterPresentation:
-    ring = ring or get_ring(n)
-    center = center_basis(n, ring)
-    xs = [central_X(i, n, verify=False) for i in range(1, 2 * n + 1)]
+def presentation_map(n: int) -> CenterPresentation:
+    center = center_basis(n)
     admissible = admissible_subsets(n)
-    products: list[RingElement] = []
-    for subset in admissible:
-        acc = ring.unit()
-        for i in subset:
-            acc = ring.multiply(acc, xs[i - 1])
-        products.append(acc)
+    products = [_diagonal_monomial(n, subset) for subset in admissible]
     lattice = center.lattice_matrix()
     columns = []
     for subset, prod in zip(admissible, products):
         sol = solve_in_column_span(lattice, diagonal_vector(prod))
         if sol is None:
-            raise InvariantError(
-                f"product over {subset} is central but missed the center lattice"
-            )
+            raise InvariantError(f"product over {subset} missed the center lattice")
         columns.append(sol)
     matrix = IntMatrix.from_columns(columns, rows=center.rank)
-    return CenterPresentation(n, ring, center, admissible, products, matrix)
+    return CenterPresentation(n, center, admissible, products, matrix)
 
 
 def verify_presentation_iso(n: int, seed: int = 0) -> dict:
@@ -310,17 +314,18 @@ def verify_presentation_iso(n: int, seed: int = 0) -> dict:
     and the map is multiplicative on (sampled) products of monomials.
     """
     ring = get_ring(n)
-    pres = presentation_map(n, ring)
+    pres = presentation_map(n)
     report: dict = {"n": n}
 
     xs = [central_X(i, n, verify=False) for i in range(1, 2 * n + 1)]
-    report["generators_central"] = all(is_central(x, ring) for x in xs)
+    report["generators_central"] = all(is_central(x) for x in xs)
     report["squares_vanish"] = all(ring.multiply(x, x).is_zero() for x in xs)
+    one = ring.unit()
     elementary_images = []
     for k in range(1, 2 * n + 1):
         total = RingElement(n)
         for subset in itertools.combinations(range(2 * n), k):
-            acc = ring.unit()
+            acc = one
             for i in subset:
                 acc = ring.multiply(acc, xs[i])
             total = total + acc
@@ -399,11 +404,25 @@ def symmetric_action(sigma, z: RingElement, pres: CenterPresentation | None = No
         sigma.values()
     ) != list(range(1, 2 * pres.n + 1)):
         raise ValueError("sigma must permute 1..2n")
-    return pres.act(sigma, z)
+    return pres.from_admissible(pres.act(sigma, pres.to_admissible(z)))
 
 
 def _compose(sigma: dict[int, int], tau: dict[int, int]) -> dict[int, int]:
     return {j: sigma[tau[j]] for j in tau}
+
+
+def _permutation_at(rank: int, n: int) -> dict[int, int]:
+    """The rank-th permutation of 1..2n in lexicographic order.
+
+    rank is read in the factorial number system: its digits pick each
+    image among the values still unused.
+    """
+    left = list(range(1, 2 * n + 1))
+    images = []
+    for k in range(2 * n - 1, -1, -1):
+        digit, rank = divmod(rank, math.factorial(k))
+        images.append(left.pop(digit))
+    return {j + 1: v for j, v in enumerate(images)}
 
 
 def verify_symmetric_action(n: int, seed: int = 0) -> dict:
@@ -436,25 +455,26 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     )
     report["ideal_stable_under_transpositions"] = stable
 
+    # each basis element solved once; the action then stays on coordinates,
+    # which determine the element since the products are a basis
+    coords = [pres.to_admissible(z) for z in pres.center.elements]
+    act = pres.act
     identity = {j: j for j in range(1, 2 * n + 1)}
-    basis_elements = pres.center.elements
-    identity_ok = all(pres.act(identity, z) == z for z in basis_elements)
+    identity_ok = all(act(identity, c) == c for c in coords)
     report["identity_acts_trivially"] = identity_ok
 
     rng = random.Random(seed)
-    all_perms = [
-        {j + 1: p[j] for j in range(2 * n)}
-        for p in itertools.permutations(range(1, 2 * n + 1))
-    ]
     pairs = list(itertools.product(transpositions, repeat=2))
     # ten seeded pairs of arbitrary permutations
     for _ in range(10):
-        pairs.append((rng.choice(all_perms), rng.choice(all_perms)))
+        sigma = _permutation_at(rng.randrange(math.factorial(2 * n)), n)
+        tau = _permutation_at(rng.randrange(math.factorial(2 * n)), n)
+        pairs.append((sigma, tau))
     action_ok = True
     for sigma, tau in pairs:
         st = _compose(sigma, tau)
-        for z in basis_elements:
-            if pres.act(sigma, pres.act(tau, z)) != pres.act(st, z):
+        for c in coords:
+            if act(sigma, act(tau, c)) != act(st, c):
                 action_ok = False
                 break
         if not action_ok:
@@ -465,10 +485,8 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     braid_ok = True
     for j in range(len(transpositions) - 1):
         s, t = transpositions[j], transpositions[j + 1]
-        for z in basis_elements:
-            lhs = pres.act(s, pres.act(t, pres.act(s, z)))
-            rhs = pres.act(t, pres.act(s, pres.act(t, z)))
-            if lhs != rhs:
+        for c in coords:
+            if act(s, act(t, act(s, c))) != act(t, act(s, act(t, c))):
                 braid_ok = False
                 break
         if not braid_ok:
@@ -477,38 +495,3 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
 
     report["passed"] = gens_fixed and stable and identity_ok and action_ok and braid_ok
     return report
-
-
-def total_order_independence(n: int, seed: int = 0) -> dict:
-    """Check the center lattice does not depend on the basis order.
-
-    Recomputes the center under every linear extension of the arrow
-    order (there are at most two for n <= 3) and additionally under
-    three seeded arbitrary matching orders, then compares all the
-    lattices in canonical coordinates.
-    """
-    extensions = all_linear_extensions(n, cap=6)
-    orders = list(extensions)
-    rng = random.Random(seed)
-    base = enumerate_matchings(n)
-    # three extra orders, but there are only len(base)! distinct orders
-    # at all (n = 1 has a single order, n = 2 has two)
-    target = min(len(extensions) + 3, math.factorial(len(base)))
-    seen = {tuple(o) for o in orders}
-    while len(orders) < target:
-        shuffled = base[:]
-        rng.shuffle(shuffled)
-        if tuple(shuffled) not in seen:
-            seen.add(tuple(shuffled))
-            orders.append(shuffled)
-    lattices = [
-        center_basis(n, ArcRing(n, order)).lattice_matrix() for order in orders
-    ]
-    equal = all(lattice_equal(lattices[0], latt) for latt in lattices[1:])
-    return {
-        "n": n,
-        "linear_extensions": len(extensions),
-        "orders_checked": len(orders),
-        "lattices_equal": equal,
-        "passed": equal,
-    }

@@ -1,20 +1,31 @@
-"""Element-level verdicts, kept as a test oracle.
+"""Element-level and ring-level verdicts, kept as a test oracle.
 
-The ring-law, bimodule-axiom and null-homotopy checks of the
-library run on basis vectors: each side of each identity is one sum of
-per-basis products.  The functions here compute the same reports the
+The ring-law, bimodule-axiom, null-homotopy and centrality checks of
+the library run on basis vectors: each side of each identity is one sum
+of per-basis products.  The functions here compute the same reports the
 way the checks were first written, by wrapping every basis vector in a
 one-term element and pushing it through the element-level maps
 (ArcRing.multiply, UiBimodule.left_mul, right_mul, alpha and beta).
 They are slow and self-contained on purpose; the tests compare the
 reports key for key, in order, including every counterexample.
+
+The library computes the center from circle merges of diagonal label
+words and never builds H_n for it.  ring_center_basis computes the
+center the first way, by multiplying z_a 1_ab and 1_ab z_b in a ring
+built under a given basis order, and total_order_independence compares
+that oracle under several orders with the library's center.
 """
 
+import itertools
+import math
 import random
 
-from arcring.arc_ring import RingElement, degree, get_ring
+from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring, label_words
 from arcring.braid_homotopy import _triple_sampler, get_bimodule
-from arcring.center import central_X
+from arcring.center import CenterBasis, center_basis, central_X
+from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
+from arcring.frobenius import ONE, X
+from arcring.integer_linalg import IntMatrix, kernel_basis, lattice_equal
 
 
 def ring_laws_report(n, seed=0, samples=10000):
@@ -178,3 +189,96 @@ def null_homotopy_report(i, n, check_axioms=True):
         and report.get("bimodule_axioms", True)
     )
     return report
+
+
+def is_central(z, ring=None):
+    """Direct commutation of z with every basis vector, on elements."""
+    ring = ring or get_ring(z.n)
+    for bv in ring.basis:
+        v = RingElement(ring.n, {bv: 1})
+        if ring.multiply(z, v) != ring.multiply(v, z):
+            return False
+    return True
+
+
+def ring_center_basis(ring):
+    """The center of ring, from the ring's products of z_a with 1_ab.
+
+    One kernel per degree 2k over the diagonal labelings with k X's in
+    the ring's basis order, one constraint row per label word of every
+    off-diagonal block.
+    """
+    n, order = ring.n, ring.order
+    ones = {
+        (a, b): BasisVector(a, b, ONE * len(glue(a, b).circles))
+        for a in order
+        for b in order
+        if a != b
+    }
+    elements = []
+    graded = {}
+    for k in range(n + 1):
+        cols = [(a, w) for a in order for w in label_words(n) if w.count(X) == k]
+        col_pos = {key: i for i, key in enumerate(cols)}
+        row_pos = {}
+        for a, b in itertools.permutations(order, 2):
+            for w in label_words(len(glue(a, b).circles)):
+                if w.count(X) == k:
+                    row_pos[(a, b, w)] = len(row_pos)
+        matrix = [[0] * len(cols) for _ in range(len(row_pos))]
+        for a, b in itertools.permutations(order, 2):
+            e_ab = ones[(a, b)]
+            for w in label_words(n):
+                if w.count(X) != k:
+                    continue
+                za = BasisVector(a, a, w)
+                for bv, c in ring.multiply_basis(za, e_ab):
+                    matrix[row_pos[(a, b, bv.labels)]][col_pos[(a, w)]] += c
+                zb = BasisVector(b, b, w)
+                for bv, c in ring.multiply_basis(e_ab, zb):
+                    matrix[row_pos[(a, b, bv.labels)]][col_pos[(b, w)]] -= c
+        if row_pos:
+            kernel = kernel_basis(IntMatrix(matrix, cols=len(cols)))
+        else:
+            kernel = IntMatrix.identity(len(cols)).data
+        graded[2 * k] = len(kernel)
+        for vec in kernel:
+            elements.append(
+                RingElement(n, {BasisVector(a, a, w): c for (a, w), c in zip(cols, vec) if c})
+            )
+    return CenterBasis(n, elements, graded)
+
+
+def total_order_independence(n, seed=0):
+    """ring_center_basis under several basis orders against center_basis(n).
+
+    The orders are every linear extension of the arrow order (at most
+    two for n <= 3) and three seeded arbitrary matching orders; every
+    lattice, in canonical coordinates, must equal the library's.
+    """
+    extensions = all_linear_extensions(n, cap=6)
+    orders = list(extensions)
+    rng = random.Random(seed)
+    base = enumerate_matchings(n)
+    # three extra orders, but there are only len(base)! distinct orders
+    # at all (n = 1 has a single order, n = 2 has two)
+    target = min(len(extensions) + 3, math.factorial(len(base)))
+    seen = {tuple(o) for o in orders}
+    while len(orders) < target:
+        shuffled = base[:]
+        rng.shuffle(shuffled)
+        if tuple(shuffled) not in seen:
+            seen.add(tuple(shuffled))
+            orders.append(shuffled)
+    merged = center_basis(n).lattice_matrix()
+    equal = all(
+        lattice_equal(merged, ring_center_basis(ArcRing(n, order)).lattice_matrix())
+        for order in orders
+    )
+    return {
+        "n": n,
+        "linear_extensions": len(extensions),
+        "orders_checked": len(orders),
+        "lattices_equal": equal,
+        "passed": equal,
+    }

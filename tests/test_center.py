@@ -11,9 +11,13 @@ import random
 
 import pytest
 
-from arcring.arc_ring import BasisVector, RingElement, degree, get_ring, unit
+import element_reference
+from arcring import arc_ring, center
+from arcring.arc_ring import BasisVector, RingElement, degree, get_ring, idempotent, unit
 from arcring.center import (
     CenterPresentation,
+    _diagonal_monomial,
+    _permutation_at,
     center_basis,
     central_X,
     diagonal_coordinates,
@@ -21,13 +25,13 @@ from arcring.center import (
     is_central,
     presentation_map,
     symmetric_action,
-    total_order_independence,
     verify_presentation_iso,
     verify_symmetric_action,
 )
-from arcring.combinatorics import catalan, enumerate_matchings
+from arcring.combinatorics import admissible_subsets, catalan, enumerate_matchings
 from arcring.integer_linalg import (
     invariant_factors,
+    lattice_equal,
     rank as matrix_rank,
     solve_in_column_span,
 )
@@ -53,14 +57,48 @@ def test_center_rank_is_central_binomial():
 
 def test_center_elements_are_central_and_homogeneous():
     for n in (1, 2):
-        ring = get_ring(n)
-        basis = center_basis(n, ring)
+        basis = center_basis(n)
         for z in basis.elements:
-            assert is_central(z, ring)
+            assert is_central(z)
             degs = {degree(v) for v in z.terms}
             assert len(degs) == 1
             for v in z.terms:
                 assert v.row == v.col
+
+
+def test_merge_center_matches_ring_oracle():
+    # the ring-built center of the canonical ring; criterion 12 and
+    # test_total_order_independence cover every other order at n <= 3
+    for n in (1, 2, 3, 4):
+        merged = center_basis(n)
+        oracle = element_reference.ring_center_basis(get_ring(n))
+        assert merged.graded_ranks == oracle.graded_ranks
+        assert lattice_equal(merged.lattice_matrix(), oracle.lattice_matrix())
+
+
+def test_center_never_builds_the_ring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring was built")
+
+    monkeypatch.setattr(center, "get_ring", refuse)
+    monkeypatch.setattr(arc_ring, "get_ring", refuse)
+    monkeypatch.setattr(arc_ring.ArcRing, "__init__", refuse)
+    for n in (1, 2, 3):
+        assert center_basis(n).rank == math.comb(2 * n, n)
+        assert presentation_map(n).matrix.cols == math.comb(2 * n, n)
+        assert verify_symmetric_action(n)["passed"]
+
+
+def test_is_central_matches_element_oracle():
+    # central and non-central inputs: the center basis, and every
+    # idempotent (central only for n = 1)
+    for n in (1, 2, 3):
+        ring = get_ring(n)
+        elements = center_basis(n).elements + [idempotent(a) for a in enumerate_matchings(n)]
+        verdicts = [is_central(z) for z in elements]
+        assert verdicts == [element_reference.is_central(z, ring) for z in elements]
+        rank = math.comb(2 * n, n)
+        assert verdicts == [True] * rank + [n == 1] * catalan(n)
 
 
 def test_center_lattice_matrix():
@@ -124,9 +162,8 @@ def test_central_X_sign_alternates():
 
 def test_central_X_is_central():
     for n in (1, 2, 3):
-        ring = get_ring(n)
         for i in range(1, 2 * n + 1):
-            assert is_central(central_X(i, n, verify=False), ring)
+            assert is_central(central_X(i, n, verify=False))
 
 
 def test_central_X_squares_vanish():
@@ -157,6 +194,28 @@ def test_central_X_range_check():
         central_X(0, 1)
     with pytest.raises(ValueError):
         central_X(3, 1)
+
+
+def _ring_monomial(ring, xs, subset):
+    acc = ring.unit()
+    for i in subset:
+        acc = ring.multiply(acc, xs[i - 1])
+    return acc
+
+
+def test_diagonal_monomial_matches_ring_products():
+    # every subset of [1, 2n] for n <= 3, and every admissible one at n = 4
+    for n in (1, 2, 3, 4):
+        ring = get_ring(n)
+        xs = [central_X(i, n, verify=False) for i in range(1, 2 * n + 1)]
+        if n <= 3:
+            subsets = [
+                s for k in range(2 * n + 1) for s in itertools.combinations(range(1, 2 * n + 1), k)
+            ]
+        else:
+            subsets = admissible_subsets(n)
+        for s in subsets:
+            assert _diagonal_monomial(n, s) == _ring_monomial(ring, xs, s), s
 
 
 def test_diagonal_vector():
@@ -228,7 +287,7 @@ def test_presentation_multiplicative_spot():
     # ring product of two monomial images equals the image of the
     # reduced polynomial product
     pres = presentation_map(2)
-    ring = pres.ring
+    ring = get_ring(2)
     for sa, sb in itertools.product(pres.admissible, repeat=2):
         ia = pres.admissible.index(sa)
         ib = pres.admissible.index(sb)
@@ -276,16 +335,17 @@ def test_symmetric_action_group_property():
 
 def _act_by_reduction(pres, sigma, z):
     """The action computed from scratch: center coordinates, presentation
-    coordinates, the permuted polynomial, its reduction, its image."""
+    coordinates, the permuted polynomial, its reduction."""
     x = solve_in_column_span(pres.center.lattice_matrix(), diagonal_vector(z))
     coords = solve_in_column_span(pres.matrix, x)
     p = SquareFreePoly(pres.n, {frozenset(s): c for s, c in zip(pres.admissible, coords)})
-    return pres.from_admissible(admissible_coordinates(p.permuted(sigma))), coords
+    return admissible_coordinates(p.permuted(sigma)), coords
 
 
 def test_act_matches_reduction_pipeline():
     # every transposition and ten seeded permutations, on every center
-    # basis element: the image table gives the reduction pipeline's result
+    # basis element: the image table gives the reduction pipeline's
+    # coordinates, and symmetric_action their image in the ring
     for n in (1, 2, 3):
         pres = presentation_map(n)
         identity = {j: j for j in range(1, 2 * n + 1)}
@@ -296,21 +356,36 @@ def test_act_matches_reduction_pipeline():
             rng.shuffle(images)
             perms.append(dict(zip(identity, images)))
         for z in pres.center.elements:
+            start = pres.to_admissible(z)
             for sigma in perms:
                 want, coords = _act_by_reduction(pres, sigma, z)
-                assert pres.act(sigma, z) == want
-            assert pres.to_admissible(z) == {
-                s: c for s, c in zip(pres.admissible, coords) if c
-            }
+                assert pres.act(sigma, start) == want
+                assert symmetric_action(sigma, z, pres) == pres.from_admissible(want)
+            assert start == {s: c for s, c in zip(pres.admissible, coords) if c}
 
 
 def test_act_rejects_non_permutations():
     pres = presentation_map(2)
     z = pres.center.elements[1]
-    with pytest.raises(ValueError):
-        pres.act({1: 2, 2: 2}, z)
-    with pytest.raises(ValueError):
-        pres.act({1: 5}, z)
+    coords = pres.to_admissible(z)
+    for sigma in ({1: 2, 2: 2}, {1: 5}):
+        with pytest.raises(ValueError):
+            pres.act(sigma, coords)
+        with pytest.raises(ValueError):
+            symmetric_action(sigma, z, pres)
+
+
+def test_permutation_draws_match_list_choice():
+    # verify_symmetric_action unranks its seeded permutations instead of
+    # choosing from the list of all (2n)!; the draws must be the same
+    for n in (1, 2, 3, 4):
+        perms = list(itertools.permutations(range(1, 2 * n + 1)))
+        for seed in range(4):
+            listed, unranked = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                want = {j + 1: v for j, v in enumerate(listed.choice(perms))}
+                got = _permutation_at(unranked.randrange(math.factorial(2 * n)), n)
+                assert got == want
 
 
 def test_verify_symmetric_action_n4():
@@ -329,12 +404,13 @@ def test_verify_symmetric_action():
 
 
 def test_total_order_independence():
-    for n in (1, 2, 3):
-        report = total_order_independence(n)
+    # the ring-built center under every order equals center_basis(n)
+    reports = {n: element_reference.total_order_independence(n) for n in (1, 2, 3)}
+    for report in reports.values():
         assert report["passed"], report
         assert report["lattices_equal"]
     # only so many distinct orders exist at small n
-    assert total_order_independence(1)["orders_checked"] == 1
-    assert total_order_independence(2)["orders_checked"] == 2
-    assert total_order_independence(3)["orders_checked"] == 5
-    assert total_order_independence(3)["linear_extensions"] == 2
+    assert reports[1]["orders_checked"] == 1
+    assert reports[2]["orders_checked"] == 2
+    assert reports[3]["orders_checked"] == 5
+    assert reports[3]["linear_extensions"] == 2

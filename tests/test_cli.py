@@ -212,6 +212,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("verify_n3_all_seed0.json", ["verify", "--n", "3", "--all", "--seed", "0"]),
         ("verify_n3_all_seed7.json", ["verify", "--n", "3", "--all", "--seed", "7"]),
         ("verify_n2_all.json", ["verify", "--n", "2", "--all"]),
+        (
+            "verify_n4_center_iso_symmetric.json",
+            ["verify", "--n", "4", "--center", "--iso", "--symmetric"],
+        ),
     ],
 )
 def test_golden_reports(capsys, name, argv):

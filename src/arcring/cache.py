@@ -1,27 +1,40 @@
 """On-disk cache of built rings with their full product tables.
 
 A cached ring is one JSON document: a schema stamp, the basis order,
-and every composable basis product keyed by basis indices.  The
-payload visits the composable pairs in basis-index order and takes
-each product from ArcRing.multiply_basis, so the file holds exactly
-what the ring's product memo holds (a ring loaded from a file stores
-its own products back without recomputing them), and no product is
-sorted.  Writing is deterministic (sorted keys, index-ordered
-products), so store/load/store round-trips byte-identically, and
-atomic (a temp file, then os.replace); a store also removes the temp
-files that earlier stores of the same n left behind when their process
-died before the replace.  A missing file means build silently; an
-unreadable or wrong-schema file, a file for another n, or a table that
-is not canonical (an entry count other than the number of composable
-pairs, a pair listed twice, an index outside the basis, a term outside
-its product's block, terms not strictly increasing by index, a
-coefficient that is zero or not an int) means rebuild with a warning
-on stderr.
+and every composable basis product keyed by basis indices.  The table
+visits the composable pairs in basis-index order and takes each product
+from ArcRing.multiply_basis, so the file holds exactly what the ring's
+product memo holds (a ring loaded from a file stores its own products
+back without recomputing them), and no product is sorted.  Writing is
+deterministic (sorted keys, index-ordered products), so
+store/load/store round-trips byte-identically, and atomic (a temp file,
+then os.replace); a store also removes the temp files that earlier
+stores of the same n left behind when their process died before the
+replace.
 
-The decoded table is a few hundred thousand tuples and lists with no
-reference cycles, so building or decoding it would only trigger
-collector passes that find nothing; store_ring and load_ring pause the
-cyclic garbage collector around that work and restore its state after.
+Both directions stream the table, so neither holds it twice: a store
+writes each basis vector's row of entries as soon as it is multiplied,
+and a load decodes the entries one at a time with the json module's own
+scanner, checking each and putting it into the product memo before
+decoding the next.  So n and order must come before products in the
+file, as they do in every file a store writes.
+
+A missing file means build silently.  Rebuild with a warning on stderr
+when the file is unreadable or of another schema, holds another n,
+lists a key twice or products before n and order, or holds a table
+that is not canonical: an entry count other than the number of
+composable pairs, a pair listed twice, an index outside the basis, a
+term outside its product's block, terms not strictly increasing by
+index, or a coefficient that is zero or not an int.  A well-formed
+table can still hold a wrong coefficient or a wrong term inside the
+right block, so a seeded sample of the loaded products is recomputed
+by saddle surgery, which shares no code with the memoized products'
+cobordism kernels; a mismatch rebuilds with a warning too.
+
+The table is a few hundred thousand tuples and lists with no reference
+cycles, so building or decoding it would only trigger collector passes
+that find nothing; store_ring and load_ring pause the cyclic garbage
+collector around that work and restore its state after.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -32,8 +45,10 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 from .arc_ring import ArcRing, get_ring
@@ -41,6 +56,11 @@ from .combinatorics import Matching
 
 SCHEMA_VERSION = 1
 ENV_VAR = "ARCRING_CACHE_DIR"
+# products recomputed by surgery on every load; all of them at n <= 2
+REVERIFIED = 100
+
+_scan = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
 
 
 def cache_dir(directory: str | os.PathLike | None = None) -> Path:
@@ -68,89 +88,189 @@ def _gc_paused():
             gc.enable()
 
 
-def ring_to_payload(ring: ArcRing) -> dict:
-    """A complete, deterministic JSON description of the ring.
+def _rows(ring: ArcRing):
+    """Each basis vector's row of the product table, in file order.
 
-    Products come in (x index, y index) order: x over the basis, y over
-    the basis vectors in row x.col, which lie in basis order already.
+    Yields (x index, [(y index, product), ...]) for x over the basis and
+    y over the basis vectors in row x.col, which lie in basis order
+    already.  Each product comes from ArcRing.multiply_basis, so the
+    walk fills the ring's product memo.
     """
-    basis, index = ring.basis, ring.index
+    basis = ring.basis
     by_row: dict = {}
     for yi, y in enumerate(basis):
         by_row.setdefault(y.row, []).append((yi, y))
-    products = []
     for xi, x in enumerate(basis):
-        for yi, y in by_row[x.col]:
-            terms = ring.multiply_basis(x, y)
-            products.append([xi, yi, [[index[z], c] for z, c in terms]])
+        yield xi, [(yi, ring.multiply_basis(x, y)) for yi, y in by_row[x.col]]
+
+
+def ring_to_payload(ring: ArcRing) -> dict:
+    """A complete, deterministic JSON description of the ring."""
+    index = ring.index
     return {
         "schema": SCHEMA_VERSION,
         "n": ring.n,
         "order": [[list(arc) for arc in m.pairs] for m in ring.order],
-        "products": products,
+        "products": [
+            [xi, yi, [[index[z], c] for z, c in terms]]
+            for xi, row in _rows(ring)
+            for yi, terms in row
+        ],
     }
+
+
+def _check_schema(schema) -> None:
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"cache schema {schema!r} does not match {SCHEMA_VERSION}")
+
+
+def _header_ring(fields: dict) -> ArcRing:
+    """The ring, with an empty product memo, that fields n and order describe."""
+    order = [Matching([tuple(arc) for arc in pairs]) for pairs in fields["order"]]
+    return ArcRing(fields["n"], order)
+
+
+def _check_entries(ring: ArcRing, entries) -> None:
+    """Check a product table and put it into ring's empty product memo.
+
+    entries yields the table's [x index, y index, terms] entries; each
+    is checked and stored before the next is taken.  Only a canonical
+    table passes: one entry per composable pair of basis vectors, each
+    index inside range(dimension), the terms of a product inside block
+    (x.row, y.col), strictly increasing by index, with nonzero
+    coefficients that are exactly ints.  The entry count is checked
+    after the last entry; a pair listed twice leaves the product memo
+    short of it.  Each entry is hashed once, at its insert into the memo.
+
+    Then REVERIFIED products drawn with a fixed seed, or all of them if
+    there are fewer, are recomputed by saddle surgery along the arcs of
+    x.col; raises ValueError where one differs.
+    """
+    basis, memo, dim = ring.basis, ring._products, ring.dimension
+    count = 0
+    for count, (xi, yi, terms) in enumerate(entries, 1):
+        if not (0 <= xi < dim and 0 <= yi < dim):
+            raise ValueError(f"cached product index {xi} or {yi} is out of range")
+        x, y = basis[xi], basis[yi]
+        # basis vectors share the ring's Matching objects
+        if x.col is not y.row:
+            raise ValueError("cached product joins non-composable vectors")
+        product = []
+        last = -1
+        for zi, c in terms:
+            if not last < zi < dim:
+                raise ValueError(f"cached term index {zi} is out of range or out of order")
+            last = zi
+            z = basis[zi]
+            if z.row is not x.row or z.col is not y.col:
+                raise ValueError(f"cached term {zi} lies outside its product's block")
+            if type(c) is not int or c == 0:
+                raise ValueError(f"cached coefficient {c!r} is not a nonzero int")
+            product.append((z, c))
+        memo[x, y] = tuple(product)
+    dims = ring.block_dims
+    composable = sum(
+        sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
+        for b in ring.order
+    )
+    if count != composable:
+        raise ValueError(f"cache holds {count} products, not the {composable} composable pairs")
+    if len(memo) != count:
+        raise ValueError("cache lists a product pair more than once")
+    # the memo was empty, so it iterates in the table's order
+    pairs, start = iter(memo), 0
+    for k in sorted(random.Random(0).sample(range(count), min(count, REVERIFIED))):
+        x, y = next(islice(pairs, k - start, None))
+        start = k + 1
+        if ring.multiply_basis(x, y, arc_order=x.col.pairs) != memo[x, y]:
+            raise ValueError(
+                f"cached product ({ring.index[x]}, {ring.index[y]}) differs from its surgery"
+            )
 
 
 def payload_to_ring(payload: dict) -> ArcRing:
     """Rebuild a ring from its payload; raises ValueError when unusable.
 
-    Only a canonical table is accepted: one entry per composable pair
-    of basis vectors, each index inside range(dimension), the terms of a
-    product inside block (x.row, y.col), strictly increasing by index,
-    with nonzero coefficients that are exactly ints.  The entry count
-    is checked first; a pair listed twice leaves the product memo short
-    of it.  Each entry is hashed once, at its insert into the memo.
+    The header is checked first, then the table as load_ring checks it.
     """
     if not isinstance(payload, dict):
         raise ValueError("cache payload is not an object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"cache schema {payload.get('schema')!r} does not match {SCHEMA_VERSION}"
-        )
+    _check_schema(payload.get("schema"))
     try:
-        n = payload["n"]
-        order = [
-            Matching([tuple(arc) for arc in pairs]) for pairs in payload["order"]
-        ]
-        ring = ArcRing(n, order)
-        basis, memo, dim = ring.basis, ring._products, ring.dimension
+        ring = _header_ring(payload)
         entries = payload["products"]
-        dims = ring.block_dims
-        composable = sum(
-            sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
-            for b in ring.order
-        )
-        if len(entries) != composable:
-            raise ValueError(
-                f"cache holds {len(entries)} products, not the {composable} composable pairs"
-            )
-        for xi, yi, terms in entries:
-            if not (0 <= xi < dim and 0 <= yi < dim):
-                raise ValueError(f"cached product index {xi} or {yi} is out of range")
-            x, y = basis[xi], basis[yi]
-            # basis vectors share the ring's Matching objects
-            if x.col is not y.row:
-                raise ValueError("cached product joins non-composable vectors")
-            product = []
-            last = -1
-            for zi, c in terms:
-                if not last < zi < dim:
-                    raise ValueError(
-                        f"cached term index {zi} is out of range or out of order"
-                    )
-                last = zi
-                z = basis[zi]
-                if z.row is not x.row or z.col is not y.col:
-                    raise ValueError(f"cached term {zi} lies outside its product's block")
-                if type(c) is not int or c == 0:
-                    raise ValueError(f"cached coefficient {c!r} is not a nonzero int")
-                product.append((z, c))
-            memo[x, y] = tuple(product)
-        if len(memo) != len(entries):
-            raise ValueError("cache lists a product pair more than once")
+        if type(entries) is not list:
+            raise ValueError("cache products are not a list")
+        _check_entries(ring, entries)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed ring cache: {exc}") from exc
     return ring
+
+
+def _value(text: str, idx: int) -> tuple:
+    """The JSON value that starts at text[idx], and the index after it."""
+    try:
+        return _scan(text, idx)
+    except StopIteration:
+        raise ValueError(f"malformed ring cache: no value at character {idx}") from None
+
+
+def _token(text: str, idx: int, chars: str) -> tuple[str, int]:
+    """The first non-whitespace character at or after idx, which must be
+    one of chars, and the index past it and the whitespace after it."""
+    idx = _skip_space(text, idx).end()
+    char = text[idx : idx + 1]
+    if not char or char not in chars:
+        raise ValueError(f"malformed ring cache: expected one of {chars} at character {idx}")
+    return char, _skip_space(text, idx + 1).end()
+
+
+def _members(text: str):
+    """The members of the JSON object that text holds, in file order.
+
+    Yields (key, value) pairs.  Each value is decoded whole, except that
+    of "products": it is an iterator over the array's entries, decoding
+    each only when it is reached, and the caller drains it before asking
+    for the next member.  Raises ValueError on text that json.loads
+    rejects, and on text that is not one object.
+    """
+    _, idx = _token(text, 0, "{")
+
+    def entries():
+        nonlocal idx
+        if text[idx : idx + 1] != "[":
+            raise ValueError("cache products are not a list")
+        idx = _skip_space(text, idx + 1).end()
+        if text[idx : idx + 1] == "]":
+            idx += 1
+            return
+        sep = ","
+        try:
+            while sep == ",":
+                entry, idx = _scan(text, idx)
+                yield entry
+                # the layout store_ring writes, without a whitespace scan
+                if text.startswith(",[", idx):
+                    idx += 1
+                    continue
+                sep, idx = _token(text, idx, ",]")
+        except StopIteration:
+            raise ValueError(f"malformed ring cache: no entry at character {idx}") from None
+
+    sep = ","
+    while sep == ",":
+        key, idx = _value(text, idx)
+        if type(key) is not str:
+            raise ValueError(f"malformed ring cache: key {key!r} is not a string")
+        _, idx = _token(text, idx, ":")
+        if key == "products":
+            yield key, entries()
+        else:
+            value, idx = _value(text, idx)
+            yield key, value
+        sep, idx = _token(text, idx, ",}")
+    if idx != len(text):
+        raise ValueError(f"malformed ring cache: text after the object at character {idx}")
 
 
 def _sweep_stale_temps(path: Path) -> None:
@@ -179,20 +299,43 @@ def _sweep_stale_temps(path: Path) -> None:
 def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Path:
     """Write the ring's cache file atomically.
 
-    The text goes to a temporary file beside the target, which then
-    replaces the target in one step, so an interrupted store leaves
-    either the old file or the new one, never a torn one.  Temp files
-    that stores killed before their replace left behind are removed
-    first; those of stores still running are kept.
+    The text is the compact, key-sorted json.dumps of ring_to_payload,
+    written one row of the table at a time to a temporary file beside
+    the target, which then replaces the target in one step, so an
+    interrupted store leaves either the old file or the new one, never a
+    torn one.  Temp files that stores killed before their replace left
+    behind are removed first; those of stores still running are kept.
     """
     path = cache_path(ring.n, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(path)
-    with _gc_paused():
-        text = json.dumps(ring_to_payload(ring), sort_keys=True, separators=(",", ":"))
+    index = ring.index
+    # each index's text is made once
+    digits = [str(i) for i in range(ring.dimension)]
+
+    def terms_text(terms):
+        return ",".join([f"[{digits[index[z]]},{c}]" for z, c in terms])
+
+    order = json.dumps([[list(arc) for arc in m.pairs] for m in ring.order], separators=(",", ":"))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text + "\n")
+        with _gc_paused(), open(tmp, "w") as fh:
+            fh.write(f'{{"n":{ring.n},"order":{order},"products":[')
+            sep = ""
+            for xi, row in _rows(ring):
+                head = f"[{digits[xi]},"
+                fh.write(sep)
+                # most products are zero, and need no terms_text call
+                fh.write(
+                    ",".join(
+                        [
+                            f"{head}{digits[yi]},[{terms_text(terms) if terms else ''}]]"
+                            for yi, terms in row
+                        ]
+                    )
+                )
+                sep = ","
+            fh.write(f'],"schema":{SCHEMA_VERSION}}}\n')
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -203,17 +346,33 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
 def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     """Load a cached ring; FileNotFoundError if absent, ValueError if bad.
 
-    The stored n is checked before any product is decoded.
+    The stored n is checked before any product is decoded, and the
+    schema after the whole object is read; the ring is returned only
+    when every check has passed.
     """
-    path = cache_path(n, directory)
-    text = path.read_text()
+    text = cache_path(n, directory).read_text()
+    fields: dict = {}
     with _gc_paused():
-        payload = json.loads(text)
-        if isinstance(payload, dict) and payload.get("n") != n:
-            raise ValueError(
-                f"cache file for n={n} actually contains n={payload.get('n')!r}"
-            )
-        return payload_to_ring(payload)
+        try:
+            for key, value in _members(text):
+                if key in fields:
+                    raise ValueError(f"cache lists {key!r} twice")
+                if key == "products":
+                    if "n" not in fields or "order" not in fields:
+                        raise ValueError("cache lists products before n and order")
+                    if fields["n"] != n:
+                        raise ValueError(
+                            f"cache file for n={n} actually contains n={fields['n']!r}"
+                        )
+                    ring = _header_ring(fields)
+                    _check_entries(ring, value)
+                fields[key] = value
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed ring cache: {exc}") from exc
+    _check_schema(fields.get("schema"))
+    if "products" not in fields:
+        raise ValueError("cache holds no products")
+    return ring
 
 
 def load_or_build(

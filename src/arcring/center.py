@@ -432,8 +432,11 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     elementary symmetric generators are literally fixed, and permuting
     any generator of the second ideal stays inside the first ideal),
     and that acting through the presentation satisfies the action
-    property sigma(tau z) = (sigma tau) z and the braid relations on
-    the center basis.
+    property sigma(tau z) = (sigma tau) z and the braid relations.
+    Those are linear identities, so they are checked on the unit
+    coordinates {I: 1}, one per admissible subset I: the products X_I
+    are a basis of the same lattice as the center basis when the
+    presentation matrix is unimodular, which the iso check verifies.
     """
     from .presentations import ideal_R1, r1_generators, r2_generators
 
@@ -455,9 +458,7 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     )
     report["ideal_stable_under_transpositions"] = stable
 
-    # each basis element solved once; the action then stays on coordinates,
-    # which determine the element since the products are a basis
-    coords = [pres.to_admissible(z) for z in pres.center.elements]
+    coords = [{subset: 1} for subset in pres.admissible]
     act = pres.act
     identity = {j: j for j in range(1, 2 * n + 1)}
     identity_ok = all(act(identity, c) == c for c in coords)

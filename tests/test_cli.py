@@ -7,12 +7,14 @@ product table it was saved from.
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -378,16 +380,21 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch, step):
     path.write_text("previous cache contents\n")
     before = path.read_bytes()
 
-    def torn_write(self, text):
-        with open(self, "w") as fh:
-            fh.write(text[: len(text) // 2])
+    real_rows = cache._rows
+
+    def torn_rows(ring):
+        # the disk fills after some rows have gone to the temp file
+        rows = real_rows(ring)
+        yield next(rows)
+        yield next(rows)
+        assert [p.name for p in tmp_path.glob("*.tmp")] == [f"{path.name}.{os.getpid()}.tmp"]
         raise OSError("disk full")
 
     def failing_replace(src, dst):
         raise OSError("replace failed")
 
     if step == "write":
-        monkeypatch.setattr(cache.Path, "write_text", torn_write)
+        monkeypatch.setattr(cache, "_rows", torn_rows)
     else:
         monkeypatch.setattr(cache.os, "replace", failing_replace)
     with pytest.raises(OSError):
@@ -443,10 +450,10 @@ def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
     path = cache_path(2, tmp_path)
     path.write_text(json.dumps(ring_to_payload(get_ring(1))))
 
-    def decode(payload):
+    def decode(ring, entries):
         raise AssertionError("products decoded before the n check")
 
-    monkeypatch.setattr(cache, "payload_to_ring", decode)
+    monkeypatch.setattr(cache, "_check_entries", decode)
     with pytest.raises(ValueError, match="n=2 actually contains n=1"):
         load_ring(2, tmp_path)
 
@@ -498,6 +505,17 @@ def _tamper(case):
         entry[2] = [terms[0], list(terms[0])]
     elif case == "zero_coeff":
         terms[0][1] = 0
+    # the table stays canonical, so only recomputing the product finds these
+    elif case == "sign_flipped":
+        terms[0][1] = -terms[0][1]
+    elif case == "term_moved_in_block":
+        taken = {zi for zi, _ in terms}
+        terms[0][0] = next(
+            i
+            for i, v in enumerate(ring.basis)
+            if (v.row, v.col) == (x.row, y.col) and i not in taken
+        )
+        terms.sort()
     return payload
 
 
@@ -520,6 +538,8 @@ def _tamper(case):
         "terms_descending",
         "term_repeated",
         "zero_coeff",
+        "sign_flipped",
+        "term_moved_in_block",
     ],
 )
 def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
@@ -531,6 +551,164 @@ def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
     assert ring is get_ring(2)
+
+
+# SHA-256 of each ring_n{n}.json as json.dumps of the whole payload wrote it
+STORED_DIGESTS = {
+    1: "21403827cf316f342e2bd802f2b1a198eaf93d65d203ccfb75fdd777f965eabb",
+    2: "28fe088db2469e06194901a51c95d8107fc013c6ffd88322cf9545ba427a347b",
+    3: "4f761add678b574149547d39b56337315b9bf7a295dfa92fd9cc72a983c6333e",
+    4: "70766e479317e8dbe98f49ae60a570a575e783bb997905090337d14f65f5d912",
+}
+
+
+def _compact(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cache_file_bytes_are_pinned(tmp_path, n):
+    # the streamed store writes the text json.dumps gives for the payload
+    ring = get_ring(n)
+    data = store_ring(ring, tmp_path).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == STORED_DIGESTS[n]
+    assert data == _compact(ring_to_payload(ring)).encode()
+
+
+def test_cache_streams_the_table(tmp_path):
+    # neither a store nor a load holds a second copy of the n = 4 table:
+    # the traced peak of each exceeds what it leaves allocated by at most
+    # 3 MiB (a copy would be about 20 MiB); a load still reads the whole
+    # 1.3 MB text at once
+    limit = 3 * 2**20
+    tracemalloc.start()
+    try:
+        ring = ArcRing(4)
+        tracemalloc.reset_peak()
+        store_ring(ring, tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert len(ring._products) == 85608
+        assert peak - kept <= limit
+        tracemalloc.reset_peak()
+        loaded = load_ring(4, tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert loaded._products == ring._products
+        assert peak - kept <= limit
+    finally:
+        tracemalloc.stop()
+
+
+def _loads_then_checks(text):
+    """The n = 2 load as one json.loads and then the table check."""
+    payload = json.loads(text)
+    if isinstance(payload, dict) and payload.get("n") != 2:
+        raise ValueError("another n")
+    return payload_to_ring(payload)
+
+
+def _stream_text(case):
+    """An n = 2 cache text that is wrong as case says."""
+    payload = ring_to_payload(get_ring(2))
+    if case == "text_after_object":
+        return _compact(payload) + "{}"
+    if case == "products_before_order":
+        products = payload.pop("products")
+        return json.dumps({"n": 2, "products": products, **payload})
+    if case == "key_twice":
+        return _compact(payload).replace('{"n":2,', '{"n":2,"n":2,', 1)
+    if case == "products_not_a_list":
+        payload["products"] = {str(k): e for k, e in enumerate(payload["products"])}
+    elif case == "entry_too_long":
+        payload["products"][0].append(0)
+    elif case == "entry_not_a_list":
+        # a string of three characters unpacks like a triple
+        payload["products"][0] = "abc"
+    elif case == "products_missing":
+        del payload["products"]
+    return _compact(payload)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "text_after_object",
+        "products_before_order",
+        "key_twice",
+        "products_not_a_list",
+        "entry_too_long",
+        "entry_not_a_list",
+        "products_missing",
+    ],
+)
+def test_cache_stream_rejects(tmp_path, capsys, case):
+    text = _stream_text(case)
+    cache_path(2, tmp_path).write_text(text)
+    with pytest.raises(ValueError):
+        load_ring(2, tmp_path)
+    ring, status = load_or_build(2, tmp_path, store=False)
+    assert status == "rebuilt"
+    assert "rebuilding ring cache for n=2" in capsys.readouterr().err
+    if case in ("products_before_order", "key_twice"):
+        # json.loads takes both; the stream cannot check products before
+        # it has their ring, and a key listed twice is ambiguous
+        assert _loads_then_checks(text)._products == ring._products
+    else:
+        with pytest.raises(ValueError):
+            _loads_then_checks(text)
+
+
+def test_cache_load_accepts_any_layout(tmp_path):
+    ring = get_ring(2)
+    payload = ring_to_payload(ring)
+    for text in (
+        json.dumps(payload, sort_keys=True, indent=2),
+        " \t\r\n" + json.dumps(payload, sort_keys=True, separators=(" , ", " : ")) + " \n\n",
+    ):
+        cache_path(2, tmp_path).write_text(text)
+        assert load_ring(2, tmp_path)._products == ring._products
+
+
+def test_cache_stream_matches_loads_property(tmp_path):
+    # edited n = 2 texts: the streamed load and json.loads followed by the
+    # table check either both raise ValueError or both give one memo
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    base = _compact(ring_to_payload(get_ring(2)))
+    path = cache_path(2, tmp_path)
+
+    @st.composite
+    def edited(draw):
+        text = base
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["replace", "delete", "space", "truncate"]))
+            i = draw(st.integers(0, len(text)))
+            if kind == "replace":
+                char = draw(st.sampled_from('0123456789-.eE,:[]{}"ntf \n'))
+                text = text[:i] + char + text[i + 1 :]
+            elif kind == "delete":
+                text = text[:i] + text[i + 1 :]
+            elif kind == "space":
+                text = text[:i] + draw(st.sampled_from(" \t\r\n")) + text[i:]
+            else:
+                text = text[:i]
+        return text
+
+    def outcome(load, text):
+        try:
+            return load(text)._products
+        except ValueError:
+            return None
+
+    def streamed(text):
+        path.write_text(text)
+        return load_ring(2, tmp_path)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(edited())
+    def check(text):
+        assert outcome(streamed, text) == outcome(_loads_then_checks, text)
+
+    check()
 
 
 def test_cache_sweeps_stale_temp_files(tmp_path):
@@ -564,21 +742,27 @@ def test_cache_sweeps_stale_temp_files(tmp_path):
 
 
 def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
-    # building, encoding and decoding the table run with the cyclic
-    # collector off; its previous state comes back, also after a failure
+    # walking, writing, decoding and checking the table run with the
+    # cyclic collector off; its previous state comes back, also after a
+    # failure
     seen = []
-    real_to, real_from = cache.ring_to_payload, cache.payload_to_ring
+    real_rows, real_check = cache._rows, cache._check_entries
 
-    def to_payload(ring):
-        seen.append(gc.isenabled())
-        return real_to(ring)
+    def rows(ring):
+        for row in real_rows(ring):
+            seen.append(gc.isenabled())
+            yield row
 
-    def from_payload(payload):
-        seen.append(gc.isenabled())
-        return real_from(payload)
+    def check(ring, entries):
+        def watched():
+            for entry in entries:
+                seen.append(gc.isenabled())
+                yield entry
 
-    monkeypatch.setattr(cache, "ring_to_payload", to_payload)
-    monkeypatch.setattr(cache, "payload_to_ring", from_payload)
+        real_check(ring, watched())
+
+    monkeypatch.setattr(cache, "_rows", rows)
+    monkeypatch.setattr(cache, "_check_entries", check)
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -595,7 +779,8 @@ def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen == [False] * 6
+    # per state: the 12 rows stored, the 72 entries loaded, the bad entry
+    assert seen == [False] * 2 * (12 + 72 + 1)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

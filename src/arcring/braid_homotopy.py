@@ -33,7 +33,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arc_ring import (
-    ArcRing,
     BasisVector,
     RingElement,
     _build_kernel,
@@ -129,14 +128,14 @@ class UiBimodule:
     triple, and applied as a row lookup in the ring's table of that key.
     """
 
-    def __init__(self, n: int, i: int, ring: ArcRing | None = None):
+    def __init__(self, n: int, i: int):
         if not 1 <= i <= 2 * n - 1:
             raise ValueError(f"tangle index {i} out of range 1..{2*n-1}")
         self.n = n
         self.i = i
         # the space tag of its elements
         self.space = (n, i)
-        self.ring = ring or get_ring(n)
+        self.ring = get_ring(n)
         self.composite = {a: compose_ui(i, a) for a in self.ring.order}
         self.basis: list[BasisVector] = []
         self.block_circles: dict[tuple[Matching, Matching], int] = {}
@@ -457,8 +456,8 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
     alpha, beta = module.alpha_basis, module.beta_basis
     space = module.space
-    z_lo = central_X(i, n, verify=False)
-    z_hi = central_X(i + 1, n, verify=False)
+    z_lo = central_X(i, n)
+    z_hi = central_X(i + 1, n)
     report: dict = {"n": n, "i": i}
 
     def saddle_images():

@@ -12,24 +12,28 @@ then os.replace); a store also removes the temp files that earlier
 stores of the same n left behind when their process died before the
 replace.
 
-Both directions stream the table, so neither holds it twice: a store
-writes each basis vector's row of entries as soon as it is multiplied,
-and a load decodes the entries one at a time with the json module's own
-scanner, checking each and putting it into the product memo before
-decoding the next.  So n and order must come before products in the
-file, as they do in every file a store writes.
+The document is laid out one basis vector's row of products per line:
+a header line {"n":N,"order":[...],"products":[, then one line per
+row holding its entries comma-joined and ending in a comma unless it is
+the last, then the tail line ],"schema":2}.  Elsewhere the text is
+compact, as json.dumps(..., separators=(",", ":")) writes it, so
+json.loads of the whole file is the ring's payload.  Both directions
+stream the table, so neither holds it twice: a store writes each row as
+soon as it is multiplied, and a load reads the file line by line,
+decoding each row with one json.loads, checking its entries and putting
+them into the product memo before reading the next.
 
 A missing file means build silently.  Rebuild with a warning on stderr
-when the file is unreadable or of another schema, holds another n,
-lists a key twice or products before n and order, or holds a table
-that is not canonical: an entry count other than the number of
-composable pairs, a pair listed twice, an index outside the basis, a
-term outside its product's block, terms not strictly increasing by
-index, or a coefficient that is zero or not an int.  A well-formed
-table can still hold a wrong coefficient or a wrong term inside the
-right block, so a seeded sample of the loaded products is recomputed
-by saddle surgery, which shares no code with the memoized products'
-cobordism kernels; a mismatch rebuilds with a warning too.
+when the file is unreadable, is not in this layout (which includes
+every file of another schema), holds another n, or holds a table that
+is not canonical: an entry count other than the number of composable
+pairs, a pair listed twice, an index outside the basis, a term outside
+its product's block, terms not strictly increasing by index, or a
+coefficient that is zero or not an int.  A well-formed table can still
+hold a wrong coefficient or a wrong term inside the right block, so a
+seeded sample of the loaded products is recomputed by saddle surgery,
+which shares no code with the memoized products' cobordism kernels; a
+mismatch rebuilds with a warning too.
 
 The table is a few hundred thousand tuples and lists with no reference
 cycles, so building or decoding it would only trigger collector passes
@@ -48,19 +52,20 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .arc_ring import ArcRing, get_ring
 from .combinatorics import Matching
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_VAR = "ARCRING_CACHE_DIR"
 # products recomputed by surgery on every load; all of them at n <= 2
 REVERIFIED = 100
 
-_scan = json.JSONDecoder().scan_once
-_skip_space = json.decoder.WHITESPACE.match
+# the end of the header line, and the file's last line
+_HEADER_END = ',"products":[\n'
+_TAIL = f'],"schema":{SCHEMA_VERSION}}}\n'
 
 
 def cache_dir(directory: str | os.PathLike | None = None) -> Path:
@@ -117,11 +122,6 @@ def ring_to_payload(ring: ArcRing) -> dict:
             for yi, terms in row
         ],
     }
-
-
-def _check_schema(schema) -> None:
-    if schema != SCHEMA_VERSION:
-        raise ValueError(f"cache schema {schema!r} does not match {SCHEMA_VERSION}")
 
 
 def _header_ring(fields: dict) -> ArcRing:
@@ -195,7 +195,9 @@ def payload_to_ring(payload: dict) -> ArcRing:
     """
     if not isinstance(payload, dict):
         raise ValueError("cache payload is not an object")
-    _check_schema(payload.get("schema"))
+    schema = payload.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"cache schema {schema!r} does not match {SCHEMA_VERSION}")
     try:
         ring = _header_ring(payload)
         entries = payload["products"]
@@ -207,70 +209,24 @@ def payload_to_ring(payload: dict) -> ArcRing:
     return ring
 
 
-def _value(text: str, idx: int) -> tuple:
-    """The JSON value that starts at text[idx], and the index after it."""
-    try:
-        return _scan(text, idx)
-    except StopIteration:
-        raise ValueError(f"malformed ring cache: no value at character {idx}") from None
+def _row_lines(fh):
+    """The decoded row lines that follow the header in fh, in file order.
 
-
-def _token(text: str, idx: int, chars: str) -> tuple[str, int]:
-    """The first non-whitespace character at or after idx, which must be
-    one of chars, and the index past it and the whitespace after it."""
-    idx = _skip_space(text, idx).end()
-    char = text[idx : idx + 1]
-    if not char or char not in chars:
-        raise ValueError(f"malformed ring cache: expected one of {chars} at character {idx}")
-    return char, _skip_space(text, idx + 1).end()
-
-
-def _members(text: str):
-    """The members of the JSON object that text holds, in file order.
-
-    Yields (key, value) pairs.  Each value is decoded whole, except that
-    of "products": it is an iterator over the array's entries, decoding
-    each only when it is reached, and the caller drains it before asking
-    for the next member.  Raises ValueError on text that json.loads
-    rejects, and on text that is not one object.
+    Yields each line's list of entries.  Every row line but the last
+    ends in a comma; the last must be followed by the tail line and the
+    end of the file.  A row line with no entry would leave two commas
+    in a row in the document, so it is refused.
     """
-    _, idx = _token(text, 0, "{")
-
-    def entries():
-        nonlocal idx
-        if text[idx : idx + 1] != "[":
-            raise ValueError("cache products are not a list")
-        idx = _skip_space(text, idx + 1).end()
-        if text[idx : idx + 1] == "]":
-            idx += 1
-            return
-        sep = ","
-        try:
-            while sep == ",":
-                entry, idx = _scan(text, idx)
-                yield entry
-                # the layout store_ring writes, without a whitespace scan
-                if text.startswith(",[", idx):
-                    idx += 1
-                    continue
-                sep, idx = _token(text, idx, ",]")
-        except StopIteration:
-            raise ValueError(f"malformed ring cache: no entry at character {idx}") from None
-
-    sep = ","
-    while sep == ",":
-        key, idx = _value(text, idx)
-        if type(key) is not str:
-            raise ValueError(f"malformed ring cache: key {key!r} is not a string")
-        _, idx = _token(text, idx, ":")
-        if key == "products":
-            yield key, entries()
-        else:
-            value, idx = _value(text, idx)
-            yield key, value
-        sep, idx = _token(text, idx, ",}")
-    if idx != len(text):
-        raise ValueError(f"malformed ring cache: text after the object at character {idx}")
+    for line in fh:
+        more = line.endswith(",\n")
+        row = json.loads(f"[{line[:-2] if more else line}]")
+        if not row:
+            raise ValueError("malformed ring cache: a row line holds no entry")
+        yield row
+        if not more:
+            break
+    if fh.readline() != _TAIL or fh.read(1):
+        raise ValueError(f"cache does not end in the schema {SCHEMA_VERSION} tail line")
 
 
 def _sweep_stale_temps(path: Path) -> None:
@@ -299,11 +255,11 @@ def _sweep_stale_temps(path: Path) -> None:
 def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Path:
     """Write the ring's cache file atomically.
 
-    The text is the compact, key-sorted json.dumps of ring_to_payload,
-    written one row of the table at a time to a temporary file beside
-    the target, which then replaces the target in one step, so an
-    interrupted store leaves either the old file or the new one, never a
-    torn one.  Temp files that stores killed before their replace left
+    The text is ring_to_payload in the row layout the module docstring
+    describes, written one row of the table at a time to a temporary
+    file beside the target, which then replaces the target in one step,
+    so an interrupted store leaves either the old file or the new one,
+    never a torn one.  Temp files that stores killed before their replace left
     behind are removed first; those of stores still running are kept.
     """
     path = cache_path(ring.n, directory)
@@ -320,7 +276,7 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with _gc_paused(), open(tmp, "w") as fh:
-            fh.write(f'{{"n":{ring.n},"order":{order},"products":[')
+            fh.write(f'{{"n":{ring.n},"order":{order}{_HEADER_END}')
             sep = ""
             for xi, row in _rows(ring):
                 head = f"[{digits[xi]},"
@@ -334,8 +290,8 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
                         ]
                     )
                 )
-                sep = ","
-            fh.write(f'],"schema":{SCHEMA_VERSION}}}\n')
+                sep = ",\n"
+            fh.write("\n" + _TAIL)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -346,32 +302,21 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
 def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     """Load a cached ring; FileNotFoundError if absent, ValueError if bad.
 
-    The stored n is checked before any product is decoded, and the
-    schema after the whole object is read; the ring is returned only
-    when every check has passed.
+    The header's n is checked before any product is decoded; the ring
+    is returned only when every check has passed.
     """
-    text = cache_path(n, directory).read_text()
-    fields: dict = {}
-    with _gc_paused():
+    with open(cache_path(n, directory)) as fh, _gc_paused():
+        header = fh.readline()
+        if not header.endswith(_HEADER_END):
+            raise ValueError(f"cache file is not in the schema {SCHEMA_VERSION} row layout")
         try:
-            for key, value in _members(text):
-                if key in fields:
-                    raise ValueError(f"cache lists {key!r} twice")
-                if key == "products":
-                    if "n" not in fields or "order" not in fields:
-                        raise ValueError("cache lists products before n and order")
-                    if fields["n"] != n:
-                        raise ValueError(
-                            f"cache file for n={n} actually contains n={fields['n']!r}"
-                        )
-                    ring = _header_ring(fields)
-                    _check_entries(ring, value)
-                fields[key] = value
+            fields = json.loads(header[: -len(_HEADER_END)] + "}")
+            if fields["n"] != n:
+                raise ValueError(f"cache file for n={n} actually contains n={fields['n']!r}")
+            ring = _header_ring(fields)
+            _check_entries(ring, chain.from_iterable(_row_lines(fh)))
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed ring cache: {exc}") from exc
-    _check_schema(fields.get("schema"))
-    if "products" not in fields:
-        raise ValueError("cache holds no products")
     return ring
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InvariantError
 
@@ -117,11 +117,6 @@ class ClosedDiagram:
     n: int
     circles: tuple[tuple[int, ...], ...]
     endpoint_to_circle: tuple[int, ...]
-
-    @cached_property
-    def circle_sets(self) -> tuple[frozenset[int], ...]:
-        """The endpoint set of each circle, built on first access only."""
-        return tuple(frozenset(c) for c in self.circles)
 
 
 def _check_same_n(a: Matching, b: Matching) -> None:

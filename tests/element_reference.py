@@ -111,8 +111,8 @@ def null_homotopy_report(i, n, check_axioms=True):
     """verify_null_homotopy, with every image computed on elements."""
     module = get_bimodule(n, i)
     ring = module.ring
-    z_lo = central_X(i, n, verify=False)
-    z_hi = central_X(i + 1, n, verify=False)
+    z_lo = central_X(i, n)
+    z_hi = central_X(i + 1, n)
     report = {"n": n, "i": i}
 
     def saddle_images():

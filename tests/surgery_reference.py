@@ -110,7 +110,7 @@ def ring_product(x, y, arc_order=None):
             (("vert", i), (i, off + i)),
             (("vert", j), (j, off + j)),
         )
-    out = {frozenset(s): pos for pos, s in enumerate(glue(c, a).circle_sets)}
+    out = {frozenset(s): pos for pos, s in enumerate(glue(c, a).circles)}
     return state.finalize(
         c, a, lambda comp: out[frozenset(p if p <= off else p - off for p in comp)]
     )
@@ -148,7 +148,7 @@ def _block(n, i, b, a, top, bot):
     composite = compose_ui(i, a)
     ordered = [
         next(comp for comp in found if top + min(s) in comp)
-        for s in glue(b, composite.matching).circle_sets
+        for s in glue(b, composite.matching).circles
     ]
     ordered += [comp for comp in found if comp not in ordered]
     assert len(ordered) == len(glue(b, composite.matching).circles) + composite.circles
@@ -157,7 +157,7 @@ def _block(n, i, b, a, top, bot):
 
 def _block_position_of(n, i, b, a, top):
     composite = compose_ui(i, a)
-    out = {frozenset(s): pos for pos, s in enumerate(glue(b, composite.matching).circle_sets)}
+    out = {frozenset(s): pos for pos, s in enumerate(glue(b, composite.matching).circles)}
 
     def position_of(component):
         tops = frozenset(p - top for p in component if top < p <= top + 2 * n)
@@ -217,7 +217,7 @@ def alpha(n, i, x):
         (("vert", i), (i, 2 * n + i)),
         (("vert", i + 1), (i + 1, 2 * n + i + 1)),
     )
-    out = {frozenset(s): pos for pos, s in enumerate(glue(b, a).circle_sets)}
+    out = {frozenset(s): pos for pos, s in enumerate(glue(b, a).circles)}
     return state.finalize(
         b, a, lambda comp: out[frozenset(p for p in comp if p <= 2 * n)]
     )
@@ -230,7 +230,7 @@ def beta(n, i, y):
     for j in range(1, 2 * n + 1):
         edges[("bim_strand", j)] = (j, 2 * n + j)
     edges.update(_edges("bim_cup_a", a, 2 * n))
-    comps = [frozenset(c) | frozenset(2 * n + p for p in c) for c in glue(b, a).circle_sets]
+    comps = [frozenset(c) | frozenset(2 * n + p for p in c) for c in glue(b, a).circles]
     state = LabeledSurgery(edges, comps, {y.labels: 1})
     state.surgery(
         ("bim_strand", i),

@@ -155,7 +155,7 @@ def test_central_X_sign_alternates():
     # the coefficient of every term is (-1)^i
     for n in (1, 2, 3):
         for i in range(1, 2 * n + 1):
-            z = central_X(i, n, verify=False)
+            z = central_X(i, n)
             assert set(z.terms.values()) == {(-1) ** i}
             assert len(z.terms) == catalan(n)
 
@@ -163,7 +163,7 @@ def test_central_X_sign_alternates():
 def test_central_X_is_central():
     for n in (1, 2, 3):
         for i in range(1, 2 * n + 1):
-            assert is_central(central_X(i, n, verify=False))
+            assert is_central(central_X(i, n))
 
 
 def test_central_X_squares_vanish():
@@ -207,7 +207,7 @@ def test_diagonal_monomial_matches_ring_products():
     # every subset of [1, 2n] for n <= 3, and every admissible one at n = 4
     for n in (1, 2, 3, 4):
         ring = get_ring(n)
-        xs = [central_X(i, n, verify=False) for i in range(1, 2 * n + 1)]
+        xs = [central_X(i, n) for i in range(1, 2 * n + 1)]
         if n <= 3:
             subsets = [
                 s for k in range(2 * n + 1) for s in itertools.combinations(range(1, 2 * n + 1), k)
@@ -401,6 +401,18 @@ def test_verify_symmetric_action():
         assert report["identity_acts_trivially"]
         assert report["action_property"]
         assert report["braid_relations"]
+        assert report["transpositions_move_generators"]
+
+
+def test_verify_symmetric_action_refuses_trivial_action(monkeypatch):
+    # the trivial action satisfies the identity, action and braid
+    # checks; only the generator moves tell it from the real one
+    monkeypatch.setattr(center.CenterPresentation, "act", lambda self, sigma, coords: coords)
+    for n in (1, 2, 3):
+        report = verify_symmetric_action(n)
+        assert report["action_property"] and report["braid_relations"]
+        assert not report["transpositions_move_generators"]
+        assert not report["passed"]
 
 
 def test_total_order_independence():

@@ -9,6 +9,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -423,13 +424,33 @@ def test_cache_corrupt_rebuilds_with_warning(tmp_path, capsys):
     assert "rebuilding" in capsys.readouterr().err
 
 
+def _row_text(payload) -> str:
+    """payload in the row layout of a stored file.
+
+    A header line up to "products":[, one line per run of entries with
+    the same first index (a basis vector's row, for an untampered
+    payload), each but the last ending in a comma, and the tail line;
+    every line compact and key-sorted, as json.dumps writes it.
+    """
+
+    def dumps(value):
+        return json.dumps(value, separators=(",", ":"))
+
+    rows = itertools.groupby(payload["products"], key=lambda entry: entry[0])
+    body = ",\n".join(",".join(map(dumps, row)) for _, row in rows)
+    return (
+        f'{{"n":{dumps(payload["n"])},"order":{dumps(payload["order"])},"products":[\n'
+        f'{body}\n],"schema":{dumps(payload["schema"])}}}\n'
+    )
+
+
 def test_cache_schema_bump_rejected(tmp_path, capsys):
     ring = get_ring(1)
     payload = ring_to_payload(ring)
     payload["schema"] = 99
     path = cache_path(1, tmp_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    path.write_text(_row_text(payload))
     with pytest.raises(ValueError):
         payload_to_ring(payload)
     _, status = load_or_build(1, tmp_path)
@@ -448,7 +469,7 @@ def test_cache_wrong_n_rejected(tmp_path):
 def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
     # an n = 1 ring filed as n = 2 is rejected without decoding a product
     path = cache_path(2, tmp_path)
-    path.write_text(json.dumps(ring_to_payload(get_ring(1))))
+    path.write_text(_row_text(ring_to_payload(get_ring(1))))
 
     def decode(ring, entries):
         raise AssertionError("products decoded before the n check")
@@ -546,19 +567,19 @@ def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
     payload = _tamper(case)
     with pytest.raises(ValueError):
         payload_to_ring(payload)
-    cache_path(2, tmp_path).write_text(json.dumps(payload))
+    cache_path(2, tmp_path).write_text(_row_text(payload))
     ring, status = load_or_build(2, tmp_path, store=False)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
     assert ring is get_ring(2)
 
 
-# SHA-256 of each ring_n{n}.json as json.dumps of the whole payload wrote it
+# SHA-256 of each ring_n{n}.json in the row layout of schema 2
 STORED_DIGESTS = {
-    1: "21403827cf316f342e2bd802f2b1a198eaf93d65d203ccfb75fdd777f965eabb",
-    2: "28fe088db2469e06194901a51c95d8107fc013c6ffd88322cf9545ba427a347b",
-    3: "4f761add678b574149547d39b56337315b9bf7a295dfa92fd9cc72a983c6333e",
-    4: "70766e479317e8dbe98f49ae60a570a575e783bb997905090337d14f65f5d912",
+    1: "529e0206dd1c5aa2dabf5d79a51eb6f517ca84c25f725e5f07091e349157ead2",
+    2: "09fc67f9fc773c4d7f1326bf89f851948fd76ad012e228c37c2e790b8e0608d0",
+    3: "29ed09f27f66ab0486c64e1104bd7135e25598f4bf19ff8f5a9a806782a667e4",
+    4: "7d9d888f6a73b37fd9331d5735f7962ee33ad803c62b7b429e471db01981152b",
 }
 
 
@@ -568,18 +589,20 @@ def _compact(payload) -> str:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cache_file_bytes_are_pinned(tmp_path, n):
-    # the streamed store writes the text json.dumps gives for the payload
+    # the streamed store writes the payload's row layout, one JSON
+    # document that json.loads reads as the payload
     ring = get_ring(n)
     data = store_ring(ring, tmp_path).read_bytes()
     assert hashlib.sha256(data).hexdigest() == STORED_DIGESTS[n]
-    assert data == _compact(ring_to_payload(ring)).encode()
+    assert data == _row_text(ring_to_payload(ring)).encode()
+    assert json.loads(data) == ring_to_payload(ring)
 
 
 def test_cache_streams_the_table(tmp_path):
-    # neither a store nor a load holds a second copy of the n = 4 table:
-    # the traced peak of each exceeds what it leaves allocated by at most
-    # 3 MiB (a copy would be about 20 MiB); a load still reads the whole
-    # 1.3 MB text at once
+    # neither a store nor a load holds a second copy of the n = 4 table,
+    # nor a load the whole 1.3 MB text: the traced peak of each exceeds
+    # what it leaves allocated by at most 3 MiB (a copy of the table
+    # would be about 20 MiB)
     limit = 3 * 2**20
     tracemalloc.start()
     try:
@@ -609,23 +632,33 @@ def _loads_then_checks(text):
 def _stream_text(case):
     """An n = 2 cache text that is wrong as case says."""
     payload = ring_to_payload(get_ring(2))
+    text = _row_text(payload)
+    tail = "\n" + text.splitlines(keepends=True)[-1]
     if case == "text_after_object":
-        return _compact(payload) + "{}"
+        return text + "{}"
     if case == "products_before_order":
-        products = payload.pop("products")
-        return json.dumps({"n": 2, "products": products, **payload})
-    if case == "key_twice":
-        return _compact(payload).replace('{"n":2,', '{"n":2,"n":2,', 1)
+        order = json.dumps(payload["order"], separators=(",", ":"))
+        text = text.replace(f',"order":{order}', "", 1)
+        return text.replace(',"schema"', f',"order":{order},"schema"', 1)
     if case == "products_not_a_list":
-        payload["products"] = {str(k): e for k, e in enumerate(payload["products"])}
-    elif case == "entry_too_long":
+        text = text.replace('"products":[', '"products":{"table":[', 1)
+        return text.replace(tail, "\n]}" + tail[2:])
+    if case == "products_missing":
+        return text.replace('"products":[', '"table":[', 1)
+    if case == "tail_missing":
+        return text.replace(tail, "\n")
+    if case == "row_comma_missing":
+        return text.replace(",\n", "\n", 1)
+    if case == "last_row_comma":
+        return text.replace(tail, "," + tail)
+    if case == "row_empty":
+        return text.replace(",\n", ",\n,\n", 1)
+    if case == "entry_too_long":
         payload["products"][0].append(0)
     elif case == "entry_not_a_list":
         # a string of three characters unpacks like a triple
         payload["products"][0] = "abc"
-    elif case == "products_missing":
-        del payload["products"]
-    return _compact(payload)
+    return _row_text(payload)
 
 
 @pytest.mark.parametrize(
@@ -633,11 +666,14 @@ def _stream_text(case):
     [
         "text_after_object",
         "products_before_order",
-        "key_twice",
         "products_not_a_list",
+        "products_missing",
+        "tail_missing",
+        "row_comma_missing",
+        "last_row_comma",
+        "row_empty",
         "entry_too_long",
         "entry_not_a_list",
-        "products_missing",
     ],
 )
 def test_cache_stream_rejects(tmp_path, capsys, case):
@@ -648,33 +684,43 @@ def test_cache_stream_rejects(tmp_path, capsys, case):
     ring, status = load_or_build(2, tmp_path, store=False)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
-    if case in ("products_before_order", "key_twice"):
-        # json.loads takes both; the stream cannot check products before
-        # it has their ring, and a key listed twice is ambiguous
+    if case == "products_before_order":
+        # json.loads takes it; the stream cannot check products before
+        # it has their ring
         assert _loads_then_checks(text)._products == ring._products
     else:
         with pytest.raises(ValueError):
             _loads_then_checks(text)
 
 
-def test_cache_load_accepts_any_layout(tmp_path):
+def test_cache_load_refuses_other_layouts(tmp_path, capsys):
+    # the same table in another layout, or in the one-line layout of
+    # schema 1, rebuilds with a warning; the stored text loads
     ring = get_ring(2)
     payload = ring_to_payload(ring)
     for text in (
         json.dumps(payload, sort_keys=True, indent=2),
         " \t\r\n" + json.dumps(payload, sort_keys=True, separators=(" , ", " : ")) + " \n\n",
+        _compact({**payload, "schema": 1}),
     ):
         cache_path(2, tmp_path).write_text(text)
-        assert load_ring(2, tmp_path)._products == ring._products
+        loaded, status = load_or_build(2, tmp_path, store=False)
+        assert status == "rebuilt"
+        assert "rebuilding ring cache for n=2" in capsys.readouterr().err
+        assert loaded is ring
+    cache_path(2, tmp_path).write_text(_row_text(payload))
+    assert load_ring(2, tmp_path)._products == ring._products
 
 
 def test_cache_stream_matches_loads_property(tmp_path):
-    # edited n = 2 texts: the streamed load and json.loads followed by the
-    # table check either both raise ValueError or both give one memo
+    # edited n = 2 texts: every one the streamed load accepts, json.loads
+    # followed by the table check accepts too, with the same memo; the
+    # stream refuses what is not in its layout
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    base = _compact(ring_to_payload(get_ring(2)))
+    base = _row_text(ring_to_payload(get_ring(2)))
     path = cache_path(2, tmp_path)
+    accepted = set()
 
     @st.composite
     def edited(draw):
@@ -693,22 +739,20 @@ def test_cache_stream_matches_loads_property(tmp_path):
                 text = text[:i]
         return text
 
-    def outcome(load, text):
-        try:
-            return load(text)._products
-        except ValueError:
-            return None
-
-    def streamed(text):
-        path.write_text(text)
-        return load_ring(2, tmp_path)
-
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @hypothesis.given(edited())
     def check(text):
-        assert outcome(streamed, text) == outcome(_loads_then_checks, text)
+        path.write_text(text)
+        try:
+            streamed = load_ring(2, tmp_path)._products
+        except ValueError:
+            return
+        assert _loads_then_checks(text)._products == streamed
+        accepted.add(text)
 
     check()
+    # the property is not vacuous: some edits survive both loads
+    assert accepted - {base}
 
 
 def test_cache_sweeps_stale_temp_files(tmp_path):
@@ -773,7 +817,7 @@ def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
             assert gc.isenabled() is enabled
             payload = json.loads(cache_path(2, tmp_path).read_text())
             payload["products"][0][2] = [[0, 1.5]]
-            cache_path(2, tmp_path).write_text(json.dumps(payload))
+            cache_path(2, tmp_path).write_text(_row_text(payload))
             with pytest.raises(ValueError):
                 load_ring(2, tmp_path)
             assert gc.isenabled() is enabled

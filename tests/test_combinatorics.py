@@ -155,16 +155,6 @@ def test_glue_examples():
     assert glue(a, b).circles == ((1, 2, 3, 4),)
     # the walk leaves 1 through the lower matching first
     assert glue(b, a).circles == ((1, 4, 3, 2),)
-    assert glue(b, a).circle_sets == (frozenset({1, 2, 3, 4}),)
-
-
-def test_circle_sets_built_once():
-    # glue is cached and circle_sets is computed on first access only
-    for n in range(1, 4):
-        for a, b in itertools.product(enumerate_matchings(n), repeat=2):
-            sets = glue(a, b).circle_sets
-            assert glue(a, b).circle_sets is sets
-            assert sets == tuple(frozenset(c) for c in glue(a, b).circles)
 
 
 def test_glue_partitions_endpoints():

@@ -258,15 +258,19 @@ def _build_kernel(ring, target, stack: list, lines: tuple, arcs, block) -> tuple
     return key, table, target.basis[start : start + 2 ** lines[2]]
 
 
-def _kernel_product(kernel: tuple, word: str) -> tuple:
-    """The product of one input label word under a kernel: its row, built
-    on first use, read through the output basis slice."""
-    key, table, out = kernel
-    r = int(word.translate(_BITS), 2)
-    row = table[r]
+def _table_row(key: tuple, table: list, rank: int) -> tuple:
+    """The row of one input rank in a key's table, built on first use."""
+    row = table[rank]
     if row is None:
-        row = table[r] = _cobordism_row(key, r)
-    return tuple([(out[o], k) for o, k in row])
+        row = table[rank] = _cobordism_row(key, rank)
+    return row
+
+
+def _kernel_product(kernel: tuple, word: str) -> tuple:
+    """The product of one input label word under a kernel: its row, read
+    through the output basis slice."""
+    key, table, out = kernel
+    return tuple([(out[o], k) for o, k in _table_row(key, table, int(word.translate(_BITS), 2))])
 
 
 def _saddle_steps(c: Matching, b: Matching, a: Matching, arc_order) -> list[tuple]:

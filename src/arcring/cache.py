@@ -2,15 +2,17 @@
 
 A cached ring is one JSON document: a schema stamp, the basis order,
 and every composable basis product keyed by basis indices.  The table
-visits the composable pairs in basis-index order and takes each product
-from ArcRing.multiply_basis, so the file holds exactly what the ring's
-product memo holds (a ring loaded from a file stores its own products
-back without recomputing them), and no product is sorted.  Writing is
-deterministic (sorted keys, index-ordered products), so
-store/load/store round-trips byte-identically, and atomic (a temp file,
-then os.replace); a store also removes the temp files that earlier
-stores of the same n left behind when their process died before the
-replace.
+is walked block by block in basis-index order: the products of block
+(c, b) with block (b, a) are rows of the cobordism kernel of triple
+(c, b, a), the same rows ArcRing.multiply_basis reads, taken in index
+space.  So a store multiplies no pair of basis vectors and fills no
+product memo, and no product is sorted; a ring loaded from a file
+computes its rows again when it is stored, so store/load/store checks
+the kernels against the file.  Writing is deterministic (sorted keys,
+index-ordered products), so store/load/store round-trips
+byte-identically, and atomic (a temp file, then os.replace); a store
+also removes the temp files that earlier stores of the same n left
+behind when their process died before the replace.
 
 The document is laid out one basis vector's row of products per line:
 a header line {"n":N,"order":[...],"products":[, then one line per
@@ -19,7 +21,7 @@ the last, then the tail line ],"schema":2}.  Elsewhere the text is
 compact, as json.dumps(..., separators=(",", ":")) writes it, so
 json.loads of the whole file is the ring's payload.  Both directions
 stream the table, so neither holds it twice: a store writes each row as
-soon as it is multiplied, and a load reads the file line by line,
+soon as its kernels give it, and a load reads the file line by line,
 decoding each row with one json.loads, checking its entries and putting
 them into the product memo before reading the next.
 
@@ -55,8 +57,8 @@ from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
-from .arc_ring import ArcRing, get_ring
-from .combinatorics import Matching
+from .arc_ring import MAX_RING_N, ArcRing, _table_row, get_ring
+from .combinatorics import Matching, enumerate_matchings
 
 SCHEMA_VERSION = 2
 ENV_VAR = "ARCRING_CACHE_DIR"
@@ -96,38 +98,66 @@ def _gc_paused():
 def _rows(ring: ArcRing):
     """Each basis vector's row of the product table, in file order.
 
-    Yields (x index, [(y index, product), ...]) for x over the basis and
-    y over the basis vectors in row x.col, which lie in basis order
-    already.  Each product comes from ArcRing.multiply_basis, so the
-    walk fills the ring's product memo.
+    Yields (x index, [(y index, z offset, row), ...]) for x over the
+    basis and y over the basis vectors in row x.col, which lie in basis
+    order already.  The product of x and y is the sum of coeff times
+    basis vector z offset + o over the (o, coeff) of row.  The walk goes
+    block by block: x in block (c, b) and y in block (b, a) multiply
+    through the kernel of triple (c, b, a), whose table row at rank
+    x rank << k_y | y rank (the rank of x.labels + y.labels) holds the
+    product in the output ranks of block (c, a).  It fills no product
+    memo and calls no ArcRing.multiply_basis.
     """
-    basis = ring.basis
-    by_row: dict = {}
-    for yi, y in enumerate(basis):
-        by_row.setdefault(y.row, []).append((yi, y))
-    for xi, x in enumerate(basis):
-        yield xi, [(yi, ring.multiply_basis(x, y)) for yi, y in by_row[x.col]]
+    order, dims, offsets = ring.order, ring.block_dims, ring._block_offsets
+    kernels = ring._kernels
+    for c in order:
+        for b in order:
+            blocks = []
+            for a in order:
+                key, table, _ = kernels.get((c, b, a)) or ring._kernel(c, b, a)
+                blocks.append((offsets[b, a], dims[b, a], key, table, offsets[c, a]))
+            start = offsets[c, b]
+            for rx in range(dims[c, b]):
+                yield start + rx, [
+                    (y0 + ry, z0, _table_row(key, table, rx * dy + ry))
+                    for y0, dy, key, table, z0 in blocks
+                    for ry in range(dy)
+                ]
 
 
 def ring_to_payload(ring: ArcRing) -> dict:
     """A complete, deterministic JSON description of the ring."""
-    index = ring.index
     return {
         "schema": SCHEMA_VERSION,
         "n": ring.n,
         "order": [[list(arc) for arc in m.pairs] for m in ring.order],
         "products": [
-            [xi, yi, [[index[z], c] for z, c in terms]]
+            [xi, yi, [[z0 + o, c] for o, c in terms]]
             for xi, row in _rows(ring)
-            for yi, terms in row
+            for yi, z0, terms in row
         ],
     }
+
+
+def _header(n: int, order) -> str:
+    """The header line of the file of a ring with this n and basis order."""
+    text = json.dumps([[list(arc) for arc in m.pairs] for m in order], separators=(",", ":"))
+    return f'{{"n":{n},"order":{text}{_HEADER_END}'
 
 
 def _header_ring(fields: dict) -> ArcRing:
     """The ring, with an empty product memo, that fields n and order describe."""
     order = [Matching([tuple(arc) for arc in pairs]) for pairs in fields["order"]]
     return ArcRing(fields["n"], order)
+
+
+def _product_count(ring: ArcRing) -> int:
+    """The number of composable pairs of basis vectors: the table's size."""
+    dims = ring.block_dims
+    return sum(
+        sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
+        for b in ring.order
+    )
 
 
 def _check_entries(ring: ArcRing, entries) -> None:
@@ -168,11 +198,7 @@ def _check_entries(ring: ArcRing, entries) -> None:
                 raise ValueError(f"cached coefficient {c!r} is not a nonzero int")
             product.append((z, c))
         memo[x, y] = tuple(product)
-    dims = ring.block_dims
-    composable = sum(
-        sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
-        for b in ring.order
-    )
+    composable = _product_count(ring)
     if count != composable:
         raise ValueError(f"cache holds {count} products, not the {composable} composable pairs")
     if len(memo) != count:
@@ -265,18 +291,16 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
     path = cache_path(ring.n, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(path)
-    index = ring.index
     # each index's text is made once
     digits = [str(i) for i in range(ring.dimension)]
 
-    def terms_text(terms):
-        return ",".join([f"[{digits[index[z]]},{c}]" for z, c in terms])
+    def terms_text(z0, terms):
+        return ",".join([f"[{digits[z0 + o]},{c}]" for o, c in terms])
 
-    order = json.dumps([[list(arc) for arc in m.pairs] for m in ring.order], separators=(",", ":"))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with _gc_paused(), open(tmp, "w") as fh:
-            fh.write(f'{{"n":{ring.n},"order":{order}{_HEADER_END}')
+            fh.write(_header(ring.n, ring.order))
             sep = ""
             for xi, row in _rows(ring):
                 head = f"[{digits[xi]},"
@@ -285,8 +309,8 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
                 fh.write(
                     ",".join(
                         [
-                            f"{head}{digits[yi]},[{terms_text(terms) if terms else ''}]]"
-                            for yi, terms in row
+                            f"{head}{digits[yi]},[{terms_text(z0, terms) if terms else ''}]]"
+                            for yi, z0, terms in row
                         ]
                     )
                 )
@@ -303,10 +327,15 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     """Load a cached ring; FileNotFoundError if absent, ValueError if bad.
 
     The header's n is checked before any product is decoded; the ring
-    is returned only when every check has passed.
+    is returned only when every check has passed.  The header line is
+    read up to the length of the longest valid one, that of MAX_RING_N
+    (every basis order of one n gives a header of the same length), so
+    a file in another layout is refused without reading its first line
+    whole.
     """
+    limit = len(_header(MAX_RING_N, enumerate_matchings(MAX_RING_N)))
     with open(cache_path(n, directory)) as fh, _gc_paused():
-        header = fh.readline()
+        header = fh.readline(limit)
         if not header.endswith(_HEADER_END):
             raise ValueError(f"cache file is not in the schema {SCHEMA_VERSION} row layout")
         try:

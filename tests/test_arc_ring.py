@@ -311,6 +311,16 @@ def test_products_match_reference_sampled_n4():
         assert ring.multiply_basis(x, y) == surgery_reference.ring_product(x, y)
 
 
+def test_payload_matches_reference_sampled_n4():
+    # the cache's block walk against memoized products and surgery
+    ring, fresh = ArcRing(4), ArcRing(4)
+    basis = ring.basis
+    for xi, yi, terms in random.Random(4).sample(ring_to_payload(ring)["products"], 2000):
+        x, y = basis[xi], basis[yi]
+        product = tuple((basis[zi], c) for zi, c in terms)
+        assert product == fresh.multiply_basis(x, y) == surgery_reference.ring_product(x, y)
+
+
 def test_plan_compile_budget(cobordism_keys, plan_compiles):
     # one cobordism key per composable diagram triple (c, b, a), none on
     # repeat, and no saddle surgery on the default path; two triples can
@@ -379,11 +389,12 @@ def test_plan_row_budget(cobordism_keys, cobordism_rows):
 
 
 def test_plan_row_budget_n4(cobordism_keys, cobordism_rows):
-    # the full n = 4 table: 2,744 triples, 64 distinct keys, 3,768 rows
+    # the full n = 4 table: 2,744 triples, 64 distinct keys, 3,768 rows,
+    # walked block by block without filling the product memo
     ring = ArcRing(4)
     ring_to_payload(ring)
-    assert len(ring._products) == 85608
-    assert len(cobordism_keys) == len(ring.order) ** 3 == 2744
+    assert ring._products == {}
+    assert len(cobordism_keys) == len(ring._kernels) == len(ring.order) ** 3 == 2744
     assert len(ring._tables) == 64
     assert len(cobordism_rows) == len(set(cobordism_rows)) == 3768
     assert len(cobordism_rows) == sum(map(len, ring._tables.values()))

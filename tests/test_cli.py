@@ -327,22 +327,27 @@ def test_cache_store_load_store_byte_identical(tmp_path):
     assert first == second
 
 
-def _sorted_payload(ring):
-    """The payload built the old way, as the reference for index space.
-
-    Every product is sorted by the basis indexes of its factors, and
-    each term's vector is looked up in ring.index.
-    """
+def _multiplied(ring):
+    """ring's product memo, filled by multiply_basis on every composable pair."""
     by_row = {}
     for v in ring.basis:
         by_row.setdefault(v.row, []).append(v)
     for x in ring.basis:
         for y in by_row[x.col]:
             ring.multiply_basis(x, y)
+    return ring._products
+
+
+def _sorted_payload(ring):
+    """The payload built from the product memo, as the reference for index space.
+
+    Every product is sorted by the basis indexes of its factors, and
+    each term's vector is looked up in ring.index.
+    """
     products = [
         [ring.index[x], ring.index[y], [[ring.index[z], c] for z, c in terms]]
         for (x, y), terms in sorted(
-            ring._products.items(), key=lambda kv: (ring.index[kv[0][0]], ring.index[kv[0][1]])
+            _multiplied(ring).items(), key=lambda kv: (ring.index[kv[0][0]], ring.index[kv[0][1]])
         )
     ]
     return {
@@ -360,18 +365,37 @@ def test_payload_matches_sorted_reference(tmp_path, cobordism_keys, cobordism_ro
     random.Random(n).shuffle(shuffled)
     assert n == 1 or shuffled != canonical
     for order in (None, shuffled):
+        before = (len(cobordism_keys), len(cobordism_rows))
         payload = ring_to_payload(ArcRing(n, order))
+        fresh = (len(cobordism_keys) - before[0], len(cobordism_rows) - before[1])
+        assert fresh[0] == len(canonical) ** 3
         assert payload == _sorted_payload(ArcRing(n, order))
         # a loaded ring stores the same payload and the same bytes again,
-        # from its product memo, without building a cobordism key or row
-        built = (len(cobordism_keys), len(cobordism_rows))
+        # recomputing its rows from the cobordism kernels as a fresh ring
+        # does, not reading them from the product memo the load filled
         path = store_ring(payload_to_ring(payload), tmp_path)
         first = path.read_bytes()
         loaded = load_ring(n, tmp_path)
         assert len(loaded._products) == len(payload["products"])
-        assert ring_to_payload(loaded) == payload
+        before = (len(cobordism_keys), len(cobordism_rows))
         assert store_ring(loaded, tmp_path).read_bytes() == first
-        assert (len(cobordism_keys), len(cobordism_rows)) == built
+        assert (len(cobordism_keys) - before[0], len(cobordism_rows) - before[1]) == fresh
+        assert ring_to_payload(loaded) == payload
+
+
+def test_cache_store_multiplies_no_pair(tmp_path, monkeypatch):
+    # the store walks the cobordism kernels block by block: it makes no
+    # multiply_basis call and leaves the product memo empty
+    def refuse(self, x, y, arc_order=None):
+        raise AssertionError("store_ring called multiply_basis")
+
+    for n in (1, 2, 3):
+        ring = ArcRing(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(ArcRing, "multiply_basis", refuse)
+            path = store_ring(ring, tmp_path)
+        assert ring._products == {}
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == STORED_DIGESTS[n]
 
 
 @pytest.mark.parametrize("step", ["write", "replace"])
@@ -602,7 +626,7 @@ def test_cache_streams_the_table(tmp_path):
     # neither a store nor a load holds a second copy of the n = 4 table,
     # nor a load the whole 1.3 MB text: the traced peak of each exceeds
     # what it leaves allocated by at most 3 MiB (a copy of the table
-    # would be about 20 MiB)
+    # would be about 20 MiB); the store keeps no product memo
     limit = 3 * 2**20
     tracemalloc.start()
     try:
@@ -610,15 +634,15 @@ def test_cache_streams_the_table(tmp_path):
         tracemalloc.reset_peak()
         store_ring(ring, tmp_path)
         kept, peak = tracemalloc.get_traced_memory()
-        assert len(ring._products) == 85608
+        assert ring._products == {}
         assert peak - kept <= limit
         tracemalloc.reset_peak()
         loaded = load_ring(4, tmp_path)
         kept, peak = tracemalloc.get_traced_memory()
-        assert loaded._products == ring._products
         assert peak - kept <= limit
     finally:
         tracemalloc.stop()
+    assert loaded._products == _multiplied(ring)
 
 
 def _loads_then_checks(text):
@@ -687,7 +711,7 @@ def test_cache_stream_rejects(tmp_path, capsys, case):
     if case == "products_before_order":
         # json.loads takes it; the stream cannot check products before
         # it has their ring
-        assert _loads_then_checks(text)._products == ring._products
+        assert _loads_then_checks(text)._products == _multiplied(ring)
     else:
         with pytest.raises(ValueError):
             _loads_then_checks(text)
@@ -709,7 +733,27 @@ def test_cache_load_refuses_other_layouts(tmp_path, capsys):
         assert "rebuilding ring cache for n=2" in capsys.readouterr().err
         assert loaded is ring
     cache_path(2, tmp_path).write_text(_row_text(payload))
-    assert load_ring(2, tmp_path)._products == ring._products
+    assert load_ring(2, tmp_path)._products == _multiplied(ring)
+
+
+def test_cache_header_read_is_bounded(tmp_path, capsys):
+    # a one-line file, as schema 1 wrote, is refused after reading no
+    # more of it than the longest valid header line
+    payload = ring_to_payload(get_ring(2))
+    text = _compact({**payload, "schema": 1, "pad": "x" * (4 << 20)})
+    assert "\n" not in text[:-1]
+    cache_path(2, tmp_path).write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="row layout"):
+            load_ring(2, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ring, status = load_or_build(2, tmp_path, store=False)
+    assert status == "rebuilt"
+    assert "rebuilding ring cache for n=2" in capsys.readouterr().err
 
 
 def test_cache_stream_matches_loads_property(tmp_path):
@@ -841,6 +885,7 @@ def test_cli_cache_commands(tmp_path, capsys):
     assert code == 0
     assert report["results"]["status"] == "stored"
     assert report["results"]["dimension"] == 2
+    assert report["results"]["products"] == 4
     assert (tmp_path / "ring_n1.json").exists()
 
     code, report, _ = run_json(
@@ -848,12 +893,14 @@ def test_cli_cache_commands(tmp_path, capsys):
     )
     assert code == 0
     assert report["results"]["status"] == "loaded"
+    assert report["results"]["products"] == 4
 
     code, report, _ = run_json(
         capsys, ["cache", "load", "--n", "2", "--cache-dir", str(tmp_path)]
     )
     assert code == 0
     assert report["results"]["status"] == "built"
+    assert report["results"]["products"] == 72
 
 
 def test_cli_cache_io_error(tmp_path, capsys):

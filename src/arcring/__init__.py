@@ -15,7 +15,6 @@ from .combinatorics import (
     catalan,
     distance,
     enumerate_matchings,
-    find_sink,
     glue,
     matching_graph,
     total_order,
@@ -74,7 +73,6 @@ __all__ = [
     "catalan",
     "distance",
     "enumerate_matchings",
-    "find_sink",
     "glue",
     "matching_graph",
     "total_order",

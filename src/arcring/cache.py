@@ -6,41 +6,43 @@ is walked block by block in basis-index order: the products of block
 (c, b) with block (b, a) are rows of the cobordism kernel of triple
 (c, b, a), the same rows ArcRing.multiply_basis reads, taken in index
 space.  So a store multiplies no pair of basis vectors and fills no
-product memo, and no product is sorted; a ring loaded from a file
-computes its rows again when it is stored, so store/load/store checks
-the kernels against the file.  Writing is deterministic (sorted keys,
-index-ordered products), so store/load/store round-trips
-byte-identically, and atomic (a temp file, then os.replace); a store
-also removes the temp files that earlier stores of the same n left
-behind when their process died before the replace.
+product memo, and no product is sorted.  Writing is deterministic
+(sorted keys, index-ordered products), so the file is a function of n
+and the basis order alone, and atomic (a temp file, then os.replace);
+a store also removes the temp files that earlier stores of the same n
+left behind when their process died before the replace.
 
 The document is laid out one basis vector's row of products per line:
 a header line {"n":N,"order":[...],"products":[, then one line per
 row holding its entries comma-joined and ending in a comma unless it is
 the last, then the tail line ],"schema":2}.  Elsewhere the text is
 compact, as json.dumps(..., separators=(",", ":")) writes it, so
-json.loads of the whole file is the ring's payload.  Both directions
-stream the table, so neither holds it twice: a store writes each row as
-soon as its kernels give it, and a load reads the file line by line,
-decoding each row with one json.loads, checking its entries and putting
-them into the product memo before reading the next.
+json.loads of the whole file is the ring's payload.
 
-A missing file means build silently.  Rebuild with a warning on stderr
-when the file is unreadable, is not in this layout (which includes
-every file of another schema), holds another n, or holds a table that
-is not canonical: an entry count other than the number of composable
-pairs, a pair listed twice, an index outside the basis, a term outside
-its product's block, terms not strictly increasing by index, or a
-coefficient that is zero or not an int.  A well-formed table can still
-hold a wrong coefficient or a wrong term inside the right block, so a
-seeded sample of the loaded products is recomputed by saddle surgery,
-which shares no code with the memoized products' cobordism kernels; a
-mismatch rebuilds with a warning too.
+A load does not parse the table; it compares the file with the text a
+store of the same ring would write.  It decodes only the header line,
+checks its n before anything else, builds the ring of its basis order,
+and then requires the header, each row line in turn and the tail line,
+then the end of the file, to be exactly the text that ring's kernels
+give.  Both directions stream: a store writes each row line as soon as
+the kernels give it, and a load reads one line and compares it before
+it makes the next, so neither holds the table's text, and a load fills
+no product memo.  The loaded ring answers products from the kernel
+tables the comparison built, which are the file's table.
 
-The table is a few hundred thousand tuples and lists with no reference
-cycles, so building or decoding it would only trigger collector passes
-that find nothing; store_ring and load_ring pause the cyclic garbage
-collector around that work and restore its state after.
+A missing file means build silently.  Any other text than the stored
+bytes of the ring of its n and basis order rebuilds with a warning on
+stderr naming the first line that differs: the header (a file of
+another layout or schema, or of another n, included) or a row, by its
+basis vector's index and block.  As a guard on the kernels themselves,
+a seeded sample of the loaded products is recomputed by saddle surgery,
+which shares no code with the kernels; a mismatch raises
+InvariantError, since a rebuild would read the same kernels.
+
+The kernel tables are a few hundred thousand tuples with no reference
+cycles, so building them would only trigger collector passes that find
+nothing; store_ring and load_ring pause the cyclic garbage collector
+around that work and restore its state after.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -54,11 +56,11 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice
 from pathlib import Path
 
 from .arc_ring import MAX_RING_N, ArcRing, _table_row, get_ring
 from .combinatorics import Matching, enumerate_matchings
+from .errors import InvariantError
 
 SCHEMA_VERSION = 2
 ENV_VAR = "ARCRING_CACHE_DIR"
@@ -125,6 +127,27 @@ def _rows(ring: ArcRing):
                 ]
 
 
+def _row_texts(ring: ArcRing):
+    """Each basis vector's row line of the file, in file order, without
+    the separator that follows it: its [x index, y index, terms] entries
+    comma-joined, terms being [[z index, coeff], ...]."""
+    # each index's text is made once
+    digits = [str(i) for i in range(ring.dimension)]
+
+    def terms_text(z0, terms):
+        return ",".join([f"[{digits[z0 + o]},{c}]" for o, c in terms])
+
+    for xi, row in _rows(ring):
+        head = f"[{digits[xi]},"
+        # most products are zero, and need no terms_text call
+        yield ",".join(
+            [
+                f"{head}{digits[yi]},[{terms_text(z0, terms) if terms else ''}]]"
+                for yi, z0, terms in row
+            ]
+        )
+
+
 def ring_to_payload(ring: ArcRing) -> dict:
     """A complete, deterministic JSON description of the ring."""
     return {
@@ -145,10 +168,9 @@ def _header(n: int, order) -> str:
     return f'{{"n":{n},"order":{text}{_HEADER_END}'
 
 
-def _header_ring(fields: dict) -> ArcRing:
-    """The ring, with an empty product memo, that fields n and order describe."""
-    order = [Matching([tuple(arc) for arc in pairs]) for pairs in fields["order"]]
-    return ArcRing(fields["n"], order)
+def _order_ring(n, order) -> ArcRing:
+    """The ring, with an empty product memo, of n and a JSON basis order."""
+    return ArcRing(n, [Matching([tuple(arc) for arc in pairs]) for pairs in order])
 
 
 def _product_count(ring: ArcRing) -> int:
@@ -160,99 +182,21 @@ def _product_count(ring: ArcRing) -> int:
     )
 
 
-def _check_entries(ring: ArcRing, entries) -> None:
-    """Check a product table and put it into ring's empty product memo.
-
-    entries yields the table's [x index, y index, terms] entries; each
-    is checked and stored before the next is taken.  Only a canonical
-    table passes: one entry per composable pair of basis vectors, each
-    index inside range(dimension), the terms of a product inside block
-    (x.row, y.col), strictly increasing by index, with nonzero
-    coefficients that are exactly ints.  The entry count is checked
-    after the last entry; a pair listed twice leaves the product memo
-    short of it.  Each entry is hashed once, at its insert into the memo.
-
-    Then REVERIFIED products drawn with a fixed seed, or all of them if
-    there are fewer, are recomputed by saddle surgery along the arcs of
-    x.col; raises ValueError where one differs.
-    """
-    basis, memo, dim = ring.basis, ring._products, ring.dimension
-    count = 0
-    for count, (xi, yi, terms) in enumerate(entries, 1):
-        if not (0 <= xi < dim and 0 <= yi < dim):
-            raise ValueError(f"cached product index {xi} or {yi} is out of range")
-        x, y = basis[xi], basis[yi]
-        # basis vectors share the ring's Matching objects
-        if x.col is not y.row:
-            raise ValueError("cached product joins non-composable vectors")
-        product = []
-        last = -1
-        for zi, c in terms:
-            if not last < zi < dim:
-                raise ValueError(f"cached term index {zi} is out of range or out of order")
-            last = zi
-            z = basis[zi]
-            if z.row is not x.row or z.col is not y.col:
-                raise ValueError(f"cached term {zi} lies outside its product's block")
-            if type(c) is not int or c == 0:
-                raise ValueError(f"cached coefficient {c!r} is not a nonzero int")
-            product.append((z, c))
-        memo[x, y] = tuple(product)
-    composable = _product_count(ring)
-    if count != composable:
-        raise ValueError(f"cache holds {count} products, not the {composable} composable pairs")
-    if len(memo) != count:
-        raise ValueError("cache lists a product pair more than once")
-    # the memo was empty, so it iterates in the table's order
-    pairs, start = iter(memo), 0
-    for k in sorted(random.Random(0).sample(range(count), min(count, REVERIFIED))):
-        x, y = next(islice(pairs, k - start, None))
-        start = k + 1
-        if ring.multiply_basis(x, y, arc_order=x.col.pairs) != memo[x, y]:
-            raise ValueError(
-                f"cached product ({ring.index[x]}, {ring.index[y]}) differs from its surgery"
-            )
-
-
 def payload_to_ring(payload: dict) -> ArcRing:
-    """Rebuild a ring from its payload; raises ValueError when unusable.
+    """The ring whose ring_to_payload is payload; ValueError for any other value.
 
-    The header is checked first, then the table as load_ring checks it.
+    The two are compared as the JSON text they dump to, so a coefficient
+    that is a float or a bool differs from the int it equals.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("cache payload is not an object")
-    schema = payload.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ValueError(f"cache schema {schema!r} does not match {SCHEMA_VERSION}")
     try:
-        ring = _header_ring(payload)
-        entries = payload["products"]
-        if type(entries) is not list:
-            raise ValueError("cache products are not a list")
-        _check_entries(ring, entries)
+        ring = _order_ring(payload["n"], payload["order"])
+        text = json.dumps(payload, sort_keys=True)
+        same = text == json.dumps(ring_to_payload(ring), sort_keys=True)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed ring cache: {exc}") from exc
+    if not same:
+        raise ValueError("cache payload is not the payload of its ring")
     return ring
-
-
-def _row_lines(fh):
-    """The decoded row lines that follow the header in fh, in file order.
-
-    Yields each line's list of entries.  Every row line but the last
-    ends in a comma; the last must be followed by the tail line and the
-    end of the file.  A row line with no entry would leave two commas
-    in a row in the document, so it is refused.
-    """
-    for line in fh:
-        more = line.endswith(",\n")
-        row = json.loads(f"[{line[:-2] if more else line}]")
-        if not row:
-            raise ValueError("malformed ring cache: a row line holds no entry")
-        yield row
-        if not more:
-            break
-    if fh.readline() != _TAIL or fh.read(1):
-        raise ValueError(f"cache does not end in the schema {SCHEMA_VERSION} tail line")
 
 
 def _sweep_stale_temps(path: Path) -> None:
@@ -291,29 +235,14 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
     path = cache_path(ring.n, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(path)
-    # each index's text is made once
-    digits = [str(i) for i in range(ring.dimension)]
-
-    def terms_text(z0, terms):
-        return ",".join([f"[{digits[z0 + o]},{c}]" for o, c in terms])
-
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with _gc_paused(), open(tmp, "w") as fh:
+        with _gc_paused(), open(tmp, "w", newline="") as fh:
             fh.write(_header(ring.n, ring.order))
             sep = ""
-            for xi, row in _rows(ring):
-                head = f"[{digits[xi]},"
+            for text in _row_texts(ring):
                 fh.write(sep)
-                # most products are zero, and need no terms_text call
-                fh.write(
-                    ",".join(
-                        [
-                            f"{head}{digits[yi]},[{terms_text(z0, terms) if terms else ''}]]"
-                            for yi, z0, terms in row
-                        ]
-                    )
-                )
+                fh.write(text)
                 sep = ",\n"
             fh.write("\n" + _TAIL)
         os.replace(tmp, path)
@@ -326,26 +255,61 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
 def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     """Load a cached ring; FileNotFoundError if absent, ValueError if bad.
 
-    The header's n is checked before any product is decoded; the ring
-    is returned only when every check has passed.  The header line is
-    read up to the length of the longest valid one, that of MAX_RING_N
-    (every basis order of one n gives a header of the same length), so
-    a file in another layout is refused without reading its first line
-    whole.
+    The header's n is checked before any row is made; the ring is
+    returned only when the whole file is the text store_ring would write
+    for it.  The header line is read up to the length of the longest
+    valid one, that of MAX_RING_N (every basis order of one n gives a
+    header of the same length), and each row line up to the length of
+    the one expected, so a file in another layout is refused without
+    reading a line of it whole.
+
+    Then REVERIFIED products drawn with a fixed seed from the table's
+    entries, or all of them if there are fewer, are recomputed by
+    saddle surgery along the arcs of x.col; raises InvariantError where
+    one differs from the kernels' product.
     """
     limit = len(_header(MAX_RING_N, enumerate_matchings(MAX_RING_N)))
-    with open(cache_path(n, directory)) as fh, _gc_paused():
+    with open(cache_path(n, directory), newline="") as fh, _gc_paused():
         header = fh.readline(limit)
         if not header.endswith(_HEADER_END):
-            raise ValueError(f"cache file is not in the schema {SCHEMA_VERSION} row layout")
+            raise ValueError(f"cache header is not that of the schema {SCHEMA_VERSION} row layout")
         try:
             fields = json.loads(header[: -len(_HEADER_END)] + "}")
             if fields["n"] != n:
                 raise ValueError(f"cache file for n={n} actually contains n={fields['n']!r}")
-            ring = _header_ring(fields)
-            _check_entries(ring, chain.from_iterable(_row_lines(fh)))
+            ring = _order_ring(n, fields["order"])
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed ring cache: {exc}") from exc
+        if header != _header(n, ring.order):
+            raise ValueError("cache header differs from the stored header of its n and order")
+        basis, offsets, order = ring.basis, ring._block_offsets, ring.order
+        # row x of the table pairs x with each basis vector in row x.col,
+        # and those lie in one run of indexes, from its first block on
+        runs = {b: (offsets[b, order[0]], sum(ring.block_dims[b, a] for a in order)) for b in order}
+        count = _product_count(ring)
+        picks = iter(sorted(random.Random(0).sample(range(count), min(count, REVERIFIED))))
+        pick, start, sampled = next(picks, count), 0, []
+        last = ring.dimension - 1
+        for xi, text in enumerate(_row_texts(ring)):
+            x = basis[xi]
+            line = text + (",\n" if xi < last else "\n")
+            if fh.readline(len(line)) != line:
+                raise ValueError(
+                    f"cache row {xi}, of block ({x.row.pairs}, {x.col.pairs}), "
+                    "differs from the row its kernels give"
+                )
+            first, width = runs[x.col]
+            while pick < start + width:
+                sampled.append((x, basis[first + pick - start]))
+                pick = next(picks, count)
+            start += width
+        if fh.readline(len(_TAIL)) != _TAIL or fh.read(1):
+            raise ValueError(f"cache does not end in the schema {SCHEMA_VERSION} tail line")
+    for x, y in sampled:
+        if ring.multiply_basis(x, y, arc_order=x.col.pairs) != ring.multiply_basis(x, y):
+            raise InvariantError(
+                f"product ({ring.index[x]}, {ring.index[y]}) differs from its surgery"
+            )
     return ring
 
 

@@ -233,37 +233,6 @@ def arrows(n: int) -> tuple[tuple[Matching, Matching], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reachability(n: int) -> dict[Matching, frozenset[Matching]]:
-    """reach[a] = set of matchings reachable from a by arrow chains (incl. a)."""
-    ms = enumerate_matchings(n)
-    succ = {a: set() for a in ms}
-    for a, b in arrows(n):
-        succ[a].add(b)
-    reach: dict[Matching, frozenset[Matching]] = {}
-
-    def visit(a: Matching) -> frozenset[Matching]:
-        if a in reach:
-            return reach[a]
-        acc = {a}
-        for b in succ[a]:
-            acc |= visit(b)
-        reach[a] = frozenset(acc)
-        return reach[a]
-
-    # the arrow digraph is acyclic (arrows strictly increase nesting),
-    # so the recursion terminates; a cycle would overflow the stack
-    for a in ms:
-        visit(a)
-    return reach
-
-
-def precedes(a: Matching, b: Matching) -> bool:
-    """True if a strictly precedes b: some chain of arrows leads a to b."""
-    _check_same_n(a, b)
-    return a != b and b in _reachability(a.n)[a]
-
-
 def total_order(n: int) -> list[Matching]:
     """A deterministic linear extension of the arrow order.
 
@@ -318,24 +287,6 @@ def all_linear_extensions(n: int, cap: int = 1000) -> list[list[Matching]]:
 
     rec()
     return out
-
-
-def find_sink(a: Matching, b: Matching) -> Matching:
-    """A common predecessor c of a and b on a geodesic between them.
-
-    Returns the canonically first matching c with arrow chains from c to
-    a and from c to b (allowing c = a or c = b) such that
-    distance(a, b) = distance(a, c) + distance(c, b).  Such a c always
-    exists; failure to find one is reported as an invariant violation.
-    """
-    _check_same_n(a, b)
-    reach = _reachability(a.n)
-    d_ab = distance(a, b)
-    for c in enumerate_matchings(a.n):
-        if a in reach[c] and b in reach[c]:
-            if distance(a, c) + distance(c, b) == d_ab:
-                return c
-    raise InvariantError(f"no geodesic common predecessor for {a} and {b}")
 
 
 @dataclass(frozen=True)

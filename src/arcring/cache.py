@@ -1,16 +1,14 @@
 """On-disk cache of built rings with their full product tables.
 
 A cached ring is one JSON document: a schema stamp, the basis order,
-and every composable basis product keyed by basis indices.  The table
-is walked block by block in basis-index order: the products of block
-(c, b) with block (b, a) are rows of the cobordism kernel of triple
-(c, b, a), the same rows ArcRing.multiply_basis reads, taken in index
-space.  So a store multiplies no pair of basis vectors and fills no
-product memo, and no product is sorted.  Writing is deterministic
-(sorted keys, index-ordered products), so the file is a function of n
-and the basis order alone, and atomic (a temp file, then os.replace);
-a store also removes the temp files that earlier stores of the same n
-left behind when their process died before the replace.
+and every composable basis product keyed by basis indices.  The walk
+of that table belongs to ArcRing: its table_rows reads it off the
+cobordism kernels, so a store multiplies no basis pair, fills no
+product memo and sorts no product.  Writing is deterministic (sorted
+keys, index-ordered products), so the file is a function of n and the
+basis order alone, and atomic (a temp file, then os.replace); a store
+also removes the temp files that earlier stores of the same n left
+behind when their process died before the replace.
 
 The document is laid out one basis vector's row of products per line:
 a header line {"n":N,"order":[...],"products":[, then one line per
@@ -19,16 +17,13 @@ the last, then the tail line ],"schema":2}.  Elsewhere the text is
 compact, as json.dumps(..., separators=(",", ":")) writes it, so
 json.loads of the whole file is the ring's payload.
 
-A load does not parse the table; it compares the file with the text a
-store of the same ring would write.  It decodes only the header line,
+A load does not parse the table: it decodes only the header line,
 checks its n before anything else, builds the ring of its basis order,
-and then requires the header, each row line in turn and the tail line,
-then the end of the file, to be exactly the text that ring's kernels
-give.  Both directions stream: a store writes each row line as soon as
-the kernels give it, and a load reads one line and compares it before
-it makes the next, so neither holds the table's text, and a load fills
-no product memo.  The loaded ring answers products from the kernel
-tables the comparison built, which are the file's table.
+and requires the header, each row line, the tail line and then the end
+of the file to be exactly the text a store of that ring writes.  Both
+directions stream one row line at a time, so neither holds the table's
+text, and a load fills no product memo; the loaded ring answers
+products from the kernel tables the comparison built.
 
 A missing file means build silently.  Any other text than the stored
 bytes of the ring of its n and basis order rebuilds with a warning on
@@ -58,7 +53,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .arc_ring import MAX_RING_N, ArcRing, _table_row, get_ring
+from .arc_ring import MAX_RING_N, ArcRing, get_ring
 from .combinatorics import Matching, enumerate_matchings
 from .errors import InvariantError
 
@@ -97,47 +92,18 @@ def _gc_paused():
             gc.enable()
 
 
-def _rows(ring: ArcRing):
-    """Each basis vector's row of the product table, in file order.
-
-    Yields (x index, [(y index, z offset, row), ...]) for x over the
-    basis and y over the basis vectors in row x.col, which lie in basis
-    order already.  The product of x and y is the sum of coeff times
-    basis vector z offset + o over the (o, coeff) of row.  The walk goes
-    block by block: x in block (c, b) and y in block (b, a) multiply
-    through the kernel of triple (c, b, a), whose table row at rank
-    x rank << k_y | y rank (the rank of x.labels + y.labels) holds the
-    product in the output ranks of block (c, a).  It fills no product
-    memo and calls no ArcRing.multiply_basis.
-    """
-    order, dims, offsets = ring.order, ring.block_dims, ring._block_offsets
-    kernels = ring._kernels
-    for c in order:
-        for b in order:
-            blocks = []
-            for a in order:
-                key, table, _ = kernels.get((c, b, a)) or ring._kernel(c, b, a)
-                blocks.append((offsets[b, a], dims[b, a], key, table, offsets[c, a]))
-            start = offsets[c, b]
-            for rx in range(dims[c, b]):
-                yield start + rx, [
-                    (y0 + ry, z0, _table_row(key, table, rx * dy + ry))
-                    for y0, dy, key, table, z0 in blocks
-                    for ry in range(dy)
-                ]
-
-
-def _row_texts(ring: ArcRing):
-    """Each basis vector's row line of the file, in file order, without
-    the separator that follows it: its [x index, y index, terms] entries
-    comma-joined, terms being [[z index, coeff], ...]."""
+def _row_lines(ring: ArcRing):
+    """Each basis vector's row line of the file, in file order: its
+    [x index, y index, terms] entries comma-joined, terms being
+    [[z index, coeff], ...], and a comma unless it is the last."""
     # each index's text is made once
     digits = [str(i) for i in range(ring.dimension)]
+    last = ring.dimension - 1
 
     def terms_text(z0, terms):
         return ",".join([f"[{digits[z0 + o]},{c}]" for o, c in terms])
 
-    for xi, row in _rows(ring):
+    for xi, row in ring.table_rows():
         head = f"[{digits[xi]},"
         # most products are zero, and need no terms_text call
         yield ",".join(
@@ -145,7 +111,7 @@ def _row_texts(ring: ArcRing):
                 f"{head}{digits[yi]},[{terms_text(z0, terms) if terms else ''}]]"
                 for yi, z0, terms in row
             ]
-        )
+        ) + (",\n" if xi < last else "\n")
 
 
 def ring_to_payload(ring: ArcRing) -> dict:
@@ -156,7 +122,7 @@ def ring_to_payload(ring: ArcRing) -> dict:
         "order": [[list(arc) for arc in m.pairs] for m in ring.order],
         "products": [
             [xi, yi, [[z0 + o, c] for o, c in terms]]
-            for xi, row in _rows(ring)
+            for xi, row in ring.table_rows()
             for yi, z0, terms in row
         ],
     }
@@ -171,15 +137,6 @@ def _header(n: int, order) -> str:
 def _order_ring(n, order) -> ArcRing:
     """The ring, with an empty product memo, of n and a JSON basis order."""
     return ArcRing(n, [Matching([tuple(arc) for arc in pairs]) for pairs in order])
-
-
-def _product_count(ring: ArcRing) -> int:
-    """The number of composable pairs of basis vectors: the table's size."""
-    dims = ring.block_dims
-    return sum(
-        sum(dims[c, b] for c in ring.order) * sum(dims[b, a] for a in ring.order)
-        for b in ring.order
-    )
 
 
 def payload_to_ring(payload: dict) -> ArcRing:
@@ -239,12 +196,8 @@ def store_ring(ring: ArcRing, directory: str | os.PathLike | None = None) -> Pat
     try:
         with _gc_paused(), open(tmp, "w", newline="") as fh:
             fh.write(_header(ring.n, ring.order))
-            sep = ""
-            for text in _row_texts(ring):
-                fh.write(sep)
-                fh.write(text)
-                sep = ",\n"
-            fh.write("\n" + _TAIL)
+            fh.writelines(_row_lines(ring))
+            fh.write(_TAIL)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -282,27 +235,16 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
             raise ValueError(f"malformed ring cache: {exc}") from exc
         if header != _header(n, ring.order):
             raise ValueError("cache header differs from the stored header of its n and order")
-        basis, offsets, order = ring.basis, ring._block_offsets, ring.order
-        # row x of the table pairs x with each basis vector in row x.col,
-        # and those lie in one run of indexes, from its first block on
-        runs = {b: (offsets[b, order[0]], sum(ring.block_dims[b, a] for a in order)) for b in order}
-        count = _product_count(ring)
-        picks = iter(sorted(random.Random(0).sample(range(count), min(count, REVERIFIED))))
-        pick, start, sampled = next(picks, count), 0, []
-        last = ring.dimension - 1
-        for xi, text in enumerate(_row_texts(ring)):
-            x = basis[xi]
-            line = text + (",\n" if xi < last else "\n")
+        count = ring.product_count()
+        picks = sorted(random.Random(0).sample(range(count), min(count, REVERIFIED)))
+        sampled = [ring.table_pair(k) for k in picks]
+        for xi, line in enumerate(_row_lines(ring)):
             if fh.readline(len(line)) != line:
+                x = ring.basis[xi]
                 raise ValueError(
                     f"cache row {xi}, of block ({x.row.pairs}, {x.col.pairs}), "
                     "differs from the row its kernels give"
                 )
-            first, width = runs[x.col]
-            while pick < start + width:
-                sampled.append((x, basis[first + pick - start]))
-                pick = next(picks, count)
-            start += width
         if fh.readline(len(_TAIL)) != _TAIL or fh.read(1):
             raise ValueError(f"cache does not end in the schema {SCHEMA_VERSION} tail line")
     for x, y in sampled:
@@ -313,14 +255,13 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     return ring
 
 
-def load_or_build(
-    n: int, directory: str | os.PathLike | None = None, store: bool = True
-) -> tuple[ArcRing, str]:
+def load_or_build(n: int, directory: str | os.PathLike | None = None) -> tuple[ArcRing, str]:
     """The ring for n, from cache when possible.
 
     Returns (ring, status) with status one of "loaded", "built" (no
     cache file existed), "rebuilt" (cache file existed but was
-    unusable; a warning goes to stderr).
+    unusable; a warning goes to stderr).  A built or rebuilt ring is
+    stored.
     """
     try:
         return load_ring(n, directory), "loaded"
@@ -330,6 +271,5 @@ def load_or_build(
         print(f"warning: rebuilding ring cache for n={n}: {exc}", file=sys.stderr)
         status = "rebuilt"
     ring = get_ring(n)
-    if store:
-        store_ring(ring, directory)
+    store_ring(ring, directory)
     return ring, status

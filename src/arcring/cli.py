@@ -21,7 +21,7 @@ import time
 
 from .arc_ring import MAX_RING_N, get_ring, verify_ring_integrity
 from .braid_homotopy import verify_null_homotopy
-from .cache import _product_count, cache_path, load_or_build, store_ring
+from .cache import cache_path, load_or_build, store_ring
 from .center import (
     center_basis,
     verify_presentation_iso,
@@ -176,14 +176,14 @@ def run_cache(action: str, n: int, directory: str | None) -> dict:
             "status": "stored",
             "path": str(path),
             "dimension": ring.dimension,
-            "products": _product_count(ring),
+            "products": ring.product_count(),
         }
     ring, status = load_or_build(n, directory)
     return {
         "status": status,
         "path": str(cache_path(n, directory)),
         "dimension": ring.dimension,
-        "products": _product_count(ring),
+        "products": ring.product_count(),
     }
 
 

@@ -73,6 +73,26 @@ def ring_laws_report(n, seed=0, samples=10000):
     return report
 
 
+def composable_pairs(ring):
+    """Every composable pair of basis vectors, in the product table's
+    scan order: x over the basis, then y over row x.col in basis order."""
+    by_row = {}
+    for v in ring.basis:
+        by_row.setdefault(v.row, []).append(v)
+    return [(x, y) for x in ring.basis for y in by_row[x.col]]
+
+
+def grading_counterexample(ring):
+    """The first pair in scan order whose product has a term of another
+    degree than deg x + deg y, as verify_ring_integrity reports it, or
+    None; each pair goes through multiply_basis."""
+    for x, y in composable_pairs(ring):
+        want = degree(x) + degree(y)
+        if any(degree(z) != want for z, _ in ring.multiply_basis(x, y)):
+            return [repr(x), repr(y)]
+    return None
+
+
 def bimodule_axiom_witness(n, i, samples=300, seed=0):
     """_bimodule_axiom_witness, with every law checked on elements."""
     module = get_bimodule(n, i)

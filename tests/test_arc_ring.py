@@ -12,6 +12,7 @@ import pytest
 
 import element_reference
 import surgery_reference
+from arcring import arc_ring
 from arcring.arc_ring import (
     MAX_RING_N,
     ArcRing,
@@ -251,6 +252,88 @@ def test_verify_ring_integrity():
         assert report["dimension"] == get_ring(n).dimension
     assert verify_ring_integrity(2)["associativity_mode"] == "exhaustive"
     assert verify_ring_integrity(3, samples=500)["associativity_mode"] == "sampled"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_pair_decodes_the_scan(n):
+    # position k of the product table is the k-th pair of the list scan,
+    # in the canonical and in a shuffled basis order, and the table walk
+    # visits the same pairs in the same order
+    canonical = get_ring(n).order
+    shuffled = list(canonical)
+    random.Random(n).shuffle(shuffled)
+    assert n == 1 or shuffled != canonical
+    for order in (canonical, shuffled):
+        ring = ArcRing(n, order)
+        pairs = element_reference.composable_pairs(ring)
+        count = ring.product_count()
+        assert count == len(pairs)
+        assert [ring.table_pair(k) for k in range(count)] == pairs
+        walked = [
+            (ring.basis[xi], ring.basis[yi]) for xi, row in ring.table_rows() for yi, _, _ in row
+        ]
+        assert walked == pairs
+        assert ring._products == {}
+        for k in (-1, count):
+            with pytest.raises(IndexError):
+                ring.table_pair(k)
+        # sampling positions draws the same pairs as sampling the list,
+        # and leaves the generator in the same state
+        k = min(count, 400)
+        by_list, by_range = random.Random(7), random.Random(7)
+        assert [ring.table_pair(i) for i in by_range.sample(range(count), k)] == by_list.sample(
+            pairs, k
+        )
+        assert by_range.random() == by_list.random()
+
+
+def test_ring_integrity_fills_no_product_memo(monkeypatch):
+    # grading reads the table walk and surgery order decodes sampled
+    # positions, so the check multiplies far fewer pairs than the table
+    # holds; a grading loop over every pair through multiply_basis would
+    # make product_count calls by itself
+    calls = []
+    real = ArcRing.multiply_basis
+
+    def counting(self, x, y, arc_order=None):
+        if arc_order is None:
+            calls.append((x, y))
+        return real(self, x, y, arc_order)
+
+    monkeypatch.setattr(ArcRing, "multiply_basis", counting)
+    report = verify_ring_integrity(3, samples=100)
+    assert report["passed"]
+    assert len(calls) < get_ring(3).product_count() == 2168
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ring_integrity_wrong_degree_matches_per_pair_scan(monkeypatch, n):
+    # one cobordism key's rows moved to output words of the wrong degree:
+    # the grading check names the first failing pair of the per-pair scan.
+    # The key is the one whose first nonzero product comes last in the
+    # scan, so the failure lies past the first row of the table
+    probe = ArcRing(n)
+    first_use = {}
+    for x, y in element_reference.composable_pairs(probe):
+        if probe.multiply_basis(x, y):
+            first_use.setdefault(probe._kernels[x.row, x.col, y.col][0], (x, y))
+    target, (x, y) = list(first_use.items())[-1]
+    assert probe.index[x] > 0
+    real = arc_ring._cobordism_row
+
+    def wrong(key, rank):
+        row = real(key, rank)
+        # one output label flipped: the degree moves by 2
+        return tuple((o ^ 1, c) for o, c in row) if key == target else row
+
+    monkeypatch.setattr(arc_ring, "_cobordism_row", wrong)
+    expected = element_reference.grading_counterexample(ArcRing(n))
+    assert expected == [repr(x), repr(y)]
+    ring = ArcRing(n)
+    monkeypatch.setattr(arc_ring, "get_ring", lambda m: ring)
+    report = verify_ring_integrity(n, samples=100)
+    assert report["grading_multiplicative"] is False
+    assert report["grading_counterexample"] == expected
 
 
 def test_ring_element_arithmetic():

@@ -410,10 +410,11 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch, step):
     path.write_text("previous cache contents\n")
     before = path.read_bytes()
 
-    real_rows = cache._rows
+    real_rows = ArcRing.table_rows
 
     def torn_rows(ring):
-        # the disk fills after some rows have gone to the temp file
+        # the disk fills after some rows of the ring's table walk have
+        # gone to the temp file
         rows = real_rows(ring)
         yield next(rows)
         yield next(rows)
@@ -424,7 +425,7 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch, step):
         raise OSError("replace failed")
 
     if step == "write":
-        monkeypatch.setattr(cache, "_rows", torn_rows)
+        monkeypatch.setattr(ArcRing, "table_rows", torn_rows)
     else:
         monkeypatch.setattr(cache.os, "replace", failing_replace)
     with pytest.raises(OSError):
@@ -527,14 +528,16 @@ def test_cache_wrong_n_rejected(tmp_path):
 
 
 def test_cache_wrong_n_checked_before_products(tmp_path, monkeypatch):
-    # an n = 1 ring filed as n = 2 is rejected before a row is made
+    # an n = 1 ring filed as n = 2 is rejected before a row is made or
+    # a re-check position decoded
     path = cache_path(2, tmp_path)
     path.write_text(_row_text(ring_to_payload(get_ring(1))))
 
-    def rows(ring):
-        raise AssertionError("rows made before the n check")
+    def rows(ring, *position):
+        raise AssertionError("table read before the n check")
 
-    monkeypatch.setattr(cache, "_rows", rows)
+    monkeypatch.setattr(ArcRing, "table_rows", rows)
+    monkeypatch.setattr(ArcRing, "table_pair", rows)
     with pytest.raises(ValueError, match="n=2 actually contains n=1"):
         load_ring(2, tmp_path)
 
@@ -628,11 +631,13 @@ def test_cache_rejects_untrusted_entries(tmp_path, capsys, case):
     with pytest.raises(ValueError):
         payload_to_ring(payload)
     cache_path(2, tmp_path).write_text(_row_text(payload))
-    ring, status = load_or_build(2, tmp_path, store=False)
+    ring, status = load_or_build(2, tmp_path)
     assert status == "rebuilt"
     err = capsys.readouterr().err
     assert "rebuilding ring cache for n=2" in err
     assert ring is get_ring(2)
+    # the rebuild stored the ring's own file over the edited one
+    assert hashlib.sha256(cache_path(2, tmp_path).read_bytes()).hexdigest() == STORED_DIGESTS[2]
     if case == "sign_flipped":
         # the warning names the first row that differs: the edited entry's
         xi = next(e for e in payload["products"] if e[2])[0]
@@ -740,7 +745,7 @@ def test_cache_stream_rejects(tmp_path, capsys, case):
     cache_path(2, tmp_path).write_text(text)
     with pytest.raises(ValueError):
         load_ring(2, tmp_path)
-    ring, status = load_or_build(2, tmp_path, store=False)
+    ring, status = load_or_build(2, tmp_path)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
     assert ring is get_ring(2)
@@ -761,7 +766,7 @@ def test_cache_load_refuses_other_layouts(tmp_path, capsys):
         stored.replace(",\n", ", \n"),
     ):
         cache_path(2, tmp_path).write_text(text)
-        loaded, status = load_or_build(2, tmp_path, store=False)
+        loaded, status = load_or_build(2, tmp_path)
         assert status == "rebuilt"
         assert "rebuilding ring cache for n=2" in capsys.readouterr().err
         assert loaded is ring
@@ -786,7 +791,7 @@ def test_cache_header_read_is_bounded(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    ring, status = load_or_build(2, tmp_path, store=False)
+    ring, status = load_or_build(2, tmp_path)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
 
@@ -873,14 +878,14 @@ def test_cache_pauses_gc_and_restores_it(tmp_path, monkeypatch):
     # with the cyclic collector off; its previous state comes back, also
     # after a failure
     seen = []
-    real_rows = cache._rows
+    real_rows = ArcRing.table_rows
 
     def rows(ring):
         for row in real_rows(ring):
             seen.append(gc.isenabled())
             yield row
 
-    monkeypatch.setattr(cache, "_rows", rows)
+    monkeypatch.setattr(ArcRing, "table_rows", rows)
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):

@@ -22,3 +22,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cache_and_cli_import_no_private_names():
+    # the product table's layout belongs to ArcRing: the cache and the
+    # command line reach it through the ring's public methods, never
+    # through another module's underscore names
+    found = []
+    for name in ("cache.py", "cli.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "arcring"
+            ):
+                found += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []

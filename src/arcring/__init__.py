@@ -23,7 +23,6 @@ from .arc_ring import (
     ArcRing,
     BasisVector,
     RingElement,
-    commutator_quotient_rank,
     degree,
     get_ring,
     idempotent,
@@ -79,7 +78,6 @@ __all__ = [
     "ArcRing",
     "BasisVector",
     "RingElement",
-    "commutator_quotient_rank",
     "degree",
     "get_ring",
     "idempotent",

@@ -358,6 +358,25 @@ def _surgery_product(steps: list[tuple], word: str) -> list[tuple[str, int]]:
     return sorted((w, k) for w, k in terms.items() if k)
 
 
+def _lay_out_blocks(space, order: list[Matching], circles) -> None:
+    """Give space, the ring or a bimodule, its basis block by block.
+
+    Blocks (b, a) run over order x order, and block (b, a) holds the
+    label words of its circles(b, a) circles.  Sets space.basis,
+    space.block_dims (2^k per block), space._block_offsets (the index
+    of each block's first vector), space.index and space.dimension.
+    """
+    space.basis, space.block_dims, space._block_offsets = [], {}, {}
+    for b in order:
+        for a in order:
+            k = circles(b, a)
+            space.block_dims[b, a] = 2**k
+            space._block_offsets[b, a] = len(space.basis)
+            space.basis += [BasisVector(b, a, w) for w in label_words(k)]
+    space.index = {v: i for i, v in enumerate(space.basis)}
+    space.dimension = len(space.basis)
+
+
 class ArcRing:
     """H_n with a fixed basis enumeration.
 
@@ -382,18 +401,7 @@ class ArcRing:
         if set(order) != expected or len(order) != len(expected):
             raise ValueError("order must enumerate every matching exactly once")
         self.order = list(order)
-        self.basis: list[BasisVector] = []
-        self.block_dims: dict[tuple[Matching, Matching], int] = {}
-        self._block_offsets: dict[tuple[Matching, Matching], int] = {}
-        for b in self.order:
-            for a in self.order:
-                k = len(glue(b, a).circles)
-                self.block_dims[(b, a)] = 2**k
-                self._block_offsets[(b, a)] = len(self.basis)
-                for w in label_words(k):
-                    self.basis.append(BasisVector(b, a, w))
-        self.index = {v: i for i, v in enumerate(self.basis)}
-        self.dimension = len(self.basis)
+        _lay_out_blocks(self, self.order, lambda b, a: len(glue(b, a).circles))
         # the product table's blocks (c, b) in scan order, each as (first
         # position, first x index, first index of row b, width of row b)
         order, dims = self.order, self.block_dims
@@ -632,31 +640,3 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
 
     report["passed"] = unit_ok and assoc_ok and grading_ok and order_ok
     return report
-
-
-def commutator_quotient_rank(n: int) -> int:
-    """Rank of H_n modulo the subgroup spanned by all xy - yx.
-
-    Computed over the full basis: one generator per composable ordered
-    pair of basis vectors, reduced by integer rank.
-    """
-    from .integer_linalg import IntMatrix, rank
-
-    ring = get_ring(n)
-    rows = []
-    for vx in ring.basis:
-        for vy in ring.basis:
-            fwd = ring.multiply_basis(vx, vy) if vx.col == vy.row else ()
-            bwd = ring.multiply_basis(vy, vx) if vy.col == vx.row else ()
-            if not fwd and not bwd:
-                continue
-            vec = [0] * ring.dimension
-            for bv, c in fwd:
-                vec[ring.index[bv]] += c
-            for bv, c in bwd:
-                vec[ring.index[bv]] -= c
-            if any(vec):
-                rows.append(vec)
-    if not rows:
-        return ring.dimension
-    return ring.dimension - rank(IntMatrix(rows, cols=ring.dimension))

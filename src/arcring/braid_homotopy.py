@@ -28,8 +28,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache, partial
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arc_ring import (
@@ -37,11 +37,11 @@ from .arc_ring import (
     RingElement,
     _build_kernel,
     _kernel_product,
+    _lay_out_blocks,
     _ring_lines,
     _terms_by,
     degree,
     get_ring,
-    label_words,
 )
 from .combinatorics import Matching, glue
 from .errors import SizeMismatchError
@@ -136,20 +136,12 @@ class UiBimodule:
         # the space tag of its elements
         self.space = (n, i)
         self.ring = get_ring(n)
-        self.composite = {a: compose_ui(i, a) for a in self.ring.order}
-        self.basis: list[BasisVector] = []
-        self.block_circles: dict[tuple[Matching, Matching], int] = {}
-        self._block_offsets: dict[tuple[Matching, Matching], int] = {}
-        for b in self.ring.order:
-            for a in self.ring.order:
-                comp = self.composite[a]
-                k = len(glue(b, comp.matching).circles) + comp.circles
-                self.block_circles[(b, a)] = k
-                self._block_offsets[(b, a)] = len(self.basis)
-                for w in label_words(k):
-                    self.basis.append(BasisVector(b, a, w))
-        self.index = {v: j for j, v in enumerate(self.basis)}
-        self.dimension = len(self.basis)
+        composite = self.composite = {a: compose_ui(i, a) for a in self.ring.order}
+        _lay_out_blocks(
+            self,
+            self.ring.order,
+            lambda b, a: len(glue(b, composite[a].matching).circles) + composite[a].circles,
+        )
         self._left: dict = {}
         self._right: dict = {}
         self._alpha: dict = {}
@@ -297,79 +289,66 @@ def _triple_sampler(module: UiBimodule):
     (y1 v) y2.  They are numbered as a scan would list them: y1 over
     ring.basis; inside it y2 over ring.basis with the module basis
     innermost ("ll" before "rr" for the same v), then the "lr" triples
-    of y1.  triple_at(k) decodes the k-th triple.  What y1 contributes
-    depends only on its block (y1.row, y1.col), so each block's segment
-    is laid out once as runs of equal shape.
+    of y1.  triple_at(k) decodes the k-th triple from block sizes alone.
+    A y1 in ring block (d, b) has the same number of triples as every
+    other y1 of its block: for y2 in ring block (b, a), one ll/rr choice
+    per module vector of row a and one per module vector of column d,
+    and for v in module block (b, a), one lr triple per ring vector of
+    row a.  A position is decoded by walking the order over a.
     """
-    ring = module.ring
-    ring_by_row: dict[Matching, list[BasisVector]] = {}
-    for y in ring.basis:
-        ring_by_row.setdefault(y.row, []).append(y)
-    module_by_row: dict[Matching, list[BasisVector]] = {}
-    module_by_col: dict[Matching, list[BasisVector]] = {}
-    for v in module.basis:
-        module_by_row.setdefault(v.row, []).append(v)
-        module_by_col.setdefault(v.col, []).append(v)
+    ring, order = module.ring, module.ring.order
+    ring_dims, dims = ring.block_dims, module.block_dims
+    ring_row = {b: sum(ring_dims[b, a] for a in order) for b in order}
+    module_row = {b: sum(dims[b, a] for a in order) for b in order}
+    module_col = {a: sum(dims[b, a] for b in order) for a in order}
 
-    choices: dict[tuple[Matching, Matching], list[tuple]] = {}
+    def choice(c: Matching, d: Matching, j: int) -> tuple:
+        """The j-th ("ll" | "rr", v) choice for y2.col == c, y1.row == d:
+        the module vectors in row c or column d, in basis order."""
+        for x in order:
+            for y in order if x == c else (d,):
+                # a vector of block (c, d) is in both, and gives ll then rr
+                both = x == c and y == d
+                size = 2 * dims[x, y] if both else dims[x, y]
+                if j < size:
+                    j, rr = divmod(j, 2) if both else (j, x != c)
+                    return "rr" if rr else "ll", module.basis[module._block_offsets[x, y] + j]
+                j -= size
 
-    def pick(c: Matching, d: Matching) -> list[tuple]:
-        """The ("ll" | "rr", v) choices for y1, y2 with y2.col == c, y1.row == d."""
-        if (c, d) not in choices:
-            # the module vectors in row c or column d, in basis order
-            hits = {
-                module.index[v]: v
-                for v in chain(module_by_row.get(c, ()), module_by_col.get(d, ()))
-            }
-            choices[(c, d)] = [
-                (kind, v)
-                for _, v in sorted(hits.items())
-                for kind, hit in (("ll", v.row == c), ("rr", v.col == d))
-                if hit
-            ]
-        return choices[(c, d)]
-
-    segments: dict[tuple[Matching, Matching], tuple] = {}
-
-    def segment(d: Matching, b: Matching) -> tuple:
-        """(run starts, runs, length) of the triples of one y1 in block (d, b).
-
-        A run is (start, y2 list, what): what is a list of ll/rr choices
-        crossed with the y2 list, or the module vector v of an lr run.
-        """
-        if (d, b) not in segments:
-            runs, start = [], 0
-            for a, group in groupby(ring_by_row.get(b, ()), key=attrgetter("col")):
-                y2s, ch = list(group), pick(a, d)
-                if ch:
-                    runs.append((start, y2s, ch))
-                    start += len(y2s) * len(ch)
-            for v in module_by_row.get(b, ()):
-                y2s = ring_by_row.get(v.col, [])
-                if y2s:
-                    runs.append((start, y2s, v))
-                    start += len(y2s)
-            segments[(d, b)] = ([run[0] for run in runs], runs, start)
-        return segments[(d, b)]
-
-    y1_starts, count = [], 0
-    for y1 in ring.basis:
-        y1_starts.append(count)
-        count += segment(y1.row, y1.col)[2]
+    # each ring block (d, b) as (first position, first y1 index, d, b,
+    # triples per y1), in ring basis order
+    blocks, count = [], 0
+    for (d, b), y0 in ring._block_offsets.items():
+        length = sum(
+            ring_dims[b, a] * (module_row[a] + module_col[d]) + dims[b, a] * ring_row[a]
+            for a in order
+        )
+        blocks.append((count, y0, d, b, length))
+        count += ring_dims[d, b] * length
 
     def triple_at(k: int) -> tuple:
         if not 0 <= k < count:
             raise IndexError(f"triple {k} out of range({count})")
-        p = bisect_right(y1_starts, k) - 1
-        y1 = ring.basis[p]
-        starts, runs, _ = segment(y1.row, y1.col)
-        start, y2s, what = runs[bisect_right(starts, k - y1_starts[p]) - 1]
-        r = k - y1_starts[p] - start
-        if isinstance(what, list):
-            q, j = divmod(r, len(what))
-            kind, v = what[j]
-            return ("ll", y1, y2s[q], v) if kind == "ll" else ("rr", v, y1, y2s[q])
-        return ("lr", y1, what, y2s[r])
+        start, y0, d, b, length = blocks[bisect_right(blocks, k, key=itemgetter(0)) - 1]
+        p, r = divmod(k - start, length)
+        y1 = ring.basis[y0 + p]
+        # y2 in ring block (b, a), then its ll/rr choice
+        for a in order:
+            width = module_row[a] + module_col[d]
+            if r < ring_dims[b, a] * width:
+                q, j = divmod(r, width)
+                y2 = ring.basis[ring._block_offsets[b, a] + q]
+                kind, v = choice(a, d, j)
+                return ("ll", y1, y2, v) if kind == "ll" else ("rr", v, y1, y2)
+            r -= ring_dims[b, a] * width
+        # v in module block (b, a), then y2 in ring row a, which is one
+        # run of indexes from ring block (a, order[0]) on
+        for a in order:
+            if r < dims[b, a] * ring_row[a]:
+                q, j = divmod(r, ring_row[a])
+                v = module.basis[module._block_offsets[b, a] + q]
+                return ("lr", y1, v, ring.basis[ring._block_offsets[a, order[0]] + j])
+            r -= dims[b, a] * ring_row[a]
 
     return count, triple_at
 
@@ -426,7 +405,7 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     return _bimodule_axiom_witness(n, i, samples, seed) is None
 
 
-def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
+def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 0) -> dict:
     """Machine check of the saddle null-homotopy for U_i inside H_n.
 
     For each of the two endomorphisms (left X at one of the endpoints
@@ -437,7 +416,8 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
     and commute with the endomorphisms, and (optionally) the bimodule
     axioms.  Every image is computed on basis vectors from the per-basis
     maps, each side of each identity one _sum; the element-level maps
-    give the same verdicts.
+    give the same verdicts.  seed picks the sampled triples of the
+    bimodule axiom check.
 
     A failing check adds a counterexample field, a passing one adds
     none.  degree_counterexample is [map, repr(v)] for the first basis
@@ -536,7 +516,7 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True) -> dict:
         report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
     if check_axioms:
-        witness = _bimodule_axiom_witness(n, i)
+        witness = _bimodule_axiom_witness(n, i, seed=seed)
         report["bimodule_axioms"] = witness is None
         if witness is not None:
             report["bimodule_axioms_counterexample"] = witness

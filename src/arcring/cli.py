@@ -100,8 +100,8 @@ def check_iso(n: int, seed: int) -> dict:
     return verify_presentation_iso(n, seed=seed)
 
 
-def check_homotopy(n: int) -> dict:
-    indices = {str(i): verify_null_homotopy(i, n) for i in range(1, 2 * n)}
+def check_homotopy(n: int, seed: int) -> dict:
+    indices = {str(i): verify_null_homotopy(i, n, seed=seed) for i in range(1, 2 * n)}
     return {
         "indices": indices,
         "passed": all(rep["passed"] for rep in indices.values()),
@@ -126,7 +126,7 @@ def run_checks(n: int, which: list[str], seed: int) -> dict:
         elif name == "iso":
             results["checks"][name] = check_iso(n, seed)
         elif name == "homotopy":
-            results["checks"][name] = check_homotopy(n)
+            results["checks"][name] = check_homotopy(n, seed)
         elif name == "symmetric":
             results["checks"][name] = check_symmetric(n, seed)
     results["passed"] = all(c["passed"] for c in results["checks"].values())

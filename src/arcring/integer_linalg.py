@@ -2,17 +2,16 @@
 
 Everything here works with arbitrary-precision Python ints: Hermite and
 Smith normal forms, canonical row spans, saturated kernel bases, ranks,
-membership of a vector in the integer span of columns, and equality of
-column-span lattices.
+and membership of a vector in the integer span of columns.
 
 All of it runs on one echelon loop, _echelon, which always picks the
 pivot of smallest nonzero magnitude; that keeps intermediate entries
 small on the sparse, tiny-entry matrices this package produces.  A
 transform is carried, as an identity riding along in extra columns,
 only where it is read: hermite_normal_form returns it, for kernels and
-solves.  Canonical spans, ranks and lattice equality carry none, and
-the Smith diagonal comes from alternating row and column passes of the
-same loop, with no transforms at all.
+solves.  Canonical spans and ranks carry none, and the Smith diagonal
+comes from alternating row and column passes of the same loop, with no
+transforms at all.
 
 A matrix factors itself once: the first solve_in_column_span against
 it stores the Hermite factorization of its transpose on the matrix, and
@@ -278,13 +277,3 @@ def solve_in_column_span(M: IntMatrix, target) -> list[int] | None:
     if any(w):
         return None
     return x
-
-
-def lattice_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    """Do the columns of A and B span the same sublattice of Z^rows?
-
-    Compares the canonical row spans of the transposes.
-    """
-    if A.rows != B.rows:
-        raise ValueError(f"ambient ranks differ: {A.rows} vs {B.rows}")
-    return row_span_canonical(A.transpose()) == row_span_canonical(B.transpose())

@@ -14,6 +14,10 @@ words and never builds H_n for it.  ring_center_basis computes the
 center the first way, by multiplying z_a 1_ab and 1_ab z_b in a ring
 built under a given basis order, and total_order_independence compares
 that oracle under several orders with the library's center.
+
+commutator_quotient_rank, criterion 9's oracle, ranks H_n modulo its
+commutators by crossing every pair of basis vectors, and lattice_equal
+compares two column-span lattices.
 """
 
 import itertools
@@ -25,7 +29,7 @@ from arcring.braid_homotopy import _triple_sampler, get_bimodule
 from arcring.center import CenterBasis, center_basis, central_X
 from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
 from arcring.frobenius import ONE, X
-from arcring.integer_linalg import IntMatrix, kernel_basis, lattice_equal
+from arcring.integer_linalg import IntMatrix, kernel_basis, rank, row_span_canonical
 
 
 def ring_laws_report(n, seed=0, samples=10000):
@@ -127,7 +131,7 @@ def bimodule_axiom_witness(n, i, samples=300, seed=0):
     return None
 
 
-def null_homotopy_report(i, n, check_axioms=True):
+def null_homotopy_report(i, n, check_axioms=True, seed=0):
     """verify_null_homotopy, with every image computed on elements."""
     module = get_bimodule(n, i)
     ring = module.ring
@@ -198,7 +202,7 @@ def null_homotopy_report(i, n, check_axioms=True):
         report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
     if check_axioms:
-        witness = bimodule_axiom_witness(n, i)
+        witness = bimodule_axiom_witness(n, i, seed=seed)
         report["bimodule_axioms"] = witness is None
         if witness is not None:
             report["bimodule_axioms_counterexample"] = witness
@@ -302,3 +306,39 @@ def total_order_independence(n, seed=0):
         "lattices_equal": equal,
         "passed": equal,
     }
+
+
+def lattice_equal(A, B):
+    """Do the columns of A and B span the same sublattice of Z^rows?
+
+    Compares the canonical row spans of the transposes.
+    """
+    if A.rows != B.rows:
+        raise ValueError(f"ambient ranks differ: {A.rows} vs {B.rows}")
+    return row_span_canonical(A.transpose()) == row_span_canonical(B.transpose())
+
+
+def commutator_quotient_rank(n):
+    """Rank of H_n modulo the subgroup spanned by all xy - yx.
+
+    Computed over the full basis: one generator per composable ordered
+    pair of basis vectors, reduced by integer rank.
+    """
+    ring = get_ring(n)
+    rows = []
+    for vx in ring.basis:
+        for vy in ring.basis:
+            fwd = ring.multiply_basis(vx, vy) if vx.col == vy.row else ()
+            bwd = ring.multiply_basis(vy, vx) if vy.col == vx.row else ()
+            if not fwd and not bwd:
+                continue
+            vec = [0] * ring.dimension
+            for bv, c in fwd:
+                vec[ring.index[bv]] += c
+            for bv, c in bwd:
+                vec[ring.index[bv]] -= c
+            if any(vec):
+                rows.append(vec)
+    if not rows:
+        return ring.dimension
+    return ring.dimension - rank(IntMatrix(rows, cols=ring.dimension))

@@ -25,7 +25,6 @@ from arcring.arc_ring import (
     _ring_lines,
     _saddle_steps,
     _surgery_product,
-    commutator_quotient_rank,
     degree,
     get_ring,
     idempotent,
@@ -36,6 +35,7 @@ from arcring.arc_ring import (
 from arcring.cache import ring_to_payload
 from arcring.combinatorics import Matching, distance, enumerate_matchings, glue
 from arcring.errors import CapacityError, InvariantError, SizeMismatchError
+from element_reference import commutator_quotient_rank
 
 
 def test_label_words():

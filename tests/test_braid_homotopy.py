@@ -5,6 +5,7 @@ left-lower-minus-right-upper endomorphism carries sign (-1)^i, the
 other one the opposite, for every n up to 3.
 """
 
+import bisect
 import doctest
 import itertools
 import random
@@ -91,7 +92,7 @@ def test_bimodule_basis_counts():
                 for a in enumerate_matchings(n):
                     comp = compose_ui(i, a)
                     k = len(glue(b, comp.matching).circles) + comp.circles
-                    assert module.block_circles[(b, a)] == k
+                    assert module.block_dims[(b, a)] == 2**k
                     expected += 2 ** k
             assert module.dimension == expected
 
@@ -235,6 +236,122 @@ def test_triple_sampler_matches_list():
         assert [triples[k] for k in picks] == random.Random(0).sample(triples, 300)
         picks += random.Random(i).sample(range(count), 1000)
         assert all(triple_at(k) == triples[k] for k in picks)
+
+
+def _runs_triple_sampler(module):
+    """(count, triple_at) with each y1 block's segment laid out as runs.
+
+    The decoder verify_bimodule_axioms used before it decoded positions
+    from block sizes: each y1 block's triples are stored as runs of
+    equal shape, with lists of basis vectors, and triple_at bisects the
+    y1 starts and then the runs.  The oracle for _triple_sampler at
+    n = 4, where listing every triple is too slow.
+    """
+    ring = module.ring
+    ring_by_row = {}
+    for y in ring.basis:
+        ring_by_row.setdefault(y.row, []).append(y)
+    module_by_row, module_by_col = {}, {}
+    for v in module.basis:
+        module_by_row.setdefault(v.row, []).append(v)
+        module_by_col.setdefault(v.col, []).append(v)
+
+    choices = {}
+
+    def pick(c, d):
+        if (c, d) not in choices:
+            hits = {
+                module.index[v]: v
+                for v in itertools.chain(module_by_row.get(c, ()), module_by_col.get(d, ()))
+            }
+            choices[(c, d)] = [
+                (kind, v)
+                for _, v in sorted(hits.items())
+                for kind, hit in (("ll", v.row == c), ("rr", v.col == d))
+                if hit
+            ]
+        return choices[(c, d)]
+
+    segments = {}
+
+    def segment(d, b):
+        if (d, b) not in segments:
+            runs, start = [], 0
+            for a, group in itertools.groupby(ring_by_row.get(b, ()), key=lambda y: y.col):
+                y2s, ch = list(group), pick(a, d)
+                if ch:
+                    runs.append((start, y2s, ch))
+                    start += len(y2s) * len(ch)
+            for v in module_by_row.get(b, ()):
+                y2s = ring_by_row.get(v.col, [])
+                if y2s:
+                    runs.append((start, y2s, v))
+                    start += len(y2s)
+            segments[(d, b)] = ([run[0] for run in runs], runs, start)
+        return segments[(d, b)]
+
+    y1_starts, count = [], 0
+    for y1 in ring.basis:
+        y1_starts.append(count)
+        count += segment(y1.row, y1.col)[2]
+
+    def triple_at(k):
+        if not 0 <= k < count:
+            raise IndexError(f"triple {k} out of range({count})")
+        p = bisect.bisect_right(y1_starts, k) - 1
+        y1 = ring.basis[p]
+        starts, runs, _ = segment(y1.row, y1.col)
+        start, y2s, what = runs[bisect.bisect_right(starts, k - y1_starts[p]) - 1]
+        r = k - y1_starts[p] - start
+        if isinstance(what, list):
+            q, j = divmod(r, len(what))
+            kind, v = what[j]
+            return ("ll", y1, y2s[q], v) if kind == "ll" else ("rr", v, y1, y2s[q])
+        return ("lr", y1, what, y2s[r])
+
+    return count, triple_at
+
+
+def test_runs_oracle_matches_list():
+    # the oracle itself lists the triples in scan order
+    for n, i in ((2, 1), (2, 2), (3, 2)):
+        module = get_bimodule(n, i)
+        triples = _composable_triples(module)
+        count, triple_at = _runs_triple_sampler(module)
+        assert count == len(triples)
+        assert [triple_at(k) for k in range(count)] == triples
+
+
+@pytest.mark.parametrize("i", [1, 4, 7])
+def test_triple_sampler_matches_runs_oracle_n4(i):
+    # the sampled indexes, the ends and 2,000 seeded positions more
+    module = get_bimodule(4, i)
+    count, triple_at = _triple_sampler(module)
+    oracle_count, oracle_at = _runs_triple_sampler(module)
+    assert count == oracle_count
+    picks = random.Random(0).sample(range(count), 300)
+    picks += [0, count - 1] + random.Random(i).sample(range(count), 2000)
+    assert [triple_at(k) for k in picks] == [oracle_at(k) for k in picks]
+    for k in (-1, count):
+        with pytest.raises(IndexError):
+            triple_at(k)
+
+
+def test_homotopy_seed_picks_the_axiom_sample(monkeypatch):
+    # a right action that negates products with X-labeled ring vectors:
+    # the seed decides which failing triple the axiom check meets first,
+    # on the basis-level and the element-level path alike
+    _patch_basis_map(
+        monkeypatch, "right_mul_basis",
+        lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
+    )
+    witnesses = []
+    for seed in (0, 7):
+        report = verify_null_homotopy(1, 2, seed=seed)
+        reference = element_reference.null_homotopy_report(1, 2, seed=seed)
+        assert list(report.items()) == list(reference.items())
+        witnesses.append(report["bimodule_axioms_counterexample"])
+    assert witnesses[0] != witnesses[1]
 
 
 def test_saddle_maps_are_bimodule_maps():
@@ -585,7 +702,7 @@ def test_products_property_n4():
         def ring_vector(row, col):
             return BasisVector(row, col, word(len(glue(row, col).circles)))
 
-        x = BasisVector(b, a, word(module.block_circles[(b, a)]))
+        x = BasisVector(b, a, word(module.block_dims[(b, a)].bit_length() - 1))
         return module, x, ring_vector(a, a2), ring_vector(b2, b), ring_vector(b, a)
 
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -31,11 +31,11 @@ from arcring.center import (
 from arcring.combinatorics import admissible_subsets, catalan, enumerate_matchings
 from arcring.integer_linalg import (
     invariant_factors,
-    lattice_equal,
     rank as matrix_rank,
     solve_in_column_span,
 )
 from arcring.presentations import SquareFreePoly, admissible_coordinates
+from element_reference import lattice_equal
 
 
 def test_center_ranks():
@@ -187,6 +187,16 @@ def test_central_X_elementary_sums_vanish():
                     acc = ring.multiply(acc, z)
                 total = total + acc
             assert total.is_zero()
+
+
+def test_presentation_iso_elementary_field_can_fail(monkeypatch):
+    # doubling X_1 keeps every generator central with zero square, but
+    # e_1 = 2 X_1 + X_2 + ... + X_2n becomes X_1, which is not zero
+    real = center.central_X
+    monkeypatch.setattr(center, "central_X", lambda i, n: 2 * real(i, n) if i == 1 else real(i, n))
+    report = verify_presentation_iso(2)
+    assert report["generators_central"] and report["squares_vanish"]
+    assert report["elementary_symmetric_images_vanish"] is False
 
 
 def test_central_X_range_check():

@@ -154,18 +154,20 @@ def test_seed_reaches_sampled_checks(capsys, monkeypatch):
     seen = {}
 
     def fake(name):
-        def check(n, seed=0):
-            seen[name] = seed
+        def check(*args, seed=0):
+            seen.setdefault(name, []).append(seed)
             return {"passed": True}
 
         return check
 
     monkeypatch.setattr(cli, "verify_presentation_iso", fake("iso"))
     monkeypatch.setattr(cli, "verify_symmetric_action", fake("symmetric"))
-    argv = ["verify", "--n", "2", "--iso", "--symmetric", "--seed", "7"]
+    monkeypatch.setattr(cli, "verify_null_homotopy", fake("homotopy"))
+    argv = ["verify", "--n", "2", "--iso", "--symmetric", "--homotopy", "--seed", "7"]
     code, report, _ = run_json(capsys, argv)
     assert code == 0
-    assert seen == {"iso": 7, "symmetric": 7}
+    # the homotopy check runs once per tangle index i = 1, 2, 3
+    assert seen == {"iso": [7], "symmetric": [7], "homotopy": [7, 7, 7]}
 
 
 def test_symmetric_check_hnf_budget(capsys, hnf_calls):

@@ -1,4 +1,5 @@
-"""Exact integer matrix routines: HNF, SNF, kernels, lattice comparison.
+"""Exact integer matrix routines: HNF, SNF, kernels, and the lattice
+comparison element_reference keeps as an oracle.
 
 Randomized checks are seeded; invariant factors are cross-checked with
 the gcd-of-minors oracle computed independently in this file.
@@ -15,12 +16,12 @@ from arcring.integer_linalg import (
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
-    lattice_equal,
     rank,
     row_span_canonical,
     smith_normal_form,
     solve_in_column_span,
 )
+from element_reference import lattice_equal
 
 
 def random_matrix(rng, rows, cols, bound=6):

@@ -58,7 +58,6 @@ from .braid_homotopy import (
     FlatComposite,
     UiBimodule,
     compose_ui,
-    get_bimodule,
     verify_bimodule_axioms,
     verify_null_homotopy,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "FlatComposite",
     "UiBimodule",
     "compose_ui",
-    "get_bimodule",
     "verify_bimodule_axioms",
     "verify_null_homotopy",
     "load_or_build",

@@ -113,17 +113,37 @@ class RingElement(Combination):
         return "RingElement(" + " + ".join(bits) + ")"
 
 
-def _terms_by(z: RingElement, side: str) -> dict[Matching, list[tuple[BasisVector, int]]]:
-    """The terms of z grouped by the "row" or "col" matching of their vectors.
+def _two_sided(zl: RingElement, zr: RingElement, mul_left, mul_right, cls, space):
+    """The map items -> zl y - y zr, y the combination of the (vector,
+    coeff) items, each image one cls._sum in space.
 
-    A basis-level loop multiplies a vector v by z on the left through the
-    terms at v.row of _terms_by(z, "col"), and on the right through those
-    at v.col of _terms_by(z, "row"): the terms a product with v can use.
+    mul_left(u, w) and mul_right(w, u) multiply a basis vector w of y by
+    a ring basis vector u.  Only the terms of zl ending at w.row and of
+    zr starting at w.col compose with w, so they are grouped by that
+    matching once.  The unit laws are (1, 0) and (0, -1), centrality
+    is (z, z), and the homotopy endomorphisms are (X_i, X_j).
     """
-    groups: dict[Matching, list[tuple[BasisVector, int]]] = {}
-    for u, c in z.terms.items():
-        groups.setdefault(getattr(u, side), []).append((u, c))
-    return groups
+    at_left: dict[Matching, list] = {}
+    at_right: dict[Matching, list] = {}
+    for u, c in zl.terms.items():
+        at_left.setdefault(u.col, []).append((u, c))
+    for u, c in zr.terms.items():
+        at_right.setdefault(u.row, []).append((u, c))
+    return lambda items: cls._sum(space, itertools.chain(
+        ((c * cz, mul_left(u, w)) for w, c in items for u, cz in at_left.get(w.row, ())),
+        ((-c * cz, mul_right(w, u)) for w, c in items for u, cz in at_right.get(w.col, ())),
+    ))
+
+
+def _unit_failure(basis, one: RingElement, mul_left, mul_right, cls, space):
+    """The first v of basis with 1 v != v or v 1 != v, or None."""
+    zero = RingElement(one.n)
+    left = _two_sided(one, zero, mul_left, mul_right, cls, space)
+    right = _two_sided(zero, -one, mul_left, mul_right, cls, space)
+    return next(
+        (v for v in basis if left(((v, 1),)).terms != {v: 1} or right(((v, 1),)).terms != {v: 1}),
+        None,
+    )
 
 
 # a label word's rank, its position in label_words(len(word)), is the
@@ -566,18 +586,10 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
 
     # both laws on basis vectors, each side one _sum over basis products
     product = ring.multiply_basis
-    one = ring.unit()
-    one_left, one_right = _terms_by(one, "col"), _terms_by(one, "row")
-    unit_ok = True
-    for v in ring.basis:
-        e = {v: 1}
-        left = RingElement._sum(n, ((c, product(u, v)) for u, c in one_left.get(v.row, ())))
-        right = RingElement._sum(n, ((c, product(v, u)) for u, c in one_right.get(v.col, ())))
-        if left.terms != e or right.terms != e:
-            unit_ok = False
-            report["unit_counterexample"] = repr(v)
-            break
-    report["unit_law"] = unit_ok
+    failure = _unit_failure(ring.basis, ring.unit(), product, product, RingElement, n)
+    if failure is not None:
+        report["unit_counterexample"] = repr(failure)
+    report["unit_law"] = unit_ok = failure is None
 
     if n <= 2:
         triples = [

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache, partial
-from itertools import chain
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -39,7 +38,8 @@ from .arc_ring import (
     _kernel_product,
     _lay_out_blocks,
     _ring_lines,
-    _terms_by,
+    _two_sided,
+    _unit_failure,
     degree,
     get_ring,
 )
@@ -276,11 +276,6 @@ class UiBimodule:
         return BimoduleElement._sum(self.space, ((c, saddle(v)) for v, c in y.terms.items()))
 
 
-@lru_cache(maxsize=None)
-def get_bimodule(n: int, i: int) -> UiBimodule:
-    return UiBimodule(n, i)
-
-
 def _triple_sampler(module: UiBimodule):
     """(count, triple_at) for the composable basis triples, unlisted.
 
@@ -353,9 +348,7 @@ def _triple_sampler(module: UiBimodule):
     return count, triple_at
 
 
-def _bimodule_axiom_witness(
-    n: int, i: int, samples: int = 300, seed: int = 0
-) -> list | None:
+def _bimodule_axiom_witness(module: UiBimodule, samples: int = 300, seed: int = 0) -> list | None:
     """The first failing case of the bimodule axiom checks, or None.
 
     A failing unit law gives ["unit", repr(v)]; a failing associativity
@@ -363,19 +356,12 @@ def _bimodule_axiom_witness(
     _triple_sampler.  Both sides of each law are computed from the
     per-basis maps, each side one _sum.
     """
-    module = get_bimodule(n, i)
     ring = module.ring
     left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
     total = partial(BimoduleElement._sum, module.space)
-    one = ring.unit()
-    one_left, one_right = _terms_by(one, "col"), _terms_by(one, "row")
-    for v in module.basis:
-        x = {v: 1}
-        if (
-            total((c, left(u, v)) for u, c in one_left.get(v.row, ())).terms != x
-            or total((c, right(v, u)) for u, c in one_right.get(v.col, ())).terms != x
-        ):
-            return ["unit", repr(v)]
+    failure = _unit_failure(module.basis, ring.unit(), left, right, BimoduleElement, module.space)
+    if failure is not None:
+        return ["unit", repr(failure)]
 
     # sampling indexes draws the same triples as sampling the full list
     count, triple_at = _triple_sampler(module)
@@ -402,7 +388,7 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     Exhaustive when the number of composable triples is small, sampled
     with the given seed otherwise.
     """
-    return _bimodule_axiom_witness(n, i, samples, seed) is None
+    return _bimodule_axiom_witness(UiBimodule(n, i), samples, seed) is None
 
 
 def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 0) -> dict:
@@ -431,7 +417,7 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     """
     from .center import central_X
 
-    module = get_bimodule(n, i)
+    module = UiBimodule(n, i)
     ring = module.ring
     left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
     alpha, beta = module.alpha_basis, module.beta_basis
@@ -459,15 +445,6 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     if not degree_ok:
         report["degree_counterexample"] = degree_witness
 
-    def endomorphism(zl, zr, mul_left, mul_right, cls, space):
-        """items -> zl y - y zr for y the combination of the (vector, coeff)
-        items, in one _sum of basis products."""
-        at_left, at_right = _terms_by(zl, "col"), _terms_by(zr, "row")
-        return lambda items: cls._sum(space, chain(
-            ((c * cz, mul_left(u, w)) for w, c in items for u, cz in at_left.get(w.row, ())),
-            ((-c * cz, mul_right(w, u)) for w, c in items for u, cz in at_right.get(w.col, ())),
-        ))
-
     def sides(phi_ring, phi_module):
         """(kind, vector, endomorphism image, composite image, alpha image),
         ring basis first; a ring vector has no alpha image."""
@@ -489,8 +466,8 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
         # one pass computes each image once and feeds both signs, the
         # scan for a vector neither sign holds on, and the commute check;
         # holding the images instead would raise the peak memory
-        phi_ring = endomorphism(zl, zr, product, product, RingElement, n)
-        phi_module = endomorphism(zl, zr, left, right, BimoduleElement, space)
+        phi_ring = _two_sided(zl, zr, product, product, RingElement, n)
+        phi_module = _two_sided(zl, zr, left, right, BimoduleElement, space)
         plus = minus = neither = None
         commutes = True
         for kind, v, lhs, rhs, a in sides(phi_ring, phi_module):
@@ -516,7 +493,7 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
         report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
     if check_axioms:
-        witness = _bimodule_axiom_witness(n, i, seed=seed)
+        witness = _bimodule_axiom_witness(module, seed=seed)
         report["bimodule_axioms"] = witness is None
         if witness is not None:
             report["bimodule_axioms_counterexample"] = witness

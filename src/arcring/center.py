@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arc_ring import BasisVector, RingElement, _terms_by, degree, get_ring, label_words
+from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
 from .errors import InvariantError, SizeMismatchError
 from .frobenius import ONE, X, Combination
@@ -137,10 +137,9 @@ def center_basis(n: int) -> CenterBasis:
                     if pushed is not None:
                         row = rows.setdefault((a, b, pushed), [0] * len(cols))
                         row[col_pos[(c, w)]] += sign
-        if rows:
-            kernel = kernel_basis(IntMatrix(list(rows.values()), cols=len(cols)))
-        else:
-            kernel = IntMatrix.identity(len(cols)).data
+        # no rows (degree 2n, where the n X's always meet, and n = 1)
+        # leave the whole space: kernel_basis gives the identity
+        kernel = kernel_basis(IntMatrix(list(rows.values()), cols=len(cols)))
         graded[2 * k] = len(kernel)
         for vec in kernel:
             elements.append(
@@ -164,18 +163,8 @@ def is_central(z: RingElement) -> bool:
     """
     ring = get_ring(z.n)
     product = ring.multiply_basis
-    on_left, on_right = _terms_by(z, "col"), _terms_by(z, "row")
-    for v in ring.basis:
-        commutator = RingElement._sum(
-            z.n,
-            itertools.chain(
-                ((c, product(u, v)) for u, c in on_left.get(v.row, ())),
-                ((-c, product(v, u)) for u, c in on_right.get(v.col, ())),
-            ),
-        )
-        if not commutator.is_zero():
-            return False
-    return True
+    commutator = _two_sided(z, z, product, product, RingElement, z.n)
+    return all(commutator(((v, 1),)).is_zero() for v in ring.basis)
 
 
 def _diagonal_monomial(n: int, subset) -> RingElement:

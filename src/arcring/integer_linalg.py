@@ -1,17 +1,17 @@
 """Exact linear algebra over the integers.
 
 Everything here works with arbitrary-precision Python ints: Hermite and
-Smith normal forms, canonical row spans, saturated kernel bases, ranks,
-and membership of a vector in the integer span of columns.
+Smith normal forms, canonical row spans, saturated kernel bases, and
+membership of a vector in the integer span of columns.
 
 All of it runs on one echelon loop, _echelon, which always picks the
 pivot of smallest nonzero magnitude; that keeps intermediate entries
 small on the sparse, tiny-entry matrices this package produces.  A
 transform is carried, as an identity riding along in extra columns,
 only where it is read: hermite_normal_form returns it, for kernels and
-solves.  Canonical spans and ranks carry none, and the Smith diagonal
-comes from alternating row and column passes of the same loop, with no
-transforms at all.
+solves.  Canonical spans carry none, and the Smith diagonal comes from
+alternating row and column passes of the same loop, with no transforms
+at all.
 
 A matrix factors itself once: the first solve_in_column_span against
 it stores the Hermite factorization of its transpose on the matrix, and
@@ -175,11 +175,6 @@ def row_span_canonical(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """
     a = [row[:] for row in M.data if any(row)]
     return tuple(tuple(row) for row in a[: _echelon(a, M.cols)])
-
-
-def rank(M: IntMatrix) -> int:
-    """Rank over the rationals (torsion does not affect it)."""
-    return len(row_span_canonical(M))
 
 
 def kernel_basis(M: IntMatrix) -> list[list[int]]:

@@ -16,8 +16,9 @@ built under a given basis order, and total_order_independence compares
 that oracle under several orders with the library's center.
 
 commutator_quotient_rank, criterion 9's oracle, ranks H_n modulo its
-commutators by crossing every pair of basis vectors, and lattice_equal
-compares two column-span lattices.
+commutators by crossing every pair of basis vectors, lattice_equal
+compares two column-span lattices, and rank is a matrix's rank over
+the rationals.
 """
 
 import itertools
@@ -25,11 +26,11 @@ import math
 import random
 
 from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring, label_words
-from arcring.braid_homotopy import _triple_sampler, get_bimodule
+from arcring.braid_homotopy import UiBimodule, _triple_sampler
 from arcring.center import CenterBasis, center_basis, central_X
 from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
 from arcring.frobenius import ONE, X
-from arcring.integer_linalg import IntMatrix, kernel_basis, rank, row_span_canonical
+from arcring.integer_linalg import IntMatrix, kernel_basis, row_span_canonical
 
 
 def ring_laws_report(n, seed=0, samples=10000):
@@ -99,7 +100,7 @@ def grading_counterexample(ring):
 
 def bimodule_axiom_witness(n, i, samples=300, seed=0):
     """_bimodule_axiom_witness, with every law checked on elements."""
-    module = get_bimodule(n, i)
+    module = UiBimodule(n, i)
     ring = module.ring
     one = ring.unit()
     for v in module.basis:
@@ -133,7 +134,7 @@ def bimodule_axiom_witness(n, i, samples=300, seed=0):
 
 def null_homotopy_report(i, n, check_axioms=True, seed=0):
     """verify_null_homotopy, with every image computed on elements."""
-    module = get_bimodule(n, i)
+    module = UiBimodule(n, i)
     ring = module.ring
     z_lo = central_X(i, n)
     z_hi = central_X(i + 1, n)
@@ -316,6 +317,11 @@ def lattice_equal(A, B):
     if A.rows != B.rows:
         raise ValueError(f"ambient ranks differ: {A.rows} vs {B.rows}")
     return row_span_canonical(A.transpose()) == row_span_canonical(B.transpose())
+
+
+def rank(M):
+    """Rank over the rationals (torsion does not affect it)."""
+    return len(row_span_canonical(M))
 
 
 def commutator_quotient_rank(n):

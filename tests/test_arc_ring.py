@@ -218,6 +218,10 @@ def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
     # one ring product with the wrong sign: both paths name the same
     # first failing unit vector and associativity triple
     ring = get_ring(2)
+    v = next(v for v in ring.basis if v.row != v.col)
+    # an off-diagonal vector times the idempotent of its column breaks
+    # the right unit law at that vector
+    right_unit = (v, *ring.idempotent(v.col).terms)
     for x, y in (
         # an idempotent times an off-diagonal vector breaks the unit law
         next((x, y) for x in ring.basis for y in ring.basis
@@ -227,6 +231,7 @@ def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
         next((x, y) for x in ring.basis for y in ring.basis
              if x.row == x.col == y.row != y.col and "X" in x.labels
              and ring.multiply_basis(x, y)),
+        right_unit,
     ):
         real = ArcRing.multiply_basis
 
@@ -239,6 +244,8 @@ def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
             report = verify_ring_integrity(2)
             assert not report["passed"]
             assert _ring_law_fields(report) == list(element_reference.ring_laws_report(2).items())
+            if (x, y) == right_unit:
+                assert report["unit_counterexample"] == repr(v)
 
 
 def test_verify_ring_integrity():

@@ -7,20 +7,22 @@ other one the opposite, for every n up to 3.
 
 import bisect
 import doctest
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 import arcring.braid_homotopy
 import element_reference
 import surgery_reference
+from arcring import cli
 from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring
 from arcring.braid_homotopy import (
     UiBimodule,
     _triple_sampler,
     compose_ui,
-    get_bimodule,
     verify_bimodule_axioms,
     verify_null_homotopy,
 )
@@ -86,7 +88,7 @@ def test_bimodule_basis_counts():
     # block (b, a) has one circle from the free loop when (i, i+1) in a
     for n in (1, 2):
         for i in range(1, 2 * n):
-            module = get_bimodule(n, i)
+            module = UiBimodule(n, i)
             expected = 0
             for b in enumerate_matchings(n):
                 for a in enumerate_matchings(n):
@@ -100,7 +102,7 @@ def test_bimodule_basis_counts():
 def test_unit_acts_as_identity():
     for n in (1, 2):
         for i in range(1, 2 * n):
-            module = get_bimodule(n, i)
+            module = UiBimodule(n, i)
             one = module.ring.unit()
             for v in module.basis:
                 x = module.element({v: 1})
@@ -109,7 +111,7 @@ def test_unit_acts_as_identity():
 
 
 def test_action_block_vanishing():
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     ring = module.ring
     for y in ring.basis:
         for v in module.basis:
@@ -130,7 +132,7 @@ def test_action_block_vanishing():
 def test_actions_degree_preserving():
     # both actions add degrees exactly, like the ring product
     for n, i in ((1, 1), (2, 1), (2, 2)):
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         ring = module.ring
         for y in ring.basis:
             for v in module.basis:
@@ -210,7 +212,7 @@ def _composable_triples(module):
 def test_composable_triples_match_scan():
     cases = [(n, i) for n in (1, 2) for i in range(1, 2 * n)] + [(3, 1)]
     for n, i in cases:
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         assert _composable_triples(module) == scanned_triples(module)
 
 
@@ -218,7 +220,7 @@ def test_triple_sampler_matches_list():
     # every index for n <= 2
     for n in (1, 2):
         for i in range(1, 2 * n):
-            module = get_bimodule(n, i)
+            module = UiBimodule(n, i)
             triples = _composable_triples(module)
             count, triple_at = _triple_sampler(module)
             assert count == len(triples)
@@ -227,7 +229,7 @@ def test_triple_sampler_matches_list():
                 triple_at(count)
     # n = 3: the indexes verify_bimodule_axioms samples, and 1,000 more
     for i in range(1, 6):
-        module = get_bimodule(3, i)
+        module = UiBimodule(3, i)
         triples = _composable_triples(module)
         count, triple_at = _triple_sampler(module)
         assert count == len(triples)
@@ -315,7 +317,7 @@ def _runs_triple_sampler(module):
 def test_runs_oracle_matches_list():
     # the oracle itself lists the triples in scan order
     for n, i in ((2, 1), (2, 2), (3, 2)):
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         triples = _composable_triples(module)
         count, triple_at = _runs_triple_sampler(module)
         assert count == len(triples)
@@ -325,7 +327,7 @@ def test_runs_oracle_matches_list():
 @pytest.mark.parametrize("i", [1, 4, 7])
 def test_triple_sampler_matches_runs_oracle_n4(i):
     # the sampled indexes, the ends and 2,000 seeded positions more
-    module = get_bimodule(4, i)
+    module = UiBimodule(4, i)
     count, triple_at = _triple_sampler(module)
     oracle_count, oracle_at = _runs_triple_sampler(module)
     assert count == oracle_count
@@ -356,7 +358,7 @@ def test_homotopy_seed_picks_the_axiom_sample(monkeypatch):
 
 def test_saddle_maps_are_bimodule_maps():
     for n, i in ((1, 1), (2, 1), (2, 2), (2, 3)):
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         ring = module.ring
         for y in ring.basis:
             ey = RingElement(n, {y: 1})
@@ -387,7 +389,7 @@ def test_saddle_maps_are_bimodule_maps():
 
 def test_saddle_maps_degree_one():
     for n, i in ((1, 1), (2, 1), (2, 2)):
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         for v in module.basis:
             for w in module.alpha(module.element({v: 1})).terms:
                 assert degree(w) == degree(v) + 1
@@ -400,7 +402,7 @@ def test_alpha_beta_unit_image():
     # the composite on the unit gives the difference of the two
     # distinguished central elements, up to the recorded global sign
     for n, i in ((1, 1), (2, 1), (2, 2)):
-        module = get_bimodule(n, i)
+        module = UiBimodule(n, i)
         ring = module.ring
         z = central_X(i, n) - central_X(i + 1, n)
         image = module.alpha(module.beta(ring.unit()))
@@ -462,7 +464,7 @@ def test_passing_homotopy_report_has_no_counterexample():
 def test_homotopy_counterexample_fails_both_signs(monkeypatch):
     # with alpha doubled, the first vector with a nonzero composite is
     # off by a factor of two under either sign
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     ring = module.ring
     first = next(
         v for v in ring.basis
@@ -499,7 +501,7 @@ def test_homotopy_counterexample_per_sign(monkeypatch):
 
 def test_degree_counterexample(monkeypatch):
     # alpha that drops every X lands below degree + 1
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     first = next(v for v in module.basis if any("X" in z.labels for z, _ in module.alpha_basis(v)))
     _patch_basis_map(
         monkeypatch, "alpha_basis",
@@ -537,7 +539,7 @@ def test_commutes_counterexample_is_first_failure(monkeypatch):
         monkeypatch, "right_mul_basis",
         lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
     )
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     ring = module.ring
     z_lo, z_hi = central_X(1, 2), central_X(2, 2)
     failures = []
@@ -556,12 +558,32 @@ def test_commutes_counterexample_is_first_failure(monkeypatch):
     assert report["commutes_counterexample"] == failures[0]
 
 
-def test_unit_counterexample(monkeypatch):
-    # a right action that kills everything fails the unit law first
-    module = get_bimodule(2, 1)
-    _patch_basis_map(monkeypatch, "right_mul_basis", lambda vs, out: ())
+@pytest.mark.parametrize("action", ["left_mul_basis", "right_mul_basis"])
+def test_unit_counterexample(monkeypatch, action):
+    # an action that kills everything fails the unit law first, at the
+    # first basis vector, on the basis-level and the element-level path
+    module = UiBimodule(2, 1)
+    _patch_basis_map(monkeypatch, action, lambda vs, out: ())
     report = verify_null_homotopy(1, 2)
-    assert report["bimodule_axioms_counterexample"] == ["unit", repr(module.basis[0])]
+    witness = ["unit", repr(module.basis[0])]
+    assert report["bimodule_axioms_counterexample"] == witness
+    assert element_reference.bimodule_axiom_witness(2, 1) == witness
+
+
+def test_homotopy_check_frees_its_modules(monkeypatch):
+    # each check builds its own F(U_i), and nothing keeps it alive after
+    # the check has reported
+    built = []
+    real = UiBimodule.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(UiBimodule, "__init__", recording)
+    assert cli.check_homotopy(2, 0)["passed"]
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
 
 
 def test_null_homotopy_computes_each_image_once(monkeypatch):
@@ -573,7 +595,7 @@ def test_null_homotopy_computes_each_image_once(monkeypatch):
     # beta run once per vector for the degree check, then per
     # endomorphism once per term of each composite, once per bimodule
     # vector for its composite, and once per term of each commute image
-    module = get_bimodule(3, 2)
+    module = UiBimodule(3, 2)
     ring = module.ring
     dim, ring_dim = module.dimension, ring.dimension
     phi_terms = 0
@@ -618,7 +640,7 @@ def test_basis_level_verdict_matches_element_level(n, i):
 def test_wrong_alpha_sign_matches_element_level(monkeypatch):
     # alpha negated on one bimodule vector: both paths name the same
     # counterexamples
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     flipped = [v for v in module.basis if module.alpha_basis(v)][3]
     _patch_basis_map(
         monkeypatch, "alpha_basis",
@@ -693,7 +715,7 @@ def test_products_property_n4():
     @st.composite
     def cases(draw):
         i = draw(st.integers(1, 7))
-        module = get_bimodule(4, i)
+        module = UiBimodule(4, i)
         b2, b, a, a2 = (draw(st.sampled_from(ms)) for _ in range(4))
 
         def word(k):

@@ -29,13 +29,9 @@ from arcring.center import (
     verify_symmetric_action,
 )
 from arcring.combinatorics import admissible_subsets, catalan, enumerate_matchings
-from arcring.integer_linalg import (
-    invariant_factors,
-    rank as matrix_rank,
-    solve_in_column_span,
-)
+from arcring.integer_linalg import invariant_factors, solve_in_column_span
 from arcring.presentations import SquareFreePoly, admissible_coordinates
-from element_reference import lattice_equal
+from element_reference import lattice_equal, rank as matrix_rank
 
 
 def test_center_ranks():

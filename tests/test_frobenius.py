@@ -14,7 +14,7 @@ import pytest
 
 import arcring.frobenius
 from arcring.arc_ring import BasisVector, RingElement, degree, get_ring, unit
-from arcring.braid_homotopy import BimoduleElement, get_bimodule
+from arcring.braid_homotopy import BimoduleElement, UiBimodule
 from arcring.combinatorics import enumerate_matchings
 from arcring.errors import SizeMismatchError
 from arcring.frobenius import LABELS, MERGE, ONE, SPLIT, X, Combination
@@ -179,9 +179,9 @@ def _ring_case():
 
 
 def _bimodule_case():
-    module = get_bimodule(2, 1)
+    module = UiBimodule(2, 1)
     u, v = (module.element({b: 1}) for b in module.basis[:2])
-    spaces = [BimoduleElement(1, 1, {}), get_bimodule(2, 2).element({module.basis[0]: 1})]
+    spaces = [BimoduleElement(1, 1, {}), UiBimodule(2, 2).element({module.basis[0]: 1})]
     return u, v, spaces, RingElement(2, {get_ring(2).basis[0]: 1})
 
 

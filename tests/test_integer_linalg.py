@@ -1,5 +1,5 @@
 """Exact integer matrix routines: HNF, SNF, kernels, and the lattice
-comparison element_reference keeps as an oracle.
+comparison and rank element_reference keeps as oracles.
 
 Randomized checks are seeded; invariant factors are cross-checked with
 the gcd-of-minors oracle computed independently in this file.
@@ -16,12 +16,11 @@ from arcring.integer_linalg import (
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
-    rank,
     row_span_canonical,
     smith_normal_form,
     solve_in_column_span,
 )
-from element_reference import lattice_equal
+from element_reference import lattice_equal, rank
 
 
 def random_matrix(rng, rows, cols, bound=6):

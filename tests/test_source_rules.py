@@ -3,7 +3,8 @@
 A structural surprise raises one of the typed errors in errors.py,
 never a bare AssertionError: an assert statement is stripped under
 python -O, and its error names nothing a caller could catch apart
-from a failing test.
+from a failing test.  A function cache keeps what it returns for the
+life of the process, so the cached functions are listed by name.
 """
 
 import ast
@@ -41,3 +42,30 @@ def test_cache_and_cli_import_no_private_names():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_process_wide_caches_are_listed():
+    # a new process-wide cache takes a deliberate edit of this list
+    cached = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    }
+    assert cached == {
+        "label_words",
+        "get_ring",
+        "_diagonal_positions",
+        "glue",
+        "_matchings",
+        "arrows",
+        "monomials_of_degree",
+        "_admissible_index",
+    }

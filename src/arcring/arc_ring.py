@@ -13,16 +13,19 @@ the cobordism's connected components: which input and output circles
 each one joins, and its genus.  So the default path never replays the
 saddles.  Key: _cobordism_key() is the one routine that builds a key,
 for ring products and for the cup-cap bimodules of braid_homotopy
-alike.  It takes a stack of diagrams, each given by the circle through
-each point of its upper and lower point line (_ring_lines() for a ring
-block), and the output's lines; the cobordism joins the circles that
-meet at each point where the lines touch, and the classes of these
-links are the components.  A ring triple (c, b, a) stacks glue(c, b)
-on glue(b, a) and ends in glue(c, a).  Each arc of b is one saddle, in
-the component of its circles.  A component is built from its k_in
-input cylinders by s saddles, each lowering the Euler characteristic
-by one, so 2 - 2g - (k_in + k_out) = -s and its genus is
-g = (2 - k_in - k_out + s) / 2.  The key is the sorted tuple of
+alike.  It takes a stack of diagrams and the output, each given by its
+lines: per circle, the bitmask of its points on the upper and on the
+lower point line (_ring_lines() for a ring block; the ring and each
+bimodule build every block's lines once, with its basis).  It shifts
+each circle's masks onto the interfaces where the lines touch, and
+joins every circle whose mask meets a component into it, so the
+components come out with the circles they hold as bits.  A ring
+triple (c, b, a) stacks glue(c, b) on glue(b, a) and ends in
+glue(c, a).  Each arc of b is one saddle, counted in a component as a
+bit of its mask on the interface below the top input.  A component is
+built from its k_in input cylinders by s saddles, each lowering the
+Euler characteristic by one, so 2 - 2g - (k_in + k_out) = -s and its
+genus is g = (2 - k_in - k_out + s) / 2.  The key is the sorted tuple of
 (input mask, output mask, g) over the components, the masks selecting
 circles as bits of a word's rank, its position in label_words() (the
 word read in binary with X = 1).  Row: a component multiplies its t
@@ -37,7 +40,8 @@ first use; 64 keys serve the 2,744 triples at n = 4) and the basis
 slice of the output block, and _kernel_product() reads a word's row
 through that slice.  ArcRing and the bimodules keep one kernel per
 block key, so a product is a row lookup, and a row is built only for
-products actually asked for.
+products actually asked for, or, for the ring, once the walk of its
+product table reaches the key.
 
 Saddle surgery is kept as an independent second calculus.  Only a ring
 product with an explicit arc_order is computed that way:
@@ -151,87 +155,64 @@ def _unit_failure(basis, one: RingElement, mul_left, mul_right, cls, space):
 _BITS = str.maketrans("1X", "01")
 
 
-def _cobordism_components(k_in: int, k_out: int, links, saddles) -> tuple:
-    """The sorted (input mask, output mask, genus) key of one cobordism.
-
-    Nodes 0 .. k_in - 1 are the input circles and k_in .. k_in + k_out - 1
-    the output circles; input circle p is bit k_in - 1 - p of an input
-    rank and output circle q bit k_out - 1 - q of an output rank.  Each
-    link (u, v) says the cobordism joins nodes u and v, and the classes
-    the links generate are its components.  Each saddle node puts one
-    saddle in its component, and a component with s saddles has genus
-    g = (2 - k_in - k_out + s) / 2.  A numerator that is odd or negative
-    means the links and saddles describe no surface: InvariantError.
-    """
-    size = k_in + k_out
-    parent = list(range(size))
-    for u, v in links:
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        if u != v:
-            parent[v] = u
-    root = []
-    for u in range(size):
-        while parent[u] != u:
-            u = parent[u]
-        root.append(u)
-    # node u is bit size - 1 - u of its component's mask
-    masks = [0] * size
-    bit = 1 << (size - 1)
-    for r in root:
-        masks[r] |= bit
-        bit >>= 1
-    twice_g = [2] * size
-    for u in saddles:
-        twice_g[root[u]] += 1
-    low = (1 << k_out) - 1
-    key = []
-    for r in set(root):
-        m = masks[r]
-        t = twice_g[r] - m.bit_count()
-        if t < 0 or t & 1:
-            raise InvariantError(
-                f"a component with {m.bit_count()} boundary circles and"
-                f" {twice_g[r] - 2} saddles has no genus"
-            )
-        key.append((m >> k_out, m & low, t >> 1))
-    key.sort()
-    return tuple(key)
-
-
 def _ring_lines(b: Matching, a: Matching) -> tuple:
-    """(upper, lower, k) of ring block (b, a), whose two lines are one."""
-    diagram = glue(b, a)
-    return diagram.endpoint_to_circle, diagram.endpoint_to_circle, len(diagram.circles)
+    """(upper, lower) lines of ring block (b, a), whose two lines are one."""
+    masks = tuple([sum(1 << e for e in circle) for circle in glue(b, a).circles])
+    return masks, masks
 
 
 def _cobordism_key(n: int, stack: list, out: tuple, arcs) -> tuple:
-    """The cobordism key from the diagrams of stack, top to bottom, to out.
+    """The sorted (input mask, output mask, genus) key of the cobordism
+    from the diagrams of stack, top to bottom, to out.
 
-    Each diagram is given by its (upper, lower, k) lines: the label
-    position of the circle through each point of its upper and lower
-    point line (index 0 unused), and its circle count.  The input
-    circles are numbered down the stack.  At every point e the
-    cobordism joins the top input's upper line to out's upper line,
-    each input's lower line to the next input's upper line, and the
-    bottom input's lower line to out's lower line.  Each arc (r, s) is
-    one saddle, on the top input's lower line at r.
+    Each diagram is given by its (upper, lower) lines: per circle, in
+    label position order, the mask of its points e (bit e) on the upper
+    and on the lower point line.  Interface j holds point e as bit
+    j (2n + 1) + e: interface 0 joins the top input's upper line to
+    out's upper line, each next one an input's lower line to the next
+    input's upper line, and the last the bottom input's lower line to
+    out's lower line; circles that meet there share a component.  Input
+    circle p, numbered down the stack, is bit k_in - 1 - p of an input
+    rank, and output circle q bit k_out - 1 - q of an output rank.  Each
+    arc (r, s) is one saddle, at point r of interface 1.  A component
+    with s saddles has genus g = (2 - k_in - k_out + s) / 2; a numerator
+    that is odd or negative means no surface: InvariantError.
     """
-    points = range(1, 2 * n + 1)
-    k_in = sum(k for *_, k in stack)
-    out_upper, out_lower, k_out = out
-    top = stack[0][0]
-    links = [(top[e], k_in + out_upper[e]) for e in points]
-    base = 0
-    for (_, lower, k), (upper, _, _) in zip(stack, stack[1:]):
-        links += [(base + lower[e], base + k + upper[e]) for e in points]
-        base += k
-    bottom = stack[-1][1]
-    links += [(base + bottom[e], k_in + out_lower[e]) for e in points]
-    saddles = [stack[0][1][r] for r, _ in arcs]
-    return _cobordism_components(k_in, k_out, links, saddles)
+    width = 2 * n + 1
+    circles = [
+        up << j * width | lo << (j + 1) * width
+        for j, (upper, lower) in enumerate(stack)
+        for up, lo in zip(upper, lower)
+    ]
+    k_out = len(out[0])
+    circles += [up | lo << len(stack) * width for up, lo in zip(*out)]
+    # (point mask, circle bits) per component, pairwise disjoint in points
+    components: list[tuple[int, int]] = []
+    bit = 1 << len(circles)
+    for mask in circles:
+        bit >>= 1
+        bits, apart = bit, []
+        for other, other_bits in components:
+            if other & mask:
+                mask |= other
+                bits |= other_bits
+            else:
+                apart.append((other, other_bits))
+        apart.append((mask, bits))
+        components = apart
+    saddles = sum(1 << width + r for r, _ in arcs)
+    low = (1 << k_out) - 1
+    key = []
+    for mask, bits in components:
+        s = (mask & saddles).bit_count()
+        t = 2 + s - bits.bit_count()
+        if t < 0 or t & 1:
+            raise InvariantError(
+                f"a component with {bits.bit_count()} boundary circles and {s} saddles has no genus"
+            )
+        key.append((bits >> k_out, bits & low, t >> 1))
+    key.sort()
+    return tuple(key)
 
 
 def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
@@ -263,35 +244,31 @@ def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
     return tuple([(o, coeff) for o in outs])
 
 
-def _build_kernel(ring, target, stack: list, lines: tuple, arcs, block) -> tuple:
-    """(key, table, output basis slice) of the cobordism from stack to lines.
+def _build_kernel(ring, target, stack: list, arcs, block) -> tuple:
+    """(key, table, output basis slice) of the cobordism from stack to
+    block of target, the ring or a bimodule over it.
 
-    lines are those of block of target, the ring or a bimodule over it.
     A row depends only on the key, so every kernel with the same key
     shares one table through ring._tables, with one row slot per input
     word rank, filled on first use.
     """
-    key = _cobordism_key(ring.n, stack, lines, arcs)
+    key = _cobordism_key(ring.n, stack, target._lines[block], arcs)
     table = ring._tables.get(key)
     if table is None:
-        table = ring._tables[key] = [None] * 2 ** sum(k for *_, k in stack)
+        table = ring._tables[key] = [None] * 2 ** sum(len(upper) for upper, _ in stack)
     start = target._block_offsets[block]
-    return key, table, target.basis[start : start + 2 ** lines[2]]
-
-
-def _table_row(key: tuple, table: list, rank: int) -> tuple:
-    """The row of one input rank in a key's table, built on first use."""
-    row = table[rank]
-    if row is None:
-        row = table[rank] = _cobordism_row(key, rank)
-    return row
+    return key, table, target.basis[start : start + target.block_dims[block]]
 
 
 def _kernel_product(kernel: tuple, word: str) -> tuple:
-    """The product of one input label word under a kernel: its row, read
-    through the output basis slice."""
+    """The product of one input label word under a kernel: its row, built
+    on first use, read through the output basis slice."""
     key, table, out = kernel
-    return tuple([(out[o], k) for o, k in _table_row(key, table, int(word.translate(_BITS), 2))])
+    rank = int(word.translate(_BITS), 2)
+    row = table[rank]
+    if row is None:
+        row = table[rank] = _cobordism_row(key, rank)
+    return tuple([(out[o], k) for o, k in row])
 
 
 def _saddle_steps(c: Matching, b: Matching, a: Matching, arc_order) -> list[tuple]:
@@ -378,18 +355,21 @@ def _surgery_product(steps: list[tuple], word: str) -> list[tuple[str, int]]:
     return sorted((w, k) for w, k in terms.items() if k)
 
 
-def _lay_out_blocks(space, order: list[Matching], circles) -> None:
+def _lay_out_blocks(space, order: list[Matching], lines) -> None:
     """Give space, the ring or a bimodule, its basis block by block.
 
     Blocks (b, a) run over order x order, and block (b, a) holds the
-    label words of its circles(b, a) circles.  Sets space.basis,
-    space.block_dims (2^k per block), space._block_offsets (the index
-    of each block's first vector), space.index and space.dimension.
+    label words of the k circles of its lines(b, a), the (upper, lower)
+    lines that _cobordism_key reads.  Sets space.basis, space.block_dims
+    (2^k per block), space._block_offsets (the index of each block's
+    first vector), space._lines (each block's lines), space.index and
+    space.dimension.
     """
-    space.basis, space.block_dims, space._block_offsets = [], {}, {}
+    space.basis, space.block_dims, space._block_offsets, space._lines = [], {}, {}, {}
     for b in order:
         for a in order:
-            k = circles(b, a)
+            upper, _ = space._lines[b, a] = lines(b, a)
+            k = len(upper)
             space.block_dims[b, a] = 2**k
             space._block_offsets[b, a] = len(space.basis)
             space.basis += [BasisVector(b, a, w) for w in label_words(k)]
@@ -421,7 +401,7 @@ class ArcRing:
         if set(order) != expected or len(order) != len(expected):
             raise ValueError("order must enumerate every matching exactly once")
         self.order = list(order)
-        _lay_out_blocks(self, self.order, lambda b, a: len(glue(b, a).circles))
+        _lay_out_blocks(self, self.order, _ring_lines)
         # the product table's blocks (c, b) in scan order, each as (first
         # position, first x index, first index of row b, width of row b)
         order, dims = self.order, self.block_dims
@@ -471,10 +451,8 @@ class ArcRing:
         The product cobordism stacks glue(c, b) on glue(b, a), with one
         saddle per arc of b, and ends in glue(c, a).
         """
-        stack = [_ring_lines(c, b), _ring_lines(b, a)]
-        kernel = self._kernels[(c, b, a)] = _build_kernel(
-            self, self, stack, _ring_lines(c, a), b.pairs, (c, a)
-        )
+        stack = [self._lines[c, b], self._lines[b, a]]
+        kernel = self._kernels[(c, b, a)] = _build_kernel(self, self, stack, b.pairs, (c, a))
         return kernel
 
     # -- the product table ---------------------------------------------
@@ -500,26 +478,34 @@ class ArcRing:
     def table_rows(self):
         """Each basis vector's row of the product table, in scan order.
 
-        Yields (x index, [(y index, z offset, row), ...]): the product of
-        x and y is the sum of coeff times basis vector z offset + o over
-        the (o, coeff) of row.  x in block (c, b) and y in block (b, a)
-        multiply through the kernel of triple (c, b, a), whose table row
-        at the rank of x.labels + y.labels holds the product in the
-        output ranks of block (c, a).  No product memo is filled.
+        Yields (x index, [(first y index, z offset, rows), ...]), one
+        chunk per block (b, a) of row x.col: the product of x and the y
+        of index first y index + j is the sum of coeff times basis vector
+        z offset + o over the (o, coeff) of rows[j].  x in block (c, b)
+        and y in block (b, a) multiply through the kernel of triple
+        (c, b, a), whose table row at the rank of x.labels + y.labels
+        holds the product in the output ranks of block (c, a), so rows
+        is the slice of that table at x.labels.  The walk reads every
+        rank of a key's table, so it fills the whole table the first
+        time it reaches the key.  No product memo is filled.
         """
         order, dims, offsets = self.order, self.block_dims, self._block_offsets
+        filled = set()
         for c in order:
             for b in order:
                 blocks = []
                 for a in order:
                     key, table, _ = self._kernels.get((c, b, a)) or self._kernel(c, b, a)
-                    blocks.append((offsets[b, a], dims[b, a], key, table, offsets[c, a]))
+                    if key not in filled:
+                        filled.add(key)
+                        for r, row in enumerate(table):
+                            if row is None:
+                                table[r] = _cobordism_row(key, r)
+                    blocks.append((offsets[b, a], dims[b, a], table, offsets[c, a]))
                 start = offsets[c, b]
                 for rx in range(dims[c, b]):
                     yield start + rx, [
-                        (y0 + ry, z0, _table_row(key, table, rx * dy + ry))
-                        for y0, dy, key, table, z0 in blocks
-                        for ry in range(dy)
+                        (y0, z0, table[rx * dy : rx * dy + dy]) for y0, dy, table, z0 in blocks
                     ]
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:
@@ -619,18 +605,20 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
     report["associative"] = assoc_ok
 
     # read off the product table's walk, which fills no product memo
-    grading_ok = True
     degrees = [degree(v) for v in ring.basis]
-    for xi, row in ring.table_rows():
-        for yi, z0, terms in row:
-            want = degrees[xi] + degrees[yi]
-            if any(degrees[z0 + o] != want for o, _ in terms):
-                grading_ok = False
-                report["grading_counterexample"] = [repr(ring.basis[xi]), repr(ring.basis[yi])]
-                break
-        if not grading_ok:
-            break
-    report["grading_multiplicative"] = grading_ok
+    failure = next(
+        (
+            (xi, yi)
+            for xi, chunks in ring.table_rows()
+            for y0, z0, rows in chunks
+            for yi, terms in enumerate(rows, y0)
+            if terms and any(degrees[z0 + o] != degrees[xi] + degrees[yi] for o, _ in terms)
+        ),
+        None,
+    )
+    if failure is not None:
+        report["grading_counterexample"] = [repr(ring.basis[i]) for i in failure]
+    report["grading_multiplicative"] = grading_ok = failure is None
 
     # every pair has n middle arcs, and one arc has only one order
     order_ok = True

@@ -11,8 +11,10 @@ there is one (UiBimodule says where each point of the diagram lies).
 Like a ring product, each action and each saddle map is the TQFT map of
 a cobordism, fixed by its components.  It is keyed once per block key
 by arc_ring._cobordism_key(), the one key routine, from the stack of
-its diagrams, and applied through the ring's kernel lookup:
-arc_ring._build_kernel() and arc_ring._kernel_product().
+its diagrams, each given by the point masks of its circles: the module
+builds its blocks' masks once, with its basis, and reads the ring's
+blocks from the ring.  The kernel is applied through the ring's
+lookup: arc_ring._build_kernel() and arc_ring._kernel_product().
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -121,7 +123,8 @@ class UiBimodule:
     circle endpoint_to_circle[e]; a lower-line point off i, i+1 lies on
     the circle of the upper point above it; lower points i and i+1 lie
     on the free circle if a has the arc (i, i+1), and otherwise on the
-    circle of the upper point a.partner[e].
+    circle of the upper point a.partner[e].  _block_lines() writes this
+    as each circle's point masks, built once per block in _lines.
 
     The two actions and the two saddle maps are cobordism maps, each
     keyed once per block key by its components, as ArcRing keys a
@@ -136,12 +139,8 @@ class UiBimodule:
         # the space tag of its elements
         self.space = (n, i)
         self.ring = get_ring(n)
-        composite = self.composite = {a: compose_ui(i, a) for a in self.ring.order}
-        _lay_out_blocks(
-            self,
-            self.ring.order,
-            lambda b, a: len(glue(b, composite[a].matching).circles) + composite[a].circles,
-        )
+        self.composite = {a: compose_ui(i, a) for a in self.ring.order}
+        _lay_out_blocks(self, self.ring.order, self._block_lines)
         self._left: dict = {}
         self._right: dict = {}
         self._alpha: dict = {}
@@ -153,17 +152,17 @@ class UiBimodule:
 
     # -- cobordism kernels, one per block key --------------------------------
 
-    def _lines(self, b: Matching, a: Matching) -> tuple:
-        """(upper, lower, k) of block (b, a): the label position of each
-        upper- and lower-line point (index 0 unused), and the circle count."""
+    def _block_lines(self, b: Matching, a: Matching) -> tuple:
+        """(upper, lower) lines of block (b, a): per label position, the
+        mask of its points on the upper and on the lower point line."""
         comp = self.composite[a]
-        diagram = glue(b, comp.matching)
-        upper = diagram.endpoint_to_circle
-        k = len(diagram.circles)
+        owner = glue(b, comp.matching).endpoint_to_circle
+        upper = list(_ring_lines(b, comp.matching)[0]) + [0] * comp.circles
         lower = list(upper)
         for e in (self.i, self.i + 1):
-            lower[e] = k if comp.circles else upper[a.partner[e]]
-        return upper, lower, k + comp.circles
+            lower[owner[e]] ^= 1 << e
+            lower[-1 if comp.circles else owner[a.partner[e]]] |= 1 << e
+        return tuple(upper), tuple(lower)
 
     def _kernel(self, kind: str, *blocks: Matching) -> tuple:
         """Build and store (key, table, output basis slice) of one block key.
@@ -174,22 +173,20 @@ class UiBimodule:
         saddle at the arc (i, i+1) where the cup-cap pair is cut or made.
         """
         cut = ((self.i, self.i + 1),)
+        lines, ring_lines = self._lines, self.ring._lines
         if kind == "right":
             b, a, a2 = blocks
-            stack, arcs, out = [self._lines(b, a), _ring_lines(a, a2)], a.pairs, (b, a2)
+            stack, arcs, out = [lines[b, a], ring_lines[a, a2]], a.pairs, (b, a2)
         elif kind == "left":
             b2, b, a = blocks
-            stack, arcs, out = [_ring_lines(b2, b), self._lines(b, a)], b.pairs, (b2, a)
+            stack, arcs, out = [ring_lines[b2, b], lines[b, a]], b.pairs, (b2, a)
         elif kind == "alpha":
-            stack, arcs, out = [self._lines(*blocks)], cut, blocks
+            stack, arcs, out = [lines[blocks]], cut, blocks
         else:
-            stack, arcs, out = [_ring_lines(*blocks)], cut, blocks
+            stack, arcs, out = [ring_lines[blocks]], cut, blocks
         # alpha lands in the ring, the other three in the bimodule
         target = self.ring if kind == "alpha" else self
-        lines = _ring_lines(*out) if kind == "alpha" else self._lines(*out)
-        kernel = self._kernels[(kind, *blocks)] = _build_kernel(
-            self.ring, target, stack, lines, arcs, out
-        )
+        kernel = self._kernels[(kind, *blocks)] = _build_kernel(self.ring, target, stack, arcs, out)
         return kernel
 
     def _product(self, kind: str, blocks: tuple, word: str) -> tuple:

@@ -34,10 +34,12 @@ a seeded sample of the loaded products is recomputed by saddle surgery,
 which shares no code with the kernels; a mismatch raises
 InvariantError, since a rebuild would read the same kernels.
 
-The kernel tables are a few hundred thousand tuples with no reference
-cycles, so building them would only trigger collector passes that find
-nothing; store_ring and load_ring pause the cyclic garbage collector
-around that work and restore its state after.
+The walk is ArcRing.table_rows: per basis vector, one slice of a
+kernel table per block of its row, each key's table filled whole when
+the walk first reaches it.  The tables are a few hundred thousand
+tuples with no reference cycles, so building them would only trigger
+collector passes that find nothing; store_ring and load_ring pause the
+cyclic garbage collector around that work and restore its state after.
 
 The cache directory comes from, in order: an explicit argument, the
 ARCRING_CACHE_DIR environment variable, ~/.cache/arcring.
@@ -96,22 +98,30 @@ def _row_lines(ring: ArcRing):
     """Each basis vector's row line of the file, in file order: its
     [x index, y index, terms] entries comma-joined, terms being
     [[z index, coeff], ...], and a comma unless it is the last."""
-    # each index's text is made once
+    # each index's text, and each y index's zero-product entry, is made once
     digits = [str(i) for i in range(ring.dimension)]
+    zero = [f"{d},[]]" for d in digits]
     last = ring.dimension - 1
-
-    def terms_text(z0, terms):
-        return ",".join([f"[{digits[z0 + o]},{c}]" for o, c in terms])
-
-    for xi, row in ring.table_rows():
+    # terms texts by (z offset, row); z0, the offset of block (c, a),
+    # recurs only while x.row is c, so the memo is cleared when it moves
+    texts: dict[tuple, str] = {}
+    c = None
+    for xi, chunks in ring.table_rows():
+        if ring.basis[xi].row != c:
+            c = ring.basis[xi].row
+            texts.clear()
+        pieces = []
+        for y0, z0, rows in chunks:
+            for yi, terms in enumerate(rows, y0):
+                if not terms:
+                    pieces.append(zero[yi])
+                    continue
+                text = texts.get((z0, terms))
+                if text is None:
+                    text = texts[z0, terms] = ",".join([f"[{digits[z0 + o]},{k}]" for o, k in terms])
+                pieces.append(f"{digits[yi]},[{text}]]")
         head = f"[{digits[xi]},"
-        # most products are zero, and need no terms_text call
-        yield ",".join(
-            [
-                f"{head}{digits[yi]},[{terms_text(z0, terms) if terms else ''}]]"
-                for yi, z0, terms in row
-            ]
-        ) + (",\n" if xi < last else "\n")
+        yield head + ("," + head).join(pieces) + (",\n" if xi < last else "\n")
 
 
 def ring_to_payload(ring: ArcRing) -> dict:
@@ -122,8 +132,9 @@ def ring_to_payload(ring: ArcRing) -> dict:
         "order": [[list(arc) for arc in m.pairs] for m in ring.order],
         "products": [
             [xi, yi, [[z0 + o, c] for o, c in terms]]
-            for xi, row in ring.table_rows()
-            for yi, z0, terms in row
+            for xi, chunks in ring.table_rows()
+            for y0, z0, rows in chunks
+            for yi, terms in enumerate(rows, y0)
         ],
     }
 

@@ -1,13 +1,21 @@
-"""Label-carrying saddle surgery, kept as a test oracle.
+"""Label-carrying saddle surgery and a link-based cobordism key, kept as
+test oracles.
 
-This is the engine the library used before products were compiled into
-label-free plans: every product builds its strand graph from scratch
-and rewrites a dictionary of label words through the Frobenius tables
-at each saddle.  It is slow and self-contained on purpose; the tests
-compare the compiled engine against it product by product.
+The surgery is the engine the library used before products were
+compiled into label-free plans: every product builds its strand graph
+from scratch and rewrites a dictionary of label words through the
+Frobenius tables at each saddle.  It is slow and self-contained on
+purpose; the tests compare the compiled engine against it product by
+product.
+
+link_key() is the cobordism key as the library built it before the key
+read circle point masks: one link per point where two lines touch, and
+a union-find over the links.  The tests compare every kernel's key with
+it.
 """
 
 from arcring.arc_ring import BasisVector
+from arcring.errors import InvariantError
 from arcring.braid_homotopy import compose_ui
 from arcring.combinatorics import glue
 from arcring.frobenius import MERGE, SPLIT
@@ -239,3 +247,112 @@ def beta(n, i, y):
         ("bim_capmid", (2 * n + i, 2 * n + i + 1)),
     )
     return state.finalize(b, a, _block_position_of(n, i, b, a, 0))
+
+
+def _link_components(k_in, k_out, links, saddles):
+    """The sorted (input mask, output mask, genus) key of one cobordism.
+
+    Nodes 0 .. k_in - 1 are the input circles and k_in .. k_in + k_out - 1
+    the output circles; node u is bit k_in + k_out - 1 - u of its
+    component's mask.  Each link (u, v) joins nodes u and v, each saddle
+    node puts one saddle in its component, and a component with s
+    saddles has genus (2 - k_in - k_out + s) / 2.
+    """
+    size = k_in + k_out
+    parent = list(range(size))
+    for u, v in links:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[v] = u
+    root = []
+    for u in range(size):
+        while parent[u] != u:
+            u = parent[u]
+        root.append(u)
+    masks = [0] * size
+    bit = 1 << (size - 1)
+    for r in root:
+        masks[r] |= bit
+        bit >>= 1
+    twice_g = [2] * size
+    for u in saddles:
+        twice_g[root[u]] += 1
+    low = (1 << k_out) - 1
+    key = []
+    for r in set(root):
+        m = masks[r]
+        t = twice_g[r] - m.bit_count()
+        if t < 0 or t & 1:
+            raise InvariantError(f"component {m:b} has no genus")
+        key.append((m >> k_out, m & low, t >> 1))
+    return tuple(sorted(key))
+
+
+def link_key(n, stack, out, arcs):
+    """The cobordism key from the diagrams of stack, top to bottom, to out.
+
+    Each diagram is (upper, lower, k): the label position of the circle
+    through each point of its upper and lower point line (index 0
+    unused), and its circle count.  At every point e the cobordism joins
+    the top input's upper line to out's upper line, each input's lower
+    line to the next input's upper line, and the bottom input's lower
+    line to out's lower line.  Each arc (r, s) is one saddle, on the top
+    input's lower line at r.
+    """
+    points = range(1, 2 * n + 1)
+    k_in = sum(k for *_, k in stack)
+    out_upper, out_lower, k_out = out
+    links = [(stack[0][0][e], k_in + out_upper[e]) for e in points]
+    base = 0
+    for (_, lower, k), (upper, _, _) in zip(stack, stack[1:]):
+        links += [(base + lower[e], base + k + upper[e]) for e in points]
+        base += k
+    links += [(base + stack[-1][1][e], k_in + out_lower[e]) for e in points]
+    saddles = [stack[0][1][r] for r, _ in arcs]
+    return _link_components(k_in, k_out, links, saddles)
+
+
+def ring_lines(b, a):
+    """(upper, lower, k) of ring block (b, a), whose two lines are one."""
+    diagram = glue(b, a)
+    return diagram.endpoint_to_circle, diagram.endpoint_to_circle, len(diagram.circles)
+
+
+def module_lines(i, b, a):
+    """(upper, lower, k) of block (b, a) of F(U_i): upper-line point e
+    lies on the circle of glue(b, (U_i a).matching) through e, lower-line
+    points i and i+1 on the free circle when U_i a has one, and on the
+    circle of the upper point a.partner[e] otherwise."""
+    composite = compose_ui(i, a)
+    diagram = glue(b, composite.matching)
+    upper, k = diagram.endpoint_to_circle, len(diagram.circles)
+    lower = list(upper)
+    for e in (i, i + 1):
+        lower[e] = k if composite.circles else upper[a.partner[e]]
+    return upper, lower, k + composite.circles
+
+
+def ring_link_key(c, b, a):
+    """link_key of ring triple (c, b, a): glue(c, b) on glue(b, a), one
+    saddle per arc of b, into glue(c, a)."""
+    return link_key(c.n, [ring_lines(c, b), ring_lines(b, a)], ring_lines(c, a), b.pairs)
+
+
+def module_link_key(n, i, kind, blocks):
+    """link_key of the F(U_i) kernel of kind ("right", "left", "alpha" or
+    "beta") on its blocks, as UiBimodule stacks them."""
+    cut = ((i, i + 1),)
+    if kind == "right":
+        b, a, a2 = blocks
+        stack, arcs, out = [module_lines(i, b, a), ring_lines(a, a2)], a.pairs, module_lines(i, b, a2)
+    elif kind == "left":
+        b2, b, a = blocks
+        stack, arcs, out = [ring_lines(b2, b), module_lines(i, b, a)], b.pairs, module_lines(i, b2, a)
+    elif kind == "alpha":
+        stack, arcs, out = [module_lines(i, *blocks)], cut, ring_lines(*blocks)
+    else:
+        stack, arcs, out = [ring_lines(*blocks)], cut, module_lines(i, *blocks)
+    return link_key(n, stack, out, arcs)

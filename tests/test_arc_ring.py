@@ -19,7 +19,6 @@ from arcring.arc_ring import (
     BasisVector,
     RingElement,
     _BITS,
-    _cobordism_components,
     _cobordism_key,
     _cobordism_row,
     _ring_lines,
@@ -277,7 +276,10 @@ def test_table_pair_decodes_the_scan(n):
         assert count == len(pairs)
         assert [ring.table_pair(k) for k in range(count)] == pairs
         walked = [
-            (ring.basis[xi], ring.basis[yi]) for xi, row in ring.table_rows() for yi, _, _ in row
+            (ring.basis[xi], ring.basis[yi])
+            for xi, chunks in ring.table_rows()
+            for y0, _, rows in chunks
+            for yi in range(y0, y0 + len(rows))
         ]
         assert walked == pairs
         assert ring._products == {}
@@ -622,22 +624,39 @@ def test_saddle_steps_reject_an_arc_cut_twice():
 
 
 def test_cobordism_components_rejects_impossible_genus():
-    # a merge: two input circles, one output, one saddle
-    assert _cobordism_components(2, 1, [(0, 2), (1, 2)], [0]) == ((0b11, 0b1, 0),)
+    # hand-built lines: per circle, the mask of its points (bit e) on
+    # the upper and on the lower point line.  A merge: two input
+    # circles, at points 1 and 2, into one output, by one saddle
+    merge_in = ((0b010, 0b100), (0b010, 0b100))
+    merge_out = ((0b110,), (0b110,))
+    assert _cobordism_key(1, [merge_in], merge_out, ((1, 2),)) == ((0b11, 0b1, 0),)
     # a cylinder with a handle: one saddle too many for genus 0 is odd
     with pytest.raises(InvariantError):
-        _cobordism_components(1, 1, [(0, 1)], [0])
+        _cobordism_key(1, [merge_out], merge_out, ((1, 2),))
     # the merge without its saddle: odd
     with pytest.raises(InvariantError):
-        _cobordism_components(2, 1, [(0, 2), (1, 2)], [])
+        _cobordism_key(1, [merge_in], merge_out, ())
     # three inputs joined to one output with no saddle: negative
+    three = ((0b00010, 0b00100, 0b11000), (0b00010, 0b00100, 0b11000))
     with pytest.raises(InvariantError):
-        _cobordism_components(3, 1, [(0, 3), (1, 3), (2, 3)], [])
+        _cobordism_key(2, [three], ((0b11110,),) * 2, ())
     # a real product, one circle times one circle into two by two
     # saddles, then the same cobordism with one saddle dropped
     c = a = Matching([(1, 2), (3, 4)])
     b = Matching([(1, 4), (2, 3)])
-    links = [(0, 1), (0, 2), (0, 3)]
-    assert _ring_key(c, b, a) == _cobordism_components(2, 2, links, [0, 0])
+    stack = [((0b11110,), (0b11110,))] * 2
+    out = ((0b00110, 0b11000),) * 2
+    assert _ring_key(c, b, a) == _cobordism_key(2, stack, out, b.pairs) == ((0b11, 0b11, 0),)
     with pytest.raises(InvariantError):
-        _cobordism_components(2, 2, links, [0])
+        _cobordism_key(2, stack, out, b.pairs[:1])
+
+
+def test_cobordism_keys_match_link_reference():
+    # the mask key of every ring triple against the link union-find, so
+    # the sharing of tables by key (13 at n = 3, 64 at n = 4) is pinned
+    # with the keys themselves
+    for n, tables in ((1, 1), (2, 3), (3, 13), (4, 64)):
+        ring = ArcRing(n)
+        for c, b, a in itertools.product(ring.order, repeat=3):
+            assert ring._kernel(c, b, a)[0] == surgery_reference.ring_link_key(c, b, a)
+        assert len(ring._tables) == tables

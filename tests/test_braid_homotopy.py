@@ -740,6 +740,19 @@ def test_products_property_n4():
     check()
 
 
+def test_kernel_keys_match_link_reference():
+    # the mask key of every left, right, alpha and beta kernel of every
+    # F(U_i) with n <= 3 against the link union-find
+    for n in (1, 2, 3):
+        for i in range(1, 2 * n):
+            module = UiBimodule(n, i)
+            order = module.ring.order
+            for kind, arity in (("right", 3), ("left", 3), ("alpha", 2), ("beta", 2)):
+                for blocks in itertools.product(order, repeat=arity):
+                    key = module._kernel(kind, *blocks)[0]
+                    assert key == surgery_reference.module_link_key(n, i, kind, blocks)
+
+
 def test_plan_compile_budget(plan_compiles, monkeypatch):
     # no bimodule product runs saddle surgery; each (kind, blocks)
     # kernel is built once, and none again after the memos are cleared

@@ -36,12 +36,13 @@ the row is the product over the components, (output rank,
 2^(total genus)) terms sorted by rank, built by _cobordism_row().
 Kernel: _build_kernel() gives each block key its key, the table of that
 key (one per distinct key, with a row slot per input rank, filled on
-first use; 64 keys serve the 2,744 triples at n = 4) and the basis
-slice of the output block, and _kernel_product() reads a word's row
-through that slice.  ArcRing and the bimodules keep one kernel per
-block key, so a product is a row lookup, and a row is built only for
-products actually asked for, or, for the ring, once the walk of its
-product table reaches the key.
+first use; 64 keys serve the 2,744 triples at n = 4) and the output
+block's basis slice, one per block, through which _kernel_product()
+reads a word's row; _two_sided() reads a whole block's rows as one
+slice of the table, on basis indices.  ArcRing and the bimodules keep
+one kernel per block key, so a product is a row lookup, and a row is
+built only for products actually asked for, or, for the ring, once the
+walk of its product table reaches the key.
 
 Saddle surgery is kept as an independent second calculus.  Only a ring
 product with an explicit arc_order is computed that way:
@@ -117,42 +118,13 @@ class RingElement(Combination):
         return "RingElement(" + " + ".join(bits) + ")"
 
 
-def _two_sided(zl: RingElement, zr: RingElement, mul_left, mul_right, cls, space):
-    """The map items -> zl y - y zr, y the combination of the (vector,
-    coeff) items, each image one cls._sum in space.
-
-    mul_left(u, w) and mul_right(w, u) multiply a basis vector w of y by
-    a ring basis vector u.  Only the terms of zl ending at w.row and of
-    zr starting at w.col compose with w, so they are grouped by that
-    matching once.  The unit laws are (1, 0) and (0, -1), centrality
-    is (z, z), and the homotopy endomorphisms are (X_i, X_j).
-    """
-    at_left: dict[Matching, list] = {}
-    at_right: dict[Matching, list] = {}
-    for u, c in zl.terms.items():
-        at_left.setdefault(u.col, []).append((u, c))
-    for u, c in zr.terms.items():
-        at_right.setdefault(u.row, []).append((u, c))
-    return lambda items: cls._sum(space, itertools.chain(
-        ((c * cz, mul_left(u, w)) for w, c in items for u, cz in at_left.get(w.row, ())),
-        ((-c * cz, mul_right(w, u)) for w, c in items for u, cz in at_right.get(w.col, ())),
-    ))
-
-
-def _unit_failure(basis, one: RingElement, mul_left, mul_right, cls, space):
-    """The first v of basis with 1 v != v or v 1 != v, or None."""
-    zero = RingElement(one.n)
-    left = _two_sided(one, zero, mul_left, mul_right, cls, space)
-    right = _two_sided(zero, -one, mul_left, mul_right, cls, space)
-    return next(
-        (v for v in basis if left(((v, 1),)).terms != {v: 1} or right(((v, 1),)).terms != {v: 1}),
-        None,
-    )
-
-
-# a label word's rank, its position in label_words(len(word)), is the
-# word read as a binary number: int(word.translate(_BITS), 2)
 _BITS = str.maketrans("1X", "01")
+
+
+def _rank(word: str) -> int:
+    """A label word's position in label_words(len(word)): the word read
+    in binary with X = 1."""
+    return int(word.translate(_BITS), 2)
 
 
 def _ring_lines(b: Matching, a: Matching) -> tuple:
@@ -250,25 +222,77 @@ def _build_kernel(ring, target, stack: list, arcs, block) -> tuple:
 
     A row depends only on the key, so every kernel with the same key
     shares one table through ring._tables, with one row slot per input
-    word rank, filled on first use.
+    word rank, filled on first use, and every kernel into one block
+    shares that block's basis slice, target._block_vectors[block].
     """
     key = _cobordism_key(ring.n, stack, target._lines[block], arcs)
     table = ring._tables.get(key)
     if table is None:
         table = ring._tables[key] = [None] * 2 ** sum(len(upper) for upper, _ in stack)
-    start = target._block_offsets[block]
-    return key, table, target.basis[start : start + target.block_dims[block]]
+    return key, table, target._block_vectors[block]
 
 
 def _kernel_product(kernel: tuple, word: str) -> tuple:
     """The product of one input label word under a kernel: its row, built
     on first use, read through the output basis slice."""
     key, table, out = kernel
-    rank = int(word.translate(_BITS), 2)
+    rank = _rank(word)
     row = table[rank]
     if row is None:
         row = table[rank] = _cobordism_row(key, rank)
     return tuple([(out[o], k) for o, k in row])
+
+
+def _two_sided(space, zl: RingElement, zr: RingElement):
+    """Yield zl v - v zr for each basis vector v of space, the ring or a
+    bimodule over it, in basis order, each image as {index: coeff}.
+
+    For v in block (b, a) of dimension d, a term u of zl ending at b
+    multiplies through the left kernel of (u.row, b, a), whose input
+    word u.labels + v.labels has rank rank(u) d + rank(v), and a term u
+    of zr starting at a through the right kernel of (b, a, u.col), input
+    v.labels + u.labels of rank rank(v) d_u + rank(u).  So the block
+    reads one contiguous slice of each left table and one strided slice
+    of each right table, its rows built on first use as in
+    _kernel_product().  The unit laws are (1, 0) and (0, -1), centrality
+    is (z, z), and the homotopy endomorphisms are (X_i, X_j).
+    """
+    at_left: dict[Matching, list] = {}
+    at_right: dict[Matching, list] = {}
+    for u, c in zl.terms.items():
+        at_left.setdefault(u.col, []).append((u.row, _rank(u.labels), c))
+    for u, c in zr.terms.items():
+        at_right.setdefault(u.row, []).append((u.col, _rank(u.labels), len(u.labels), -c))
+    offsets, dims = space._block_offsets, space.block_dims
+    for b, a in offsets:
+        d = dims[b, a]
+        # each term as (kernel, the block's input ranks, output offset, coeff)
+        reads = [
+            (space._kernel_at("left", m, b, a), range(rank * d, rank * d + d), offsets[m, a], k)
+            for m, rank, k in at_left.get(b, ())
+        ] + [
+            (space._kernel_at("right", b, a, m), range(rank, d << w, 1 << w), offsets[b, m], k)
+            for m, rank, w, k in at_right.get(a, ())
+        ]
+        slices = []
+        for (key, table, _), ranks, z0, k in reads:
+            for r in ranks:
+                if table[r] is None:
+                    table[r] = _cobordism_row(key, r)
+            slices.append((table[ranks.start : ranks.stop : ranks.step], z0, k))
+        for r in range(d):
+            image: dict[int, int] = {}
+            for rows, z0, k in slices:
+                for o, x in rows[r]:
+                    image[z0 + o] = image.get(z0 + o, 0) + k * x
+            yield {z: x for z, x in image.items() if x}
+
+
+def _unit_failure(space, one: RingElement):
+    """The first basis vector v of space with 1 v != v or v 1 != v, or None."""
+    zero = RingElement(one.n)
+    images = enumerate(zip(_two_sided(space, one, zero), _two_sided(space, zero, -one)))
+    return next((space.basis[i] for i, sides in images if sides != ({i: 1}, {i: 1})), None)
 
 
 def _saddle_steps(c: Matching, b: Matching, a: Matching, arc_order) -> list[tuple]:
@@ -362,17 +386,20 @@ def _lay_out_blocks(space, order: list[Matching], lines) -> None:
     label words of the k circles of its lines(b, a), the (upper, lower)
     lines that _cobordism_key reads.  Sets space.basis, space.block_dims
     (2^k per block), space._block_offsets (the index of each block's
-    first vector), space._lines (each block's lines), space.index and
+    first vector), space._block_vectors (each block's slice of the
+    basis), space._lines (each block's lines), space.index and
     space.dimension.
     """
-    space.basis, space.block_dims, space._block_offsets, space._lines = [], {}, {}, {}
+    space.basis, space.block_dims, space._block_offsets, space._block_vectors = [], {}, {}, {}
+    space._lines = {}
     for b in order:
         for a in order:
             upper, _ = space._lines[b, a] = lines(b, a)
             k = len(upper)
             space.block_dims[b, a] = 2**k
             space._block_offsets[b, a] = len(space.basis)
-            space.basis += [BasisVector(b, a, w) for w in label_words(k)]
+            vectors = space._block_vectors[b, a] = [BasisVector(b, a, w) for w in label_words(k)]
+            space.basis += vectors
     space.index = {v: i for i, v in enumerate(space.basis)}
     space.dimension = len(space.basis)
 
@@ -454,6 +481,11 @@ class ArcRing:
         stack = [self._lines[c, b], self._lines[b, a]]
         kernel = self._kernels[(c, b, a)] = _build_kernel(self, self, stack, b.pairs, (c, a))
         return kernel
+
+    def _kernel_at(self, side: str, c: Matching, b: Matching, a: Matching) -> tuple:
+        """The kernel of triple (c, b, a), built on first use; either side
+        of _two_sided() multiplies in the ring through it."""
+        return self._kernels.get((c, b, a)) or self._kernel(c, b, a)
 
     # -- the product table ---------------------------------------------
 
@@ -570,9 +602,8 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
         by_row.setdefault(v.row, []).append(v)
     report: dict = {"n": n, "dimension": ring.dimension}
 
-    # both laws on basis vectors, each side one _sum over basis products
-    product = ring.multiply_basis
-    failure = _unit_failure(ring.basis, ring.unit(), product, product, RingElement, n)
+    # both laws on basis indices, read off the kernel tables
+    failure = _unit_failure(ring, ring.unit())
     if failure is not None:
         report["unit_counterexample"] = repr(failure)
     report["unit_law"] = unit_ok = failure is None
@@ -594,6 +625,7 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
             triples.append((x, y, z))
         report["associativity_mode"] = "sampled"
     assoc_ok = True
+    product = ring.multiply_basis
     for x, y, z in triples:
         lhs = RingElement._sum(n, ((c, product(w, z)) for w, c in product(x, y)))
         rhs = RingElement._sum(n, ((c, product(x, w)) for w, c in product(y, z)))

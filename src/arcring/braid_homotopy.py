@@ -14,7 +14,8 @@ by arc_ring._cobordism_key(), the one key routine, from the stack of
 its diagrams, each given by the point masks of its circles: the module
 builds its blocks' masks once, with its basis, and reads the ring's
 blocks from the ring.  The kernel is applied through the ring's
-lookup: arc_ring._build_kernel() and arc_ring._kernel_product().
+lookup, arc_ring._build_kernel() and _kernel_product(), or a block at a
+time by arc_ring._two_sided().
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -189,10 +190,13 @@ class UiBimodule:
         kernel = self._kernels[(kind, *blocks)] = _build_kernel(self.ring, target, stack, arcs, out)
         return kernel
 
+    def _kernel_at(self, kind: str, *blocks: Matching) -> tuple:
+        """The kernel of one block key, built on first use."""
+        return self._kernels.get((kind, *blocks)) or self._kernel(kind, *blocks)
+
     def _product(self, kind: str, blocks: tuple, word: str) -> tuple:
         """The product of one input label word under the block key's kernel."""
-        kernel = self._kernels.get((kind, *blocks)) or self._kernel(kind, *blocks)
-        return _kernel_product(kernel, word)
+        return _kernel_product(self._kernel_at(kind, *blocks), word)
 
     # -- module structure -------------------------------------------------
 
@@ -350,13 +354,14 @@ def _bimodule_axiom_witness(module: UiBimodule, samples: int = 300, seed: int = 
 
     A failing unit law gives ["unit", repr(v)]; a failing associativity
     triple gives [kind, repr(t1), repr(t2), repr(t3)], kind as in
-    _triple_sampler.  Both sides of each law are computed from the
-    per-basis maps, each side one _sum.
+    _triple_sampler.  The unit laws are read off the kernel tables by
+    _two_sided(); both sides of each associativity law are computed from
+    the per-basis maps, each side one _sum.
     """
     ring = module.ring
     left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
     total = partial(BimoduleElement._sum, module.space)
-    failure = _unit_failure(module.basis, ring.unit(), left, right, BimoduleElement, module.space)
+    failure = _unit_failure(module, ring.unit())
     if failure is not None:
         return ["unit", repr(failure)]
 
@@ -388,6 +393,15 @@ def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) ->
     return _bimodule_axiom_witness(UiBimodule(n, i), samples, seed) is None
 
 
+def _apply(rows: list, image) -> dict:
+    """The sum of c rows[k] over the (k, c) pairs of image, as {index: coeff}."""
+    acc: dict[int, int] = {}
+    for k, c in image:
+        for z, x in rows[k]:
+            acc[z] = acc.get(z, 0) + c * x
+    return {z: x for z, x in acc.items() if x}
+
+
 def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 0) -> dict:
     """Machine check of the saddle null-homotopy for U_i inside H_n.
 
@@ -397,10 +411,12 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     bimodule and s alpha after beta on the ring, over every basis
     vector.  Also confirms both saddle maps are homogeneous of degree 1
     and commute with the endomorphisms, and (optionally) the bimodule
-    axioms.  Every image is computed on basis vectors from the per-basis
-    maps, each side of each identity one _sum; the element-level maps
-    give the same verdicts.  seed picks the sampled triples of the
-    bimodule axiom check.
+    axioms.  It runs on basis indices: one alpha_basis or beta_basis
+    call per basis vector gives the degree check and the map's rows,
+    _two_sided() streams the endomorphism images, and one pass serves
+    both endomorphisms, so each composite is computed once; only the
+    ring images are held, for the commute check.  The element-level
+    maps give the same verdicts.  seed picks the axiom check's sample.
 
     A failing check adds a counterexample field, a passing one adds
     none.  degree_counterexample is [map, repr(v)] for the first basis
@@ -416,75 +432,68 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
 
     module = UiBimodule(n, i)
     ring = module.ring
-    left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
-    alpha, beta = module.alpha_basis, module.beta_basis
-    space = module.space
-    z_lo = central_X(i, n)
-    z_hi = central_X(i + 1, n)
+    z_lo, z_hi = central_X(i, n), central_X(i + 1, n)
+    names = ("left_lower_minus_right_upper", "left_upper_minus_right_lower")
+    ends = ((z_lo, z_hi), (z_hi, z_lo))
     report: dict = {"n": n, "i": i}
 
-    def saddle_images():
-        for v in module.basis:
-            yield "alpha", v, alpha(v)
-        for v in ring.basis:
-            yield "beta", v, beta(v)
-
-    degree_witness = next(
-        (
-            [kind, repr(v)]
-            for kind, v, image in saddle_images()
-            if any(c and degree(w) != degree(v) + 1 for w, c in image)
-        ),
-        None,
-    )
+    # alpha's rows in ring indexes, beta's in module indexes
+    degree_witness = None
+    alpha_rows, beta_rows = [], []
+    for kind, basis, saddle, rows, index in (
+        ("alpha", module.basis, module.alpha_basis, alpha_rows, ring.index),
+        ("beta", ring.basis, module.beta_basis, beta_rows, module.index),
+    ):
+        for v in basis:
+            image = saddle(v)
+            if degree_witness is None and any(c and degree(w) != degree(v) + 1 for w, c in image):
+                degree_witness = [kind, repr(v)]
+            rows.append(tuple([(index[w], c) for w, c in image]))
     degree_ok = degree_witness is None
     report["saddle_maps_degree_one"] = degree_ok
     if not degree_ok:
         report["degree_counterexample"] = degree_witness
 
-    def sides(phi_ring, phi_module):
-        """(kind, vector, endomorphism image, composite image, alpha image),
-        ring basis first; a ring vector has no alpha image."""
-        for v in ring.basis:
-            composite = RingElement._sum(n, ((c, alpha(w)) for w, c in beta(v)))
-            yield "ring", v, phi_ring(((v, 1),)), composite, None
-        for v in module.basis:
-            a = alpha(v)
-            composite = BimoduleElement._sum(space, ((c, beta(w)) for w, c in a))
-            yield "bimodule", v, phi_module(((v, 1),)), composite, a
+    # per endomorphism, the first vector off the + sign, off the - sign
+    # and off both, and the first that fails the commute check
+    plus, minus, neither, commute = ([None, None] for _ in range(4))
 
-    signs = {}
-    unsigned = {}
-    chain_ok = True
-    for name, zl, zr in (
-        ("left_lower_minus_right_upper", z_lo, z_hi),
-        ("left_upper_minus_right_lower", z_hi, z_lo),
-    ):
-        # one pass computes each image once and feeds both signs, the
-        # scan for a vector neither sign holds on, and the commute check;
-        # holding the images instead would raise the peak memory
-        phi_ring = _two_sided(zl, zr, product, product, RingElement, n)
-        phi_module = _two_sided(zl, zr, left, right, BimoduleElement, space)
-        plus = minus = neither = None
-        commutes = True
-        for kind, v, lhs, rhs, a in sides(phi_ring, phi_module):
-            off_plus, off_minus = lhs != rhs, lhs != -rhs
+    def scan(kind: str, v: BasisVector, images: tuple, composite: dict) -> None:
+        negated = {k: -c for k, c in composite.items()}
+        for e, lhs in enumerate(images):
+            off_plus, off_minus = lhs != composite, lhs != negated
             if off_plus:
-                plus = plus or f"{kind} {v!r}"
+                plus[e] = plus[e] or f"{kind} {v!r}"
             if off_minus:
-                minus = minus or f"{kind} {v!r}"
+                minus[e] = minus[e] or f"{kind} {v!r}"
             if off_plus and off_minus:
-                neither = neither or f"{kind} {v!r}"
-            if commutes and a is not None and module.alpha(lhs) != phi_ring(a):
-                commutes = chain_ok = False
-                report.setdefault("commutes_counterexample", [name, repr(v)])
-        if plus is None:
+                neither[e] = neither[e] or f"{kind} {v!r}"
+
+    ring_images: tuple = ([], [])
+    for y, (v, *images) in enumerate(zip(ring.basis, *(_two_sided(ring, *z) for z in ends))):
+        scan("ring", v, images, _apply(alpha_rows, beta_rows[y]))
+        for held, image in zip(ring_images, images):
+            held.append(tuple(image.items()))
+    for m, (v, *images) in enumerate(zip(module.basis, *(_two_sided(module, *z) for z in ends))):
+        a = alpha_rows[m]
+        scan("bimodule", v, images, _apply(beta_rows, a))
+        for e, lhs in enumerate(images):
+            if commute[e] is None and _apply(alpha_rows, lhs.items()) != _apply(ring_images[e], a):
+                commute[e] = [names[e], repr(v)]
+    witness = next((w for w in commute if w is not None), None)
+    if witness is not None:
+        report["commutes_counterexample"] = witness
+
+    signs, unsigned = {}, {}
+    for e, name in enumerate(names):
+        if plus[e] is None:
             signs[name] = 1
-        elif minus is None:
+        elif minus[e] is None:
             signs[name] = -1
         else:
             signs[name] = None
-            unsigned[name] = [neither] if neither is not None else [plus, minus]
+            unsigned[name] = [neither[e]] if neither[e] is not None else [plus[e], minus[e]]
+    chain_ok = witness is None
     report["homotopy_signs"] = signs
     if unsigned:
         report["homotopy_counterexample"] = unsigned

@@ -2,7 +2,10 @@
 
 import pytest
 
-from arcring import arc_ring, integer_linalg
+import element_reference
+from arcring import arc_ring, braid_homotopy, center, integer_linalg
+from arcring.arc_ring import ArcRing, _rank
+from arcring.braid_homotopy import UiBimodule
 
 
 @pytest.fixture
@@ -74,3 +77,59 @@ def cobordism_rows(monkeypatch):
 
     monkeypatch.setattr(arc_ring, "_cobordism_row", counting)
     return built
+
+
+@pytest.fixture
+def tampered(monkeypatch):
+    """tampered(cls, change) tampers with every kernel cls builds.
+
+    cls is ArcRing or UiBimodule.  From the call on, each kernel it
+    builds holds its own filled copy of its table, row r of the kernel
+    at blocks (ArcRing: (c, b, a); UiBimodule: (kind, *blocks)) being
+    change(space, blocks, r, row).  get_ring, everywhere it is bound,
+    hands out fresh rings, so every path of the test (the library's
+    index scans and basis methods, and element_reference's element
+    maps) reads the tampered tables while the process-wide rings stay
+    clean.  Each call starts from fresh rings.
+    """
+    real = {ArcRing: ArcRing._kernel, UiBimodule: UiBimodule._kernel}
+
+    def install(cls, change):
+        rings = {}
+
+        def fresh(n):
+            if n not in rings:
+                rings[n] = ArcRing(n)
+            return rings[n]
+
+        for module in (arc_ring, braid_homotopy, center, element_reference):
+            monkeypatch.setattr(module, "get_ring", fresh)
+
+        def building(space, *blocks):
+            key, table, out = real[cls](space, *blocks)
+            rows = [arc_ring._cobordism_row(key, r) for r in range(len(table))]
+            rows = [change(space, blocks, r, row) for r, row in enumerate(rows)]
+            kernel = space._kernels[blocks] = (key, rows, out)
+            return kernel
+
+        monkeypatch.setattr(cls, "_kernel", building)
+
+    return install
+
+
+@pytest.fixture
+def flip_product(tampered):
+    """flip_product(x, y) negates the ring product of x and y alone.
+
+    It tampers with one row of the table of triple (x.row, x.col, y.col),
+    at the rank of the word x.labels + y.labels, as tampered() does.
+    """
+    def install(x, y):
+        target = ((x.row, x.col, y.col), _rank(x.labels + y.labels))
+
+        def flip(ring, blocks, r, row):
+            return tuple((o, -c) for o, c in row) if (blocks, r) == target else row
+
+        tampered(ArcRing, flip)
+
+    return install

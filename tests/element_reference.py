@@ -15,6 +15,11 @@ center the first way, by multiplying z_a 1_ab and 1_ab z_b in a ring
 built under a given basis order, and total_order_independence compares
 that oracle under several orders with the library's center.
 
+two_sided is the library's first two-sided routine, which maps basis
+vectors to zl y - y zr as one sum of per-basis products; the library's
+index routine, arc_ring._two_sided, reads the same images off the
+kernel tables.
+
 commutator_quotient_rank, criterion 9's oracle, ranks H_n modulo its
 commutators by crossing every pair of basis vectors, lattice_equal
 compares two column-span lattices, and rank is a matrix's rank over
@@ -31,6 +36,26 @@ from arcring.center import CenterBasis, center_basis, central_X
 from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
 from arcring.frobenius import ONE, X
 from arcring.integer_linalg import IntMatrix, kernel_basis, row_span_canonical
+
+
+def two_sided(zl, zr, mul_left, mul_right, cls, space):
+    """The map items -> zl y - y zr, y the combination of the (vector,
+    coeff) items, each image one cls._sum in space.
+
+    mul_left(u, w) and mul_right(w, u) multiply a basis vector w of y by
+    a ring basis vector u.  Only the terms of zl ending at w.row and of
+    zr starting at w.col compose with w, so they are grouped by that
+    matching once.
+    """
+    at_left, at_right = {}, {}
+    for u, c in zl.terms.items():
+        at_left.setdefault(u.col, []).append((u, c))
+    for u, c in zr.terms.items():
+        at_right.setdefault(u.row, []).append((u, c))
+    return lambda items: cls._sum(space, itertools.chain(
+        ((c * cz, mul_left(u, w)) for w, c in items for u, cz in at_left.get(w.row, ())),
+        ((-c * cz, mul_right(w, u)) for w, c in items for u, cz in at_right.get(w.col, ())),
+    ))
 
 
 def ring_laws_report(n, seed=0, samples=10000):

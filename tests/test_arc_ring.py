@@ -213,9 +213,10 @@ def test_ring_integrity_matches_element_level():
         )
 
 
-def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
-    # one ring product with the wrong sign: both paths name the same
-    # first failing unit vector and associativity triple
+def test_ring_integrity_wrong_sign_matches_element_level(flip_product):
+    # one ring product with the wrong sign, in its kernel's table: the
+    # unit laws read off the tables and the element-level maps name the
+    # same first failing unit vector and associativity triple
     ring = get_ring(2)
     v = next(v for v in ring.basis if v.row != v.col)
     # an off-diagonal vector times the idempotent of its column breaks
@@ -232,19 +233,12 @@ def test_ring_integrity_wrong_sign_matches_element_level(monkeypatch):
              and ring.multiply_basis(x, y)),
         right_unit,
     ):
-        real = ArcRing.multiply_basis
-
-        def flipped(self, u, v, arc_order=None, _pair=(x, y), _real=real):
-            out = _real(self, u, v, arc_order)
-            return tuple((w, -c) for w, c in out) if (u, v) == _pair else out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ArcRing, "multiply_basis", flipped)
-            report = verify_ring_integrity(2)
-            assert not report["passed"]
-            assert _ring_law_fields(report) == list(element_reference.ring_laws_report(2).items())
-            if (x, y) == right_unit:
-                assert report["unit_counterexample"] == repr(v)
+        flip_product(x, y)
+        report = verify_ring_integrity(2)
+        assert not report["passed"]
+        assert _ring_law_fields(report) == list(element_reference.ring_laws_report(2).items())
+        if (x, y) == right_unit:
+            assert report["unit_counterexample"] == repr(v)
 
 
 def test_verify_ring_integrity():

@@ -18,15 +18,16 @@ import arcring.braid_homotopy
 import element_reference
 import surgery_reference
 from arcring import cli
-from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring
+from arcring.arc_ring import ArcRing, BasisVector, RingElement, _two_sided, degree, get_ring
 from arcring.braid_homotopy import (
+    BimoduleElement,
     UiBimodule,
     _triple_sampler,
     compose_ui,
     verify_bimodule_axioms,
     verify_null_homotopy,
 )
-from arcring.center import central_X
+from arcring.center import center_basis, central_X
 from arcring.combinatorics import Matching, enumerate_matchings, glue
 
 
@@ -339,14 +340,21 @@ def test_triple_sampler_matches_runs_oracle_n4(i):
             triple_at(k)
 
 
-def test_homotopy_seed_picks_the_axiom_sample(monkeypatch):
+def _negate_right_x(module, blocks, r, row):
+    """A right action that negates products with X-labeled ring vectors:
+    a right kernel's input word ends in the ring word, so its rank r has
+    a nonzero remainder modulo that ring block's dimension."""
+    kind, *rest = blocks
+    if kind == "right" and r % module.ring.block_dims[rest[1], rest[2]]:
+        return tuple((o, -c) for o, c in row)
+    return row
+
+
+def test_homotopy_seed_picks_the_axiom_sample(tampered):
     # a right action that negates products with X-labeled ring vectors:
     # the seed decides which failing triple the axiom check meets first,
     # on the basis-level and the element-level path alike
-    _patch_basis_map(
-        monkeypatch, "right_mul_basis",
-        lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
-    )
+    tampered(UiBimodule, _negate_right_x)
     witnesses = []
     for seed in (0, 7):
         report = verify_null_homotopy(1, 2, seed=seed)
@@ -513,13 +521,10 @@ def test_degree_counterexample(monkeypatch):
     assert report["degree_counterexample"] == ["alpha", repr(first)]
 
 
-def test_commutes_and_axiom_counterexamples(monkeypatch):
+def test_commutes_and_axiom_counterexamples(tampered):
     # a right action that negates products with X-labeled ring vectors
     # breaks associativity and the saddle's commuting with phi
-    _patch_basis_map(
-        monkeypatch, "right_mul_basis",
-        lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
-    )
+    tampered(UiBimodule, _negate_right_x)
     report = verify_null_homotopy(1, 2)
     assert not report["passed"]
     assert not report["bimodule_axioms"]
@@ -531,14 +536,11 @@ def test_commutes_and_axiom_counterexamples(monkeypatch):
     assert vector.startswith("BasisVector(")
 
 
-def test_commutes_counterexample_is_first_failure(monkeypatch):
+def test_commutes_counterexample_is_first_failure(tampered):
     # the reported vector is the first bimodule vector, in basis order and
     # for the first endomorphism that has one, where alpha fails to
     # commute with the endomorphism
-    _patch_basis_map(
-        monkeypatch, "right_mul_basis",
-        lambda vs, out: tuple((z, -c) for z, c in out) if "X" in vs[1].labels else out,
-    )
+    tampered(UiBimodule, _negate_right_x)
     module = UiBimodule(2, 1)
     ring = module.ring
     z_lo, z_hi = central_X(1, 2), central_X(2, 2)
@@ -559,11 +561,13 @@ def test_commutes_counterexample_is_first_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("action", ["left_mul_basis", "right_mul_basis"])
-def test_unit_counterexample(monkeypatch, action):
-    # an action that kills everything fails the unit law first, at the
-    # first basis vector, on the basis-level and the element-level path
+def test_unit_counterexample(tampered, action):
+    # an action whose kernels kill everything fails the unit law first,
+    # at the first basis vector, on the index scan and the element-level
+    # path
+    kind = action.split("_")[0]
+    tampered(UiBimodule, lambda module, blocks, r, row: () if blocks[0] == kind else row)
     module = UiBimodule(2, 1)
-    _patch_basis_map(monkeypatch, action, lambda vs, out: ())
     report = verify_null_homotopy(1, 2)
     witness = ["unit", repr(module.basis[0])]
     assert report["bimodule_axioms_counterexample"] == witness
@@ -587,45 +591,83 @@ def test_homotopy_check_frees_its_modules(monkeypatch):
 
 
 def test_null_homotopy_computes_each_image_once(monkeypatch):
-    # the images are computed on basis vectors: alpha is the only
-    # element-level map called, once per bimodule vector and
-    # endomorphism, on the image the commute check pushes through it.
-    # Per endomorphism each bimodule vector takes one left and one right
-    # product (a central X has one term per diagonal block).  alpha and
-    # beta run once per vector for the degree check, then per
-    # endomorphism once per term of each composite, once per bimodule
-    # vector for its composite, and once per term of each commute image
+    # the scan runs on basis indices: it makes no product call on basis
+    # vectors or on elements; alpha_basis and beta_basis run once per
+    # basis vector, for the degree check and the rows of each map; and
+    # one pass serves both endomorphisms, so each composite is applied
+    # once per vector: alpha's rows once per ring vector, beta's once per
+    # bimodule vector.  Per endomorphism the commute check applies
+    # alpha's rows to each bimodule image, and that endomorphism's held
+    # ring images to each alpha image
     module = UiBimodule(3, 2)
-    ring = module.ring
-    dim, ring_dim = module.dimension, ring.dimension
-    phi_terms = 0
-    for zl, zr in ((central_X(2, 3), central_X(3, 3)), (central_X(3, 3), central_X(2, 3))):
-        for v in module.basis:
-            x = module.element({v: 1})
-            phi_terms += len((module.left_mul(zl, x) - module.right_mul(x, zr)).terms)
-    beta_terms = sum(len(module.beta_basis(y)) for y in ring.basis)
-    alpha_terms = sum(len(module.alpha_basis(v)) for v in module.basis)
-    names = ("left_mul", "right_mul", "alpha", "beta")
-    calls = {name: 0 for name in names + tuple(f"{name}_basis" for name in names)}
-    for name in calls:
-        real = getattr(UiBimodule, name)
+    dim, ring_dim = module.dimension, module.ring.dimension
+    calls = {}
+    for cls, names in (
+        (ArcRing, ("multiply", "multiply_basis")),
+        (UiBimodule, ("left_mul", "right_mul", "alpha", "beta")),
+        (UiBimodule, ("left_mul_basis", "right_mul_basis", "alpha_basis", "beta_basis")),
+    ):
+        for name in names:
+            real = getattr(cls, name)
+            calls[name] = 0
 
-        def counting(self, *args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(self, *args)
+            def counting(self, *args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(self, *args)
 
-        monkeypatch.setattr(UiBimodule, name, counting)
+            monkeypatch.setattr(cls, name, counting)
+    applied = []
+    real_apply = arcring.braid_homotopy._apply
+
+    def recording(rows, image):
+        applied.append(id(rows))
+        return real_apply(rows, image)
+
+    monkeypatch.setattr(arcring.braid_homotopy, "_apply", recording)
     assert verify_null_homotopy(2, 3, check_axioms=False)["passed"]
     assert calls == {
+        "multiply": 0,
+        "multiply_basis": 0,
         "left_mul": 0,
         "right_mul": 0,
-        "alpha": 2 * dim,
+        "alpha": 0,
         "beta": 0,
-        "left_mul_basis": 2 * dim,
-        "right_mul_basis": 2 * dim,
-        "alpha_basis": dim + 2 * (beta_terms + dim) + phi_terms,
-        "beta_basis": ring_dim + 2 * (ring_dim + alpha_terms),
+        "left_mul_basis": 0,
+        "right_mul_basis": 0,
+        "alpha_basis": dim,
+        "beta_basis": ring_dim,
     }
+    # alpha's rows, beta's rows and the two endomorphisms' ring images,
+    # in their order of first use
+    rows_used = list(dict.fromkeys(applied))
+    assert [applied.count(rows) for rows in rows_used] == [ring_dim + 2 * dim, dim, dim, dim]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_sided_matches_element_reference(n):
+    # the index routine against the basis-vector routine it replaced, on
+    # every basis vector of H_n and of every F(U_i): the endomorphisms
+    # (X_i, X_{i+1}) and (X_{i+1}, X_i), the unit laws (1, 0) and
+    # (0, -1), and (z, z) for each center basis element
+    ring = get_ring(n)
+    one, zero = ring.unit(), RingElement(n)
+    common = [(one, zero), (zero, -one)] + [(z, z) for z in center_basis(n).elements]
+
+    def ends(i):
+        return [(central_X(i, n), central_X(i + 1, n)), (central_X(i + 1, n), central_X(i, n))]
+
+    spaces = [(ring, ring.multiply_basis, ring.multiply_basis, RingElement, range(1, 2 * n))]
+    for i in range(1, 2 * n):
+        module = UiBimodule(n, i)
+        spaces.append((module, module.left_mul_basis, module.right_mul_basis, BimoduleElement, [i]))
+    for space, left, right, cls, indices in spaces:
+        tag = space.space if cls is BimoduleElement else n
+        for zl, zr in [pair for i in indices for pair in ends(i)] + common:
+            image = element_reference.two_sided(zl, zr, left, right, cls, tag)
+            expected = [
+                {space.index[w]: c for w, c in image(((v, 1),)).terms.items()} for v in space.basis
+            ]
+            assert list(_two_sided(space, zl, zr)) == expected
 
 
 @pytest.mark.parametrize("n, i", [(n, i) for n in (1, 2, 3) for i in range(1, 2 * n)])
@@ -652,23 +694,18 @@ def test_wrong_alpha_sign_matches_element_level(monkeypatch):
     assert list(report.items()) == list(element_reference.null_homotopy_report(1, 2).items())
 
 
-def test_wrong_ring_product_sign_matches_element_level(monkeypatch):
-    # one ring product negated, a term of the central X at endpoint 1
-    # times an off-diagonal vector: the endomorphisms and the bimodule
-    # axioms fail, and both paths name the same counterexamples
+def test_wrong_ring_product_sign_matches_element_level(flip_product):
+    # one ring product negated in its kernel's table, a term of the
+    # central X at endpoint 1 times an off-diagonal vector: the
+    # endomorphisms and the bimodule axioms fail, and both paths name the
+    # same counterexamples
     ring = get_ring(2)
     z = central_X(1, 2)
     pair = next(
         (u, y) for u in z.terms for y in ring.basis
         if y.row == u.col != y.col and ring.multiply_basis(u, y)
     )
-    real = ArcRing.multiply_basis
-
-    def flipped(self, x, y, arc_order=None):
-        out = real(self, x, y, arc_order)
-        return tuple((w, -c) for w, c in out) if (x, y) == pair else out
-
-    monkeypatch.setattr(ArcRing, "multiply_basis", flipped)
+    flip_product(*pair)
     report = verify_null_homotopy(1, 2)
     assert not report["passed"]
     assert "bimodule_axioms_counterexample" in report

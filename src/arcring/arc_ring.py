@@ -35,21 +35,22 @@ every output and t + g = 0 sums the words with exactly one output 1;
 the row is the product over the components, (output rank,
 2^(total genus)) terms sorted by rank, built by _cobordism_row().
 Kernel: _build_kernel() gives each block key its key, the table of that
-key (one per distinct key, with a row slot per input rank, filled on
-first use; 64 keys serve the 2,744 triples at n = 4) and the output
-block's basis slice, one per block, through which _kernel_product()
-reads a word's row; _two_sided() reads a whole block's rows as one
-slice of the table, on basis indices.  ArcRing and the bimodules keep
+key (one per distinct key, with a row slot per input rank, filled by
+_table_row() on first read; 64 keys serve the 2,744 triples at n = 4)
+and the output block's basis slice, one per block, through which
+_kernel_product() reads a word's row; _two_sided() reads a whole
+block's rows, and the associativity check both sides of a triple, on
+label ranks, with no basis vector.  ArcRing and the bimodules keep
 one kernel per block key, so a product is a row lookup, and a row is
 built only for products actually asked for, or, for the ring, once the
 walk of its product table reaches the key.
 
 Saddle surgery is kept as an independent second calculus.  Only a ring
-product with an explicit arc_order is computed that way:
-_saddle_steps() cuts the arcs of b one at a time and lists the circles
-after each cut, and _surgery_product(), the only code that rewrites
-labels through MERGE and SPLIT, pushes a word along those steps.  So
-the surgery-order check compares the two calculi.
+product with an explicit arc_order and the surgery-order check compute
+that way: _saddle_steps() cuts the arcs of b one at a time and lists
+the circles after each cut, and _surgery_product(), the only code that
+rewrites labels through MERGE and SPLIT, pushes a word along those
+steps.  So the surgery-order check compares the two calculi.
 """
 
 from __future__ import annotations
@@ -232,15 +233,21 @@ def _build_kernel(ring, target, stack: list, arcs, block) -> tuple:
     return key, table, target._block_vectors[block]
 
 
-def _kernel_product(kernel: tuple, word: str) -> tuple:
-    """The product of one input label word under a kernel: its row, built
-    on first use, read through the output basis slice."""
-    key, table, out = kernel
-    rank = _rank(word)
+def _table_row(kernel: tuple, rank: int) -> tuple:
+    """Row rank of a kernel's table: (output rank, coeff) terms, built
+    by _cobordism_row() on first read and kept in the shared table."""
+    key, table, _ = kernel
     row = table[rank]
     if row is None:
         row = table[rank] = _cobordism_row(key, rank)
-    return tuple([(out[o], k) for o, k in row])
+    return row
+
+
+def _kernel_product(kernel: tuple, word: str) -> tuple:
+    """The product of one input label word under a kernel: its row read
+    through the output basis slice."""
+    out = kernel[2]
+    return tuple([(out[o], k) for o, k in _table_row(kernel, _rank(word))])
 
 
 def _two_sided(space, zl: RingElement, zr: RingElement):
@@ -253,9 +260,9 @@ def _two_sided(space, zl: RingElement, zr: RingElement):
     of zr starting at a through the right kernel of (b, a, u.col), input
     v.labels + u.labels of rank rank(v) d_u + rank(u).  So the block
     reads one contiguous slice of each left table and one strided slice
-    of each right table, its rows built on first use as in
-    _kernel_product().  The unit laws are (1, 0) and (0, -1), centrality
-    is (z, z), and the homotopy endomorphisms are (X_i, X_j).
+    of each right table, its rows read through _table_row().  The unit
+    laws are (1, 0) and (0, -1), centrality is (z, z), and the homotopy
+    endomorphisms are (X_i, X_j).
     """
     at_left: dict[Matching, list] = {}
     at_right: dict[Matching, list] = {}
@@ -275,11 +282,11 @@ def _two_sided(space, zl: RingElement, zr: RingElement):
             for m, rank, w, k in at_right.get(a, ())
         ]
         slices = []
-        for (key, table, _), ranks, z0, k in reads:
-            for r in ranks:
-                if table[r] is None:
-                    table[r] = _cobordism_row(key, r)
-            slices.append((table[ranks.start : ranks.stop : ranks.step], z0, k))
+        for kernel, ranks, z0, k in reads:
+            rows = kernel[1][ranks.start : ranks.stop : ranks.step]
+            if None in rows:
+                rows = [_table_row(kernel, r) for r in ranks]
+            slices.append((rows, z0, k))
         for r in range(d):
             image: dict[int, int] = {}
             for rows, z0, k in slices:
@@ -527,12 +534,12 @@ class ArcRing:
             for b in order:
                 blocks = []
                 for a in order:
-                    key, table, _ = self._kernels.get((c, b, a)) or self._kernel(c, b, a)
+                    kernel = self._kernels.get((c, b, a)) or self._kernel(c, b, a)
+                    key, table, _ = kernel
                     if key not in filled:
                         filled.add(key)
-                        for r, row in enumerate(table):
-                            if row is None:
-                                table[r] = _cobordism_row(key, r)
+                        for r in range(len(table)):
+                            _table_row(kernel, r)
                     blocks.append((offsets[b, a], dims[b, a], table, offsets[c, a]))
                 start = offsets[c, b]
                 for rx in range(dims[c, b]):
@@ -583,15 +590,78 @@ def unit(n: int) -> RingElement:
     return get_ring(n).unit()
 
 
+def _associativity_failure(ring: ArcRing, triples):
+    """The first triple (x, y, z) with (xy)z != x(yz), or None.
+
+    Both sides run on label ranks, read off the kernel tables through
+    _table_row().  For x in block (c, b), y in (b, a) and z in (a, a'),
+    (xy)z reads row rank(x) d(b, a) + rank(y) of kernel (c, b, a), then
+    row o d(a, a') + rank(z) of kernel (c, a, a') for each output rank o;
+    x(yz) reads kernel (b, a, a'), then kernel (c, b, a') at
+    rank(x) d(b, a') + o.  Each side is a {rank: coeff} dict of block
+    (c, a').
+    """
+    kernels, dims = ring._kernels, ring.block_dims
+    for x, y, z in triples:
+        c, b, a, a2 = x.row, x.col, y.col, z.col
+        xy, xy_z, yz, x_yz = [
+            kernels.get(t) or ring._kernel(*t)
+            for t in ((c, b, a), (c, a, a2), (b, a, a2), (c, b, a2))
+        ]
+        rx, ry, rz = _rank(x.labels), _rank(y.labels), _rank(z.labels)
+        d = dims[a, a2]
+        lhs: dict[int, int] = {}
+        for o, k in _table_row(xy, rx * dims[b, a] + ry):
+            for o2, k2 in _table_row(xy_z, o * d + rz):
+                lhs[o2] = lhs.get(o2, 0) + k * k2
+        rhs: dict[int, int] = {}
+        base = rx * dims[b, a2]
+        for o, k in _table_row(yz, ry * d + rz):
+            for o2, k2 in _table_row(x_yz, base + o):
+                rhs[o2] = rhs.get(o2, 0) + k * k2
+        if {o: k for o, k in lhs.items() if k} != {o: k for o, k in rhs.items() if k}:
+            return x, y, z
+    return None
+
+
+def _order_failure(ring: ArcRing, items):
+    """The first (x, y, arc order) of items whose product by saddle
+    surgery along that order differs from the kernels' product, or None.
+
+    Items sharing a triple (c, b, a) and an order share one
+    _saddle_steps() walk, made when their group's turn comes and dropped
+    after it.  Groups run in the order of their first item, so a later
+    group can hold an earlier failure; each group stops at its first
+    failure or at the best one found so far.
+    """
+    groups: dict[tuple, list] = {}
+    for i, (x, y, order) in enumerate(items):
+        groups.setdefault((x.row, x.col, y.col, order), []).append((i, x, y))
+    best = None
+    for (c, b, a, order), members in groups.items():
+        steps = _saddle_steps(c, b, a, order)
+        for i, x, y in members:
+            if best is not None and i > best[0]:
+                break
+            want = [(v.labels, k) for v, k in ring.multiply_basis(x, y)]
+            if _surgery_product(steps, x.labels + y.labels) != want:
+                best = (i, x, y, order)
+                break
+    return None if best is None else best[1:]
+
+
 def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
     """Associativity, unit law, grading, surgery-order independence.
 
     Associativity is exhaustive over composable basis triples for
-    n <= 2 and runs on `samples` seeded random triples otherwise.
-    Grading is checked on every composable basis pair, read off the
-    product table's walk; surgery order on every pair for n <= 2 and on
-    400 seeded table positions otherwise.  Every check reports into a
-    JSON-ready dictionary with an overall "passed" flag.
+    n <= 2 and runs on `samples` seeded random triples otherwise, both
+    sides on label ranks read off the kernel tables.  Grading is checked
+    on every composable basis pair, read off the product table's walk;
+    surgery order on every pair for n <= 2 and on 400 seeded table
+    positions otherwise, three shuffled arc orders each, one saddle walk
+    per triple and order.  Every check reports into a JSON-ready
+    dictionary with an overall "passed" flag; a counterexample is the
+    first failing draw.
     """
     import random
 
@@ -624,17 +694,11 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
             z = rng.choice(by_row[y.col])
             triples.append((x, y, z))
         report["associativity_mode"] = "sampled"
-    assoc_ok = True
-    product = ring.multiply_basis
-    for x, y, z in triples:
-        lhs = RingElement._sum(n, ((c, product(w, z)) for w, c in product(x, y)))
-        rhs = RingElement._sum(n, ((c, product(x, w)) for w, c in product(y, z)))
-        if lhs != rhs:
-            assoc_ok = False
-            report["associativity_counterexample"] = [repr(x), repr(y), repr(z)]
-            break
+    failure = _associativity_failure(ring, triples)
+    if failure is not None:
+        report["associativity_counterexample"] = [repr(v) for v in failure]
     report["associativity_triples"] = len(triples)
-    report["associative"] = assoc_ok
+    report["associative"] = assoc_ok = failure is None
 
     # read off the product table's walk, which fills no product memo
     degrees = [degree(v) for v in ring.basis]
@@ -653,22 +717,20 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
     report["grading_multiplicative"] = grading_ok = failure is None
 
     # every pair has n middle arcs, and one arc has only one order
-    order_ok = True
     count = ring.product_count() if n > 1 else 0
     positions = rng.sample(range(count), 400) if n > 2 and count > 400 else range(count)
+    items = []
     for x, y in map(ring.table_pair, positions):
-        base = ring.multiply_basis(x, y)
         arcs = list(x.col.pairs)
         # three shuffled arc orders per pair
         for _ in range(3):
             rng.shuffle(arcs)
-            if ring.multiply_basis(x, y, arc_order=tuple(arcs)) != base:
-                order_ok = False
-                report["order_counterexample"] = [repr(x), repr(y), list(arcs)]
-                break
-        if not order_ok:
-            break
-    report["surgery_order_independent"] = order_ok
+            items.append((x, y, tuple(arcs)))
+    failure = _order_failure(ring, items)
+    if failure is not None:
+        x, y, order = failure
+        report["order_counterexample"] = [repr(x), repr(y), list(order)]
+    report["surgery_order_independent"] = order_ok = failure is None
 
     report["passed"] = unit_ok and assoc_ok and grading_ok and order_ok
     return report

@@ -144,8 +144,6 @@ class UiBimodule:
         _lay_out_blocks(self, self.ring.order, self._block_lines)
         self._left: dict = {}
         self._right: dict = {}
-        self._alpha: dict = {}
-        self._beta: dict = {}
         self._kernels: dict[tuple, tuple] = {}
 
     def element(self, terms: dict[BasisVector, int]) -> BimoduleElement:
@@ -252,17 +250,11 @@ class UiBimodule:
 
     def alpha_basis(self, x: BasisVector) -> tuple:
         """One saddle collapsing the cup-cap pair: F(U_i) -> H, degree 1."""
-        result = self._alpha.get(x)
-        if result is None:
-            result = self._alpha[x] = self._product("alpha", (x.row, x.col), x.labels)
-        return result
+        return self._product("alpha", (x.row, x.col), x.labels)
 
     def beta_basis(self, y: BasisVector) -> tuple:
         """The reverse saddle: H -> F(U_i), degree 1."""
-        result = self._beta.get(y)
-        if result is None:
-            result = self._beta[y] = self._product("beta", (y.row, y.col), y.labels)
-        return result
+        return self._product("beta", (y.row, y.col), y.labels)
 
     def alpha(self, x: BimoduleElement) -> RingElement:
         if x.space != self.space:

@@ -55,8 +55,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .arc_ring import MAX_RING_N, ArcRing, get_ring
-from .combinatorics import Matching, enumerate_matchings
+from .arc_ring import ArcRing, get_ring
+from .combinatorics import Matching
 from .errors import InvariantError
 
 SCHEMA_VERSION = 2
@@ -67,6 +67,9 @@ REVERIFIED = 100
 # the end of the header line, and the file's last line
 _HEADER_END = ',"products":[\n'
 _TAIL = f'],"schema":{SCHEMA_VERSION}}}\n'
+# a bound on the length of a valid header line: that of MAX_RING_N = 6,
+# the longest, is 5,442 characters whatever the basis order
+_HEADER_LIMIT = 6000
 
 
 def cache_dir(directory: str | os.PathLike | None = None) -> Path:
@@ -221,10 +224,9 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
 
     The header's n is checked before any row is made; the ring is
     returned only when the whole file is the text store_ring would write
-    for it.  The header line is read up to the length of the longest
-    valid one, that of MAX_RING_N (every basis order of one n gives a
-    header of the same length), and each row line up to the length of
-    the one expected, so a file in another layout is refused without
+    for it.  The header line is read up to _HEADER_LIMIT characters, a
+    bound on the longest valid one, and each row line up to the length
+    of the one expected, so a file in another layout is refused without
     reading a line of it whole.
 
     Then REVERIFIED products drawn with a fixed seed from the table's
@@ -232,9 +234,8 @@ def load_ring(n: int, directory: str | os.PathLike | None = None) -> ArcRing:
     saddle surgery along the arcs of x.col; raises InvariantError where
     one differs from the kernels' product.
     """
-    limit = len(_header(MAX_RING_N, enumerate_matchings(MAX_RING_N)))
     with open(cache_path(n, directory), newline="") as fh, _gc_paused():
-        header = fh.readline(limit)
+        header = fh.readline(_HEADER_LIMIT)
         if not header.endswith(_HEADER_END):
             raise ValueError(f"cache header is not that of the schema {SCHEMA_VERSION} row layout")
         try:

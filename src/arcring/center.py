@@ -31,7 +31,7 @@ from functools import lru_cache
 from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
 from .errors import InvariantError, SizeMismatchError
-from .frobenius import ONE, X, Combination
+from .frobenius import ONE, X
 from .integer_linalg import IntMatrix, invariant_factors, kernel_basis, solve_in_column_span
 from .presentations import SquareFreePoly, admissible_coordinates
 
@@ -261,14 +261,15 @@ class CenterPresentation:
         reductions.  The reduction is linear and sigma permutes the
         monomials, so this is the reduction of the permuted polynomial.
         """
-        variables = range(1, 2 * self.n + 1)
-        if sorted(sigma.get(i, i) for i in variables) != list(variables):
+        moved = [0] + [sigma.get(i, i) for i in range(1, 2 * self.n + 1)]
+        if sorted(moved) != list(range(2 * self.n + 1)):
             raise ValueError("sigma must permute 1..2n")
         image = self._image
-        return Combination._sum(
-            self.n,
-            ((c, image(frozenset(sigma.get(i, i) for i in s))) for s, c in coords.items()),
-        ).terms
+        acc: dict[tuple[int, ...], int] = {}
+        for s, c in coords.items():
+            for key, k in image(frozenset([moved[i] for i in s])):
+                acc[key] = acc.get(key, 0) + c * k
+        return {key: k for key, k in acc.items() if k}
 
 
 def presentation_map(n: int) -> CenterPresentation:

@@ -119,16 +119,20 @@ def tampered(monkeypatch):
 
 @pytest.fixture
 def flip_product(tampered):
-    """flip_product(x, y) negates the ring product of x and y alone.
+    """flip_product(x, y, *pairs) negates the ring product of x and y, and
+    that of each further (x, y) in pairs, alone.
 
-    It tampers with one row of the table of triple (x.row, x.col, y.col),
-    at the rank of the word x.labels + y.labels, as tampered() does.
+    It tampers with one row of the table of triple (x.row, x.col, y.col)
+    per pair, at the rank of the word x.labels + y.labels, as tampered()
+    does.
     """
-    def install(x, y):
-        target = ((x.row, x.col, y.col), _rank(x.labels + y.labels))
+    def install(x, y, *pairs):
+        targets = {
+            ((x.row, x.col, y.col), _rank(x.labels + y.labels)) for x, y in ((x, y), *pairs)
+        }
 
         def flip(ring, blocks, r, row):
-            return tuple((o, -c) for o, c in row) if (blocks, r) == target else row
+            return tuple((o, -c) for o, c in row) if (blocks, r) in targets else row
 
         tampered(ArcRing, flip)
 

@@ -15,6 +15,10 @@ center the first way, by multiplying z_a 1_ab and 1_ab z_b in a ring
 built under a given basis order, and total_order_independence compares
 that oracle under several orders with the library's center.
 
+surgery_order_fields is the library's first surgery-order loop, which
+cuts every drawn (pair, arc order) item on its own; the library walks
+the saddles once per triple and order.
+
 two_sided is the library's first two-sided routine, which maps basis
 vectors to zl y - y zr as one sum of per-basis products; the library's
 index routine, arc_ring._two_sided, reads the same images off the
@@ -58,14 +62,32 @@ def two_sided(zl, zr, mul_left, mul_right, cls, space):
     ))
 
 
+def sampled_triples(ring, rng, samples):
+    """The associativity triples of verify_ring_integrity and their mode:
+    every composable triple for n <= 2, else samples triples drawn from
+    rng, x over the basis, then y over row x.col and z over row y.col."""
+    by_row = {}
+    for v in ring.basis:
+        by_row.setdefault(v.row, []).append(v)
+    if ring.n <= 2:
+        triples = [
+            (x, y, z) for x in ring.basis for y in by_row[x.col] for z in by_row[y.col]
+        ]
+        return triples, "exhaustive"
+    triples = []
+    for _ in range(samples):
+        x = rng.choice(ring.basis)
+        y = rng.choice(by_row[x.col])
+        z = rng.choice(by_row[y.col])
+        triples.append((x, y, z))
+    return triples, "sampled"
+
+
 def ring_laws_report(n, seed=0, samples=10000):
     """The unit-law and associativity fields of verify_ring_integrity,
     checked on elements, with the same seeded triples."""
     ring = get_ring(n)
     rng = random.Random(seed)
-    by_row = {}
-    for v in ring.basis:
-        by_row.setdefault(v.row, []).append(v)
     report = {}
 
     one = ring.unit()
@@ -78,19 +100,7 @@ def ring_laws_report(n, seed=0, samples=10000):
             break
     report["unit_law"] = unit_ok
 
-    if n <= 2:
-        triples = [
-            (x, y, z) for x in ring.basis for y in by_row[x.col] for z in by_row[y.col]
-        ]
-        report["associativity_mode"] = "exhaustive"
-    else:
-        triples = []
-        for _ in range(samples):
-            x = rng.choice(ring.basis)
-            y = rng.choice(by_row[x.col])
-            z = rng.choice(by_row[y.col])
-            triples.append((x, y, z))
-        report["associativity_mode"] = "sampled"
+    triples, report["associativity_mode"] = sampled_triples(ring, rng, samples)
     assoc_ok = True
     for x, y, z in triples:
         ex, ey, ez = (RingElement(n, {v: 1}) for v in (x, y, z))
@@ -100,6 +110,36 @@ def ring_laws_report(n, seed=0, samples=10000):
             break
     report["associativity_triples"] = len(triples)
     report["associative"] = assoc_ok
+    return report
+
+
+def order_items(ring, seed=0, samples=10000):
+    """The (x, y, arc order) items of verify_ring_integrity's surgery-order
+    check, in draw order: after the associativity draws, 400 seeded table
+    positions (every position for n <= 2), three shuffled orders each."""
+    rng = random.Random(seed)
+    sampled_triples(ring, rng, samples)
+    count = ring.product_count() if ring.n > 1 else 0
+    positions = rng.sample(range(count), 400) if ring.n > 2 and count > 400 else range(count)
+    items = []
+    for x, y in map(ring.table_pair, positions):
+        arcs = list(x.col.pairs)
+        for _ in range(3):
+            rng.shuffle(arcs)
+            items.append((x, y, tuple(arcs)))
+    return items
+
+
+def surgery_order_fields(n, seed=0, samples=10000):
+    """The surgery-order fields of verify_ring_integrity, one
+    multiply_basis product along each item's arc order, in draw order."""
+    ring = get_ring(n)
+    report = {}
+    for x, y, order in order_items(ring, seed, samples):
+        if ring.multiply_basis(x, y, arc_order=order) != ring.multiply_basis(x, y):
+            report["order_counterexample"] = [repr(x), repr(y), list(order)]
+            break
+    report["surgery_order_independent"] = "order_counterexample" not in report
     return report
 
 

@@ -203,42 +203,102 @@ def _ring_law_fields(report):
     return [(k, v) for k, v in report.items() if k.startswith(("unit", "associativ"))]
 
 
+def _order_fields(report):
+    return [(k, v) for k, v in report.items() if k.startswith(("order", "surgery"))]
+
+
 def test_ring_integrity_matches_element_level():
-    # the basis-level unit and associativity loops give the fields the
-    # element-level maps give, key for key and in order
+    # the index-row unit and associativity checks give the fields the
+    # element-level maps give, and the grouped surgery walks the fields
+    # of one product per drawn item, key for key and in order
     for n in (1, 2, 3):
         report = verify_ring_integrity(n, samples=2000)
         assert _ring_law_fields(report) == list(
             element_reference.ring_laws_report(n, samples=2000).items()
         )
+        assert _order_fields(report) == list(
+            element_reference.surgery_order_fields(n, samples=2000).items()
+        )
+
+
+def _idempotent(v):
+    return v.row == v.col and "X" not in v.labels
 
 
 def test_ring_integrity_wrong_sign_matches_element_level(flip_product):
     # one ring product with the wrong sign, in its kernel's table: the
-    # unit laws read off the tables and the element-level maps name the
-    # same first failing unit vector and associativity triple
+    # unit laws and associativity read off the tables and the
+    # element-level maps name the same first failing unit vector and
+    # associativity triple
     ring = get_ring(2)
     v = next(v for v in ring.basis if v.row != v.col)
     # an off-diagonal vector times the idempotent of its column breaks
     # the right unit law at that vector
     right_unit = (v, *ring.idempotent(v.col).terms)
-    for x, y in (
+    # at n = 3, a sampled triple with no idempotent factor and with
+    # (xy)z not zero: its xy with the wrong sign breaks associativity
+    # only, since x(yz) does not read xy
+    x3, y3, _ = next(
+        (x, y, z)
+        for x, y, z in element_reference.sampled_triples(get_ring(3), random.Random(0), 2000)[0]
+        if not any(map(_idempotent, (x, y, z)))
+        and not (
+            RingElement(3, {x: 1}) * RingElement(3, {y: 1}) * RingElement(3, {z: 1})
+        ).is_zero()
+    )
+    for n, (x, y) in (
         # an idempotent times an off-diagonal vector breaks the unit law
-        next((x, y) for x in ring.basis for y in ring.basis
-             if x.row == x.col == y.row != y.col and "X" not in x.labels),
+        (2, next((x, y) for x in ring.basis for y in ring.basis
+                 if x.row == x.col == y.row != y.col and "X" not in x.labels)),
         # an X-labeled diagonal vector times an off-diagonal one breaks
         # associativity only
-        next((x, y) for x in ring.basis for y in ring.basis
-             if x.row == x.col == y.row != y.col and "X" in x.labels
-             and ring.multiply_basis(x, y)),
-        right_unit,
+        (2, next((x, y) for x in ring.basis for y in ring.basis
+                 if x.row == x.col == y.row != y.col and "X" in x.labels
+                 and ring.multiply_basis(x, y))),
+        (2, right_unit),
+        (3, (x3, y3)),
     ):
         flip_product(x, y)
-        report = verify_ring_integrity(2)
+        report = verify_ring_integrity(n, samples=2000)
         assert not report["passed"]
-        assert _ring_law_fields(report) == list(element_reference.ring_laws_report(2).items())
+        assert _ring_law_fields(report) == list(
+            element_reference.ring_laws_report(n, samples=2000).items()
+        )
         if (x, y) == right_unit:
             assert report["unit_counterexample"] == repr(v)
+        if n == 3:
+            assert report["unit_law"] and not report["associative"]
+
+
+def test_ring_integrity_reports_the_first_drawn_order_failure(flip_product):
+    # two drawn pairs with a nonzero product of the wrong sign, so each
+    # of their arc orders fails.  The check walks one group of items per
+    # triple and order, groups in the order of their first item, and the
+    # earlier-drawn pair's first item opens a group walked after a group
+    # holding an item of the later pair; the report still names the
+    # earlier item, as the per-item loop does
+    ring = get_ring(3)
+    items = element_reference.order_items(ring, samples=2000)
+    opened = {}
+    for i, (x, y, order) in enumerate(items):
+        opened.setdefault((x.row, x.col, y.col, order), i)
+    group = [opened[x.row, x.col, y.col, order] for x, y, order in items]
+    nonzero = [bool(ring.multiply_basis(x, y)) for x, y, _ in items]
+    early, late = next(
+        (p, q)
+        for p in range(0, len(items), 3)
+        if group[p] == p and nonzero[p]
+        for q in range(p + 3, len(items), 3)
+        if nonzero[q] and min(group[q : q + 3]) < p
+    )
+    flip_product(*items[early][:2], items[late][:2])
+    report = verify_ring_integrity(3, samples=2000)
+    x, y, order = items[early]
+    assert report["order_counterexample"] == [repr(x), repr(y), list(order)]
+    assert report["surgery_order_independent"] is False
+    assert _order_fields(report) == list(
+        element_reference.surgery_order_fields(3, samples=2000).items()
+    )
 
 
 def test_verify_ring_integrity():

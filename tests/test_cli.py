@@ -31,6 +31,7 @@ from arcring.cache import (
     store_ring,
 )
 from arcring.cli import main, render_report
+from arcring.combinatorics import enumerate_matchings
 from arcring.errors import InvariantError
 
 
@@ -222,6 +223,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             "verify_n4_center_iso_symmetric.json",
             ["verify", "--n", "4", "--center", "--iso", "--symmetric"],
         ),
+        ("verify_n4_ring.json", ["verify", "--n", "4", "--ring"]),
     ],
 )
 def test_golden_reports(capsys, name, argv):
@@ -796,6 +798,19 @@ def test_cache_header_read_is_bounded(tmp_path, capsys):
     ring, status = load_or_build(2, tmp_path)
     assert status == "rebuilt"
     assert "rebuilding ring cache for n=2" in capsys.readouterr().err
+
+
+def test_cache_header_limit_bounds_every_header():
+    # the bounded header read takes the whole header of every n the ring
+    # supports; every basis order of one n gives a header of one length
+    # and n = MAX_RING_N gives the longest
+    longest = len(cache._header(arc_ring.MAX_RING_N, enumerate_matchings(arc_ring.MAX_RING_N)))
+    assert longest == 5442
+    assert longest <= cache._HEADER_LIMIT
+    for n in range(1, 5):
+        order = list(get_ring(n).order)
+        random.Random(n).shuffle(order)
+        assert len(cache._header(n, order)) < longest
 
 
 def test_cache_stream_matches_loads_property(tmp_path):

@@ -13,7 +13,6 @@ from .combinatorics import (
     arrows,
     bottom_arc_count,
     catalan,
-    distance,
     enumerate_matchings,
     glue,
     matching_graph,
@@ -49,7 +48,6 @@ from .center import (
     central_X,
     is_central,
     presentation_map,
-    symmetric_action,
     verify_presentation_iso,
     verify_symmetric_action,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "arrows",
     "bottom_arc_count",
     "catalan",
-    "distance",
     "enumerate_matchings",
     "glue",
     "matching_graph",
@@ -99,7 +96,6 @@ __all__ = [
     "central_X",
     "is_central",
     "presentation_map",
-    "symmetric_action",
     "verify_presentation_iso",
     "verify_symmetric_action",
     "BimoduleElement",

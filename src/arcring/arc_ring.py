@@ -11,34 +11,33 @@ A product is the map Khovanov's TQFT assigns to one cobordism, from
 glue(c, b) and glue(b, a) to glue(c, a), and that map depends only on
 the cobordism's connected components: which input and output circles
 each one joins, and its genus.  So the default path never replays the
-saddles.  Key: _cobordism_key() is the one routine that builds a key,
-for ring products and for the cup-cap bimodules of braid_homotopy
-alike.  It takes a stack of diagrams and the output, each given by its
-lines: per circle, the bitmask of its points on the upper and on the
-lower point line (_ring_lines() for a ring block; the ring and each
-bimodule build every block's lines once, with its basis).  It shifts
-each circle's masks onto the interfaces where the lines touch, and
-joins every circle whose mask meets a component into it, so the
-components come out with the circles they hold as bits.  A ring
-triple (c, b, a) stacks glue(c, b) on glue(b, a) and ends in
-glue(c, a).  Each arc of b is one saddle, counted in a component as a
-bit of its mask on the interface below the top input.  A component is
-built from its k_in input cylinders by s saddles, each lowering the
-Euler characteristic by one, so 2 - 2g - (k_in + k_out) = -s and its
-genus is g = (2 - k_in - k_out + s) / 2.  The key is the sorted tuple of
-(input mask, output mask, g) over the components, the masks selecting
-circles as bits of a word's rank, its position in label_words() (the
-word read in binary with X = 1).  Row: a component multiplies its t
-input X's into one circle, times (2X)^g, and then comultiplies to its
-outputs, so with t + g >= 2 the product is zero, t + g = 1 puts X on
-every output and t + g = 0 sums the words with exactly one output 1;
-the row is the product over the components, (output rank,
-2^(total genus)) terms sorted by rank, built by _cobordism_row().
-Kernel: _build_kernel() gives each block key its key, the table of that
-key (one per distinct key, with a row slot per input rank, filled by
-_table_row() on first read; 64 keys serve the 2,744 triples at n = 4)
-and the output block's basis slice, one per block, through which
-_kernel_product() reads a word's row; _two_sided() reads a whole
+saddles.  Key: a ring block's upper and lower point lines are one, so
+the components of a ring triple (c, b, a) are those of c, b and a on the
+2n points.  _ring_key() reads them off the point bitmasks of the
+circles of glue(c, b), glue(b, a) and glue(c, a), built once per block
+with the basis (_ring_lines()): the top circles are disjoint, each
+bottom circle joins every component it meets, and each output circle
+the one holding its points.  Each arc of b is one saddle and lies in
+one component, so a component on m points has m / 2 saddles.  A
+component is built from its k_in input cylinders by s saddles, each
+lowering the Euler characteristic by one, so 2 - 2g - (k_in + k_out) =
+-s and its genus is g = (2 - k_in - k_out + s) / 2.  The key is the
+sorted tuple of (input mask, output mask, g) over the components, the
+masks selecting circles as bits of a word's rank, its position in
+label_words() (the word read in binary with X = 1).  The cup-cap
+bimodules, whose two lines differ, key a stack of diagrams through
+braid_homotopy._cobordism_key(), with the same key and genus rule.
+Row: a component multiplies its t input X's into one circle, times
+(2X)^g, and then comultiplies to its outputs, so with t + g >= 2 the
+product is zero, t + g = 1 puts X on every output and t + g = 0 sums
+the words with exactly one output 1; the row is the product over the
+components, (output rank, 2^(total genus)) terms sorted by rank, built
+by _cobordism_row().
+Kernel: _build_kernel() takes a block key's key and gives it the table
+of that key (one per distinct key, with a row slot per input rank,
+filled by _table_row() on first read; 64 keys serve the 2,744 triples
+at n = 4) and the output block's basis slice, one per block, through
+which _kernel_product() reads a word's row; _two_sided() reads a whole
 block's rows, and the associativity check both sides of a triple, on
 label ranks, with no basis vector.  ArcRing and the bimodules keep
 one kernel per block key, so a product is a row lookup, and a row is
@@ -65,6 +64,9 @@ from .errors import CapacityError, InvariantError, SizeMismatchError
 from .frobenius import MERGE, SPLIT, X, Combination
 
 MAX_RING_N = 6
+# verify_ring_integrity walks the whole product table: 4.0 million
+# products at n = 5, 210 million at n = 6
+MAX_RING_CHECK_N = 5
 
 
 @lru_cache(maxsize=None)
@@ -134,35 +136,22 @@ def _ring_lines(b: Matching, a: Matching) -> tuple:
     return masks, masks
 
 
-def _cobordism_key(n: int, stack: list, out: tuple, arcs) -> tuple:
-    """The sorted (input mask, output mask, genus) key of the cobordism
-    from the diagrams of stack, top to bottom, to out.
-
-    Each diagram is given by its (upper, lower) lines: per circle, in
-    label position order, the mask of its points e (bit e) on the upper
-    and on the lower point line.  Interface j holds point e as bit
-    j (2n + 1) + e: interface 0 joins the top input's upper line to
-    out's upper line, each next one an input's lower line to the next
-    input's upper line, and the last the bottom input's lower line to
-    out's lower line; circles that meet there share a component.  Input
-    circle p, numbered down the stack, is bit k_in - 1 - p of an input
-    rank, and output circle q bit k_out - 1 - q of an output rank.  Each
-    arc (r, s) is one saddle, at point r of interface 1.  A component
-    with s saddles has genus g = (2 - k_in - k_out + s) / 2; a numerator
-    that is odd or negative means no surface: InvariantError.
+def _ring_key(top: tuple, bottom: tuple, out: tuple) -> tuple:
+    """The key of ring triple (c, b, a) from the circle point masks of
+    blocks top = (c, b), bottom = (b, a) and out = (c, a), as
+    braid_homotopy._cobordism_key() gives it on the stack [top, bottom],
+    one saddle per arc of b, into out.  The top circles are disjoint
+    components; each bottom circle joins every component it meets, and
+    each output circle the one holding its points.  A component on mask
+    m has m.bit_count() // 2 saddles.
     """
-    width = 2 * n + 1
-    circles = [
-        up << j * width | lo << (j + 1) * width
-        for j, (upper, lower) in enumerate(stack)
-        for up, lo in zip(upper, lower)
-    ]
-    k_out = len(out[0])
-    circles += [up | lo << len(stack) * width for up, lo in zip(*out)]
-    # (point mask, circle bits) per component, pairwise disjoint in points
-    components: list[tuple[int, int]] = []
-    bit = 1 << len(circles)
-    for mask in circles:
+    k_out = len(out)
+    bit = 1 << len(top) + len(bottom) + k_out
+    components = []
+    for mask in top:
+        bit >>= 1
+        components.append((mask, bit))
+    for mask in bottom + out:
         bit >>= 1
         bits, apart = bit, []
         for other, other_bits in components:
@@ -173,11 +162,10 @@ def _cobordism_key(n: int, stack: list, out: tuple, arcs) -> tuple:
                 apart.append((other, other_bits))
         apart.append((mask, bits))
         components = apart
-    saddles = sum(1 << width + r for r, _ in arcs)
     low = (1 << k_out) - 1
     key = []
     for mask, bits in components:
-        s = (mask & saddles).bit_count()
+        s = mask.bit_count() >> 1
         t = 2 + s - bits.bit_count()
         if t < 0 or t & 1:
             raise InvariantError(
@@ -217,19 +205,19 @@ def _cobordism_row(key: tuple, rank: int) -> tuple[tuple[int, int], ...]:
     return tuple([(o, coeff) for o in outs])
 
 
-def _build_kernel(ring, target, stack: list, arcs, block) -> tuple:
-    """(key, table, output basis slice) of the cobordism from stack to
+def _build_kernel(ring, target, key: tuple, block) -> tuple:
+    """(key, table, output basis slice) of a cobordism keyed by key into
     block of target, the ring or a bimodule over it.
 
     A row depends only on the key, so every kernel with the same key
     shares one table through ring._tables, with one row slot per input
-    word rank, filled on first use, and every kernel into one block
-    shares that block's basis slice, target._block_vectors[block].
+    word rank (the key's input masks hold every input circle once),
+    filled on first use, and every kernel into one block shares that
+    block's basis slice, target._block_vectors[block].
     """
-    key = _cobordism_key(ring.n, stack, target._lines[block], arcs)
     table = ring._tables.get(key)
     if table is None:
-        table = ring._tables[key] = [None] * 2 ** sum(len(upper) for upper, _ in stack)
+        table = ring._tables[key] = [None] * 2 ** sum(m_in.bit_count() for m_in, _, _ in key)
     return key, table, target._block_vectors[block]
 
 
@@ -391,7 +379,7 @@ def _lay_out_blocks(space, order: list[Matching], lines) -> None:
 
     Blocks (b, a) run over order x order, and block (b, a) holds the
     label words of the k circles of its lines(b, a), the (upper, lower)
-    lines that _cobordism_key reads.  Sets space.basis, space.block_dims
+    lines that the key routines read.  Sets space.basis, space.block_dims
     (2^k per block), space._block_offsets (the index of each block's
     first vector), space._block_vectors (each block's slice of the
     basis), space._lines (each block's lines), space.index and
@@ -482,11 +470,13 @@ class ArcRing:
     def _kernel(self, c: Matching, b: Matching, a: Matching) -> tuple:
         """Build and store the kernel of triple (c, b, a), on its first product.
 
-        The product cobordism stacks glue(c, b) on glue(b, a), with one
-        saddle per arc of b, and ends in glue(c, a).
+        The product cobordism runs from glue(c, b) and glue(b, a), with
+        one saddle per arc of b, to glue(c, a); _ring_key() reads it off
+        the three blocks' circle masks.
         """
-        stack = [self._lines[c, b], self._lines[b, a]]
-        kernel = self._kernels[(c, b, a)] = _build_kernel(self, self, stack, b.pairs, (c, a))
+        lines = self._lines
+        key = _ring_key(lines[c, b][0], lines[b, a][0], lines[c, a][0])
+        kernel = self._kernels[(c, b, a)] = _build_kernel(self, self, key, (c, a))
         return kernel
 
     def _kernel_at(self, side: str, c: Matching, b: Matching, a: Matching) -> tuple:
@@ -665,6 +655,8 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
     """
     import random
 
+    if n > MAX_RING_CHECK_N:
+        raise CapacityError(f"the ring check supports n <= {MAX_RING_CHECK_N}, not n = {n}")
     ring = get_ring(n)
     rng = random.Random(seed)
     by_row: dict[Matching, list[BasisVector]] = {}

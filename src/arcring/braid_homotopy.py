@@ -10,12 +10,18 @@ glue(b, compose_ui(i, a).matching), then the free circle of U_i a when
 there is one (UiBimodule says where each point of the diagram lies).
 Like a ring product, each action and each saddle map is the TQFT map of
 a cobordism, fixed by its components.  It is keyed once per block key
-by arc_ring._cobordism_key(), the one key routine, from the stack of
-its diagrams, each given by the point masks of its circles: the module
-builds its blocks' masks once, with its basis, and reads the ring's
-blocks from the ring.  The kernel is applied through the ring's
-lookup, arc_ring._build_kernel() and _kernel_product(), or a block at a
-time by arc_ring._two_sided().
+by _cobordism_key() from the stack of its diagrams, each given by the
+point masks of its circles on its upper and lower point line: the
+module builds its blocks' masks once, with its basis, and reads the
+ring's blocks from the ring.  A module block's two lines differ where
+U_i meets it, so the routine shifts each circle's masks onto the
+interfaces where the lines touch and counts saddles at the given arcs;
+a ring block's two lines are one, and the ring keys its own products
+on the 2n points by arc_ring._ring_key(), with the same key and genus
+rule.  The key becomes a kernel through the ring's lookup,
+arc_ring._build_kernel(), which shares the ring's tables, and is
+applied by _kernel_product(), or a block at a time by
+arc_ring._two_sided().
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -47,8 +53,12 @@ from .arc_ring import (
     get_ring,
 )
 from .combinatorics import Matching, glue
-from .errors import SizeMismatchError
+from .errors import CapacityError, InvariantError, SizeMismatchError
 from .frobenius import Combination
+
+# F(U_i) outgrows H_n (rank 1,524 against 1,092 at n = 4), and the
+# check builds one per i = 1..2n - 1
+MAX_HOMOTOPY_N = 5
 
 
 class FlatComposite(NamedTuple):
@@ -112,6 +122,60 @@ class BimoduleElement(Combination):
             for v, c in sorted(self.terms.items())
         ]
         return "BimoduleElement(" + " + ".join(bits) + ")"
+
+
+def _cobordism_key(n: int, stack: list, out: tuple, arcs) -> tuple:
+    """The sorted (input mask, output mask, genus) key of the cobordism
+    from the diagrams of stack, top to bottom, to out.
+
+    Each diagram is given by its (upper, lower) lines: per circle, in
+    label position order, the mask of its points e (bit e) on the upper
+    and on the lower point line.  Interface j holds point e as bit
+    j (2n + 1) + e: interface 0 joins the top input's upper line to
+    out's upper line, each next one an input's lower line to the next
+    input's upper line, and the last the bottom input's lower line to
+    out's lower line; circles that meet there share a component.  Input
+    circle p, numbered down the stack, is bit k_in - 1 - p of an input
+    rank, and output circle q bit k_out - 1 - q of an output rank.  Each
+    arc (r, s) is one saddle, at point r of interface 1.  A component
+    with s saddles has genus g = (2 - k_in - k_out + s) / 2; a numerator
+    that is odd or negative means no surface: InvariantError.
+    """
+    width = 2 * n + 1
+    circles = [
+        up << j * width | lo << (j + 1) * width
+        for j, (upper, lower) in enumerate(stack)
+        for up, lo in zip(upper, lower)
+    ]
+    k_out = len(out[0])
+    circles += [up | lo << len(stack) * width for up, lo in zip(*out)]
+    # (point mask, circle bits) per component, pairwise disjoint in points
+    components: list[tuple[int, int]] = []
+    bit = 1 << len(circles)
+    for mask in circles:
+        bit >>= 1
+        bits, apart = bit, []
+        for other, other_bits in components:
+            if other & mask:
+                mask |= other
+                bits |= other_bits
+            else:
+                apart.append((other, other_bits))
+        apart.append((mask, bits))
+        components = apart
+    saddles = sum(1 << width + r for r, _ in arcs)
+    low = (1 << k_out) - 1
+    key = []
+    for mask, bits in components:
+        s = (mask & saddles).bit_count()
+        t = 2 + s - bits.bit_count()
+        if t < 0 or t & 1:
+            raise InvariantError(
+                f"a component with {bits.bit_count()} boundary circles and {s} saddles has no genus"
+            )
+        key.append((bits >> k_out, bits & low, t >> 1))
+    key.sort()
+    return tuple(key)
 
 
 class UiBimodule:
@@ -185,7 +249,8 @@ class UiBimodule:
             stack, arcs, out = [ring_lines[blocks]], cut, blocks
         # alpha lands in the ring, the other three in the bimodule
         target = self.ring if kind == "alpha" else self
-        kernel = self._kernels[(kind, *blocks)] = _build_kernel(self.ring, target, stack, arcs, out)
+        key = _cobordism_key(self.n, stack, target._lines[out], arcs)
+        kernel = self._kernels[(kind, *blocks)] = _build_kernel(self.ring, target, key, out)
         return kernel
 
     def _kernel_at(self, kind: str, *blocks: Matching) -> tuple:
@@ -422,6 +487,8 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     """
     from .center import central_X
 
+    if n > MAX_HOMOTOPY_N:
+        raise CapacityError(f"the null-homotopy check supports n <= {MAX_HOMOTOPY_N}, not n = {n}")
     module = UiBimodule(n, i)
     ring = module.ring
     z_lo, z_hi = central_X(i, n), central_X(i + 1, n)

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
-from .errors import InvariantError, SizeMismatchError
+from .errors import InvariantError
 from .frobenius import ONE, X
 from .integer_linalg import IntMatrix, invariant_factors, kernel_basis, solve_in_column_span
 from .presentations import SquareFreePoly, admissible_coordinates
@@ -362,25 +362,6 @@ def verify_presentation_iso(n: int, seed: int = 0) -> dict:
         )
     )
     return report
-
-
-def symmetric_action(sigma, z: RingElement, pres: CenterPresentation | None = None) -> RingElement:
-    """Act by a permutation of [1, 2n] on a central element.
-
-    sigma may be a dict {i: sigma(i)} or a sequence of length 2n listing
-    images of 1..2n.
-    """
-    if pres is None:
-        pres = presentation_map(z.n)
-    if z.n != pres.n:
-        raise SizeMismatchError("element and presentation sizes differ")
-    if not isinstance(sigma, dict):
-        sigma = {i + 1: v for i, v in enumerate(sigma)}
-    if sorted(sigma) != list(range(1, 2 * pres.n + 1)) or sorted(
-        sigma.values()
-    ) != list(range(1, 2 * pres.n + 1)):
-        raise ValueError("sigma must permute 1..2n")
-    return pres.from_admissible(pres.act(sigma, pres.to_admissible(z)))
 
 
 def _compose(sigma: dict[int, int], tau: dict[int, int]) -> dict[int, int]:

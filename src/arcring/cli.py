@@ -6,7 +6,9 @@ byte-identical across runs for the same arguments; wall-clock timing
 is therefore opt-in (--timing), since a duration field would break
 reproducibility.  Warnings and cache notices go to stderr.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+check asked beyond its reach (CapacityError, refused before any check
+runs).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 import sys
 import time
 
-from .arc_ring import MAX_RING_N, get_ring, verify_ring_integrity
-from .braid_homotopy import verify_null_homotopy
+from .arc_ring import MAX_RING_CHECK_N, MAX_RING_N, get_ring, verify_ring_integrity
+from .braid_homotopy import MAX_HOMOTOPY_N, verify_null_homotopy
 from .cache import cache_path, load_or_build, store_ring
 from .center import (
     center_basis,
@@ -34,7 +36,7 @@ from .combinatorics import (
     matching_graph,
     total_order,
 )
-from .errors import TorsionError
+from .errors import CapacityError, TorsionError
 from .presentations import (
     admissible_subsets,
     ideal_R1,
@@ -46,6 +48,8 @@ from .presentations import (
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("ring", "center", "springer", "iso", "homotopy", "symmetric")
+# the checks that reach less than MAX_RING_N
+CHECK_LIMITS = {"ring": MAX_RING_CHECK_N, "homotopy": MAX_HOMOTOPY_N}
 
 
 # -- verification checks --------------------------------------------------
@@ -113,6 +117,10 @@ def check_symmetric(n: int, seed: int) -> dict:
 
 
 def run_checks(n: int, which: list[str], seed: int) -> dict:
+    for name in which:
+        limit = CHECK_LIMITS.get(name, MAX_RING_N)
+        if n > limit:
+            raise CapacityError(f"--{name} supports n <= {limit}, not n = {n}")
     results: dict = {"checks": {}}
     for name in CHECK_NAMES:
         if name not in which:
@@ -288,7 +296,11 @@ def main(argv: list[str] | None = None) -> int:
         if not which:
             parser.error("select at least one check (per-check flags or --all)")
         parameters["checks"] = which
-        results = run_checks(args.n, which, args.seed)
+        try:
+            results = run_checks(args.n, which, args.seed)
+        except CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         passed = results["passed"]
         exit_code = 0 if passed else 1
     else:

@@ -162,15 +162,6 @@ def glue(a: Matching, b: Matching) -> ClosedDiagram:
     return ClosedDiagram(n, tuple(circles), tuple(owner))
 
 
-def distance(a: Matching, b: Matching) -> int:
-    """n minus the number of circles of glue(a, b).
-
-    Equals the minimal number of arrow moves joining a and b, which the
-    tests verify against a breadth-first search of the arrow graph.
-    """
-    return a.n - len(glue(a, b).circles)
-
-
 def enumerate_matchings(n: int) -> list[Matching]:
     """All crossingless matchings of 1..2n, lexicographically sorted.
 

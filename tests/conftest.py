@@ -48,15 +48,22 @@ def plan_compiles(monkeypatch):
 
 @pytest.fixture
 def cobordism_keys(monkeypatch):
-    """One (n, stack, out, arcs) entry per cobordism key built."""
+    """One entry, the routine's arguments, per cobordism key built.
+
+    Ring kernels key through arc_ring._ring_key and bimodule kernels
+    through braid_homotopy._cobordism_key; both are counted.
+    """
     built = []
-    real = arc_ring._cobordism_key
 
-    def counting(n, stack, out, arcs):
-        built.append((n, stack, out, arcs))
-        return real(n, stack, out, arcs)
+    def counting(real):
+        def key(*args):
+            built.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(arc_ring, "_cobordism_key", counting)
+        return key
+
+    monkeypatch.setattr(arc_ring, "_ring_key", counting(arc_ring._ring_key))
+    monkeypatch.setattr(braid_homotopy, "_cobordism_key", counting(braid_homotopy._cobordism_key))
     return built
 
 

@@ -24,6 +24,9 @@ vectors to zl y - y zr as one sum of per-basis products; the library's
 index routine, arc_ring._two_sided, reads the same images off the
 kernel tables.
 
+symmetric_action acts by a permutation on a central element through
+the presentation, as the library's public function of that name did.
+
 commutator_quotient_rank, criterion 9's oracle, ranks H_n modulo its
 commutators by crossing every pair of basis vectors, lattice_equal
 compares two column-span lattices, and rank is a matrix's rank over
@@ -279,6 +282,14 @@ def null_homotopy_report(i, n, check_axioms=True, seed=0):
         and report.get("bimodule_axioms", True)
     )
     return report
+
+
+def symmetric_action(sigma, z, pres):
+    """sigma, a dict {i: sigma(i)} or the sequence of the images of
+    1..2n, acting on the central element z through presentation pres."""
+    if not isinstance(sigma, dict):
+        sigma = {i + 1: v for i, v in enumerate(sigma)}
+    return pres.from_admissible(pres.act(sigma, pres.to_admissible(z)))
 
 
 def is_central(z, ring=None):

@@ -19,8 +19,8 @@ from arcring.arc_ring import (
     BasisVector,
     RingElement,
     _BITS,
-    _cobordism_key,
     _cobordism_row,
+    _ring_key,
     _ring_lines,
     _saddle_steps,
     _surgery_product,
@@ -31,10 +31,12 @@ from arcring.arc_ring import (
     unit,
     verify_ring_integrity,
 )
+from arcring.braid_homotopy import _cobordism_key
 from arcring.cache import ring_to_payload
-from arcring.combinatorics import Matching, distance, enumerate_matchings, glue
+from arcring.combinatorics import Matching, enumerate_matchings, glue
 from arcring.errors import CapacityError, InvariantError, SizeMismatchError
 from element_reference import commutator_quotient_rank
+from test_combinatorics import arrow_graph_distances
 
 
 def test_label_words():
@@ -57,9 +59,8 @@ def test_dimension_formulas():
         by_blocks = sum(
             2 ** len(glue(b, a).circles) for b in ms for a in ms
         )
-        by_distance = sum(
-            2 ** (n - distance(b, a)) for b in ms for a in ms
-        )
+        dist = arrow_graph_distances(n)
+        by_distance = sum(2 ** (n - dist[b, a]) for b in ms for a in ms)
         assert ring.dimension == by_blocks == by_distance
         assert sum(ring.block_dims.values()) == ring.dimension
 
@@ -546,8 +547,14 @@ def test_plan_row_budget_n4(cobordism_keys, cobordism_rows):
     assert len(cobordism_rows) == sum(map(len, ring._tables.values()))
 
 
-def _ring_key(c, b, a):
-    """The cobordism key of ring triple (c, b, a)."""
+def _triple_key(c, b, a):
+    """The cobordism key of ring triple (c, b, a), as the ring builds it."""
+    return _ring_key(*(_ring_lines(*block)[0] for block in ((c, b), (b, a), (c, a))))
+
+
+def _stack_key(c, b, a):
+    """The same key by the general routine: glue(c, b) stacked on
+    glue(b, a), one saddle per arc of b, into glue(c, a)."""
     stack = [_ring_lines(c, b), _ring_lines(b, a)]
     return _cobordism_key(c.n, stack, _ring_lines(c, a), b.pairs)
 
@@ -564,7 +571,7 @@ def test_closed_form_rows_match_plans_exhaustive():
     for n, total in ((1, 4), (2, 72), (3, 2168), (4, 85608)):
         rows = 0
         for c, b, a in itertools.product(enumerate_matchings(n), repeat=3):
-            key = _ring_key(c, b, a)
+            key = _triple_key(c, b, a)
             steps = _saddle_steps(c, b, a, b.pairs)
             words = label_words(len(glue(c, b).circles) + len(glue(b, a).circles))
             for r, word in enumerate(words):
@@ -596,7 +603,7 @@ def test_closed_form_rows_property_n5():
         x, y, arcs = case
         c, b, a = x.row, x.col, y.col
         r = int((x.labels + y.labels).translate(_BITS), 2)
-        row = _cobordism_row(_ring_key(c, b, a), r)
+        row = _cobordism_row(_triple_key(c, b, a), r)
         assert row == _surgery_row(_saddle_steps(c, b, a, arcs), x.labels + y.labels)
         words = label_words(len(glue(c, a).circles))
         got = tuple((BasisVector(c, a, words[o]), k) for o, k in row)
@@ -700,9 +707,53 @@ def test_cobordism_components_rejects_impossible_genus():
     b = Matching([(1, 4), (2, 3)])
     stack = [((0b11110,), (0b11110,))] * 2
     out = ((0b00110, 0b11000),) * 2
-    assert _ring_key(c, b, a) == _cobordism_key(2, stack, out, b.pairs) == ((0b11, 0b11, 0),)
+    assert _stack_key(c, b, a) == _cobordism_key(2, stack, out, b.pairs) == ((0b11, 0b11, 0),)
     with pytest.raises(InvariantError):
         _cobordism_key(2, stack, out, b.pairs[:1])
+
+
+def test_ring_key_rejects_impossible_genus():
+    # hand-built blocks, each circle the mask of its points (bit e):
+    # the merge of the n = 1 triple and the product above, then one
+    # circle into itself through two saddles (odd) and one circle
+    # through one saddle into two outputs (negative)
+    assert _triple_key(*[Matching([(1, 2)])] * 3) == _ring_key((0b110,), (0b110,), (0b110,))
+    assert _ring_key((0b110,), (0b110,), (0b110,)) == ((0b11, 0b1, 0),)
+    assert _ring_key((0b11110,), (0b11110,), (0b00110, 0b11000)) == ((0b11, 0b11, 0),)
+    with pytest.raises(InvariantError):
+        _ring_key((0b11110,), (0b11110,), (0b11110,))
+    with pytest.raises(InvariantError):
+        _ring_key((0b110,), (0b110,), (0b010, 0b100))
+
+
+def test_ring_keys_match_stack_keys_n5():
+    # the ring's key routine against the general one on the ring stack,
+    # for all 74,088 triples at n = 5
+    ms = enumerate_matchings(5)
+    lines = {(b, a): _ring_lines(b, a) for b in ms for a in ms}
+    for c, b, a in itertools.product(ms, repeat=3):
+        top, bottom, out = lines[c, b], lines[b, a], lines[c, a]
+        want = _cobordism_key(5, [top, bottom], out, b.pairs)
+        assert _ring_key(top[0], bottom[0], out[0]) == want
+
+
+def test_ring_key_property():
+    # random matching triples up to n = 6, where the table has 2.3
+    # million of them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def triples(draw):
+        ms = enumerate_matchings(draw(st.integers(1, 6)))
+        return tuple(draw(st.sampled_from(ms)) for _ in range(3))
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(triples())
+    def check(triple):
+        assert _triple_key(*triple) == _stack_key(*triple)
+
+    check()
 
 
 def test_cobordism_keys_match_link_reference():

@@ -24,14 +24,13 @@ from arcring.center import (
     diagonal_vector,
     is_central,
     presentation_map,
-    symmetric_action,
     verify_presentation_iso,
     verify_symmetric_action,
 )
 from arcring.combinatorics import admissible_subsets, catalan, enumerate_matchings
 from arcring.integer_linalg import invariant_factors, solve_in_column_span
 from arcring.presentations import SquareFreePoly, admissible_coordinates
-from element_reference import lattice_equal, rank as matrix_rank
+from element_reference import lattice_equal, rank as matrix_rank, symmetric_action
 
 
 def test_center_ranks():

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from arcring import arc_ring, cache, cli
-from arcring.arc_ring import ArcRing, get_ring
+from arcring.arc_ring import ArcRing, get_ring, verify_ring_integrity
+from arcring.braid_homotopy import verify_null_homotopy
 from arcring.cache import (
     cache_path,
     load_or_build,
@@ -32,7 +33,7 @@ from arcring.cache import (
 )
 from arcring.cli import main, render_report
 from arcring.combinatorics import enumerate_matchings
-from arcring.errors import InvariantError
+from arcring.errors import CapacityError, InvariantError
 
 
 def run_cli(capsys, argv):
@@ -138,6 +139,20 @@ def test_verify_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "0", "--all"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("check", ["ring", "homotopy"])
+def test_verify_refuses_a_check_beyond_its_reach(capsys, monkeypatch, check):
+    # n = 6 is refused with exit code 2 before any selected check runs,
+    # and the library check refuses it on its own
+    ran = []
+    for name in cli.CHECK_NAMES:
+        monkeypatch.setattr(cli, f"check_{name}", lambda *args, name=name: ran.append(name))
+    code, out, err = run_cli(capsys, ["verify", "--n", "6", "--center", f"--{check}"])
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: --{check} supports n <= 5, not n = 6\n"
+    with pytest.raises(CapacityError):
+        verify_ring_integrity(6) if check == "ring" else verify_null_homotopy(1, 6)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -22,7 +22,6 @@ from arcring.combinatorics import (
     arrows,
     bottom_arc_count,
     catalan,
-    distance,
     enumerate_matchings,
     glue,
     is_admissible,
@@ -80,6 +79,12 @@ def find_sink(a: Matching, b: Matching) -> Matching:
             if distance(a, c) + distance(c, b) == d_ab:
                 return c
     raise InvariantError(f"no geodesic common predecessor for {a} and {b}")
+
+
+def distance(a: Matching, b: Matching) -> int:
+    """n minus the number of circles of glue(a, b): the arrow distance,
+    which test_distance_against_bfs checks against the arrow graph."""
+    return a.n - len(glue(a, b).circles)
 
 
 def brute_force_matchings(n):

@@ -11,22 +11,21 @@ A product is the map Khovanov's TQFT assigns to one cobordism, from
 glue(c, b) and glue(b, a) to glue(c, a), and that map depends only on
 the cobordism's connected components: which input and output circles
 each one joins, and its genus.  So the default path never replays the
-saddles.  Key: a ring block's upper and lower point lines are one, so
-the components of a ring triple (c, b, a) are those of c, b and a on the
-2n points.  _ring_key() reads them off the point bitmasks of the
-circles of glue(c, b), glue(b, a) and glue(c, a), built once per block
-with the basis (_ring_lines()): the top circles are disjoint, each
-bottom circle joins every component it meets, and each output circle
-the one holding its points.  Each arc of b is one saddle and lies in
-one component, so a component on m points has m / 2 saddles.  A
-component is built from its k_in input cylinders by s saddles, each
-lowering the Euler characteristic by one, so 2 - 2g - (k_in + k_out) =
--s and its genus is g = (2 - k_in - k_out + s) / 2.  The key is the
-sorted tuple of (input mask, output mask, g) over the components, the
-masks selecting circles as bits of a word's rank, its position in
-label_words() (the word read in binary with X = 1).  The cup-cap
-bimodules, whose two lines differ, key a stack of diagrams through
-braid_homotopy._cobordism_key(), with the same key and genus rule.
+saddles.  Key: the components of a ring triple (c, b, a) are those of
+c, b and a on the 2n points.  _ring_key() reads them off the point
+bitmasks of the circles of glue(c, b), glue(b, a) and glue(c, a), built
+once per block with the basis (_circle_masks()): the top circles are
+disjoint, each bottom circle joins every component it meets, and each
+output circle the one holding its points.  Each arc of b is one saddle
+and lies in one component, so a component on m points has m / 2
+saddles.  A component is built from its k_in input cylinders by s
+saddles, each lowering the Euler characteristic by one, so 2 - 2g -
+(k_in + k_out) = -s and its genus is g = (2 - k_in - k_out + s) / 2.
+The key is the sorted tuple of (input mask, output mask, g) over the
+components, the masks selecting circles as bits of a word's rank, its
+position in label_words() (the word read in binary with X = 1).  It is
+the only key routine: the cup-cap bimodules read each of their keys
+off a ring key (braid_homotopy.UiBimodule._kernel()).
 Row: a component multiplies its t input X's into one circle, times
 (2X)^g, and then comultiplies to its outputs, so with t + g >= 2 the
 product is zero, t + g = 1 puts X on every output and t + g = 0 sums
@@ -130,20 +129,21 @@ def _rank(word: str) -> int:
     return int(word.translate(_BITS), 2)
 
 
-def _ring_lines(b: Matching, a: Matching) -> tuple:
-    """(upper, lower) lines of ring block (b, a), whose two lines are one."""
-    masks = tuple([sum(1 << e for e in circle) for circle in glue(b, a).circles])
-    return masks, masks
+def _circle_masks(b: Matching, a: Matching) -> tuple:
+    """The point mask (bit e for point e) of each circle of glue(b, a)."""
+    return tuple([sum(1 << e for e in circle) for circle in glue(b, a).circles])
 
 
 def _ring_key(top: tuple, bottom: tuple, out: tuple) -> tuple:
     """The key of ring triple (c, b, a) from the circle point masks of
-    blocks top = (c, b), bottom = (b, a) and out = (c, a), as
-    braid_homotopy._cobordism_key() gives it on the stack [top, bottom],
-    one saddle per arc of b, into out.  The top circles are disjoint
-    components; each bottom circle joins every component it meets, and
-    each output circle the one holding its points.  A component on mask
-    m has m.bit_count() // 2 saddles.
+    blocks top = (c, b), bottom = (b, a) and out = (c, a): glue(c, b) on
+    glue(b, a), one saddle per arc of b, into glue(c, a).  Input circle
+    p, numbered down the stack, is bit k_in - 1 - p of an input rank,
+    and output circle q bit k_out - 1 - q of an output rank.  The top
+    circles are disjoint components; each bottom circle joins every
+    component it meets, and each output circle the one holding its
+    points.  A component on mask m has m.bit_count() // 2 saddles; an
+    odd or negative genus numerator means no surface: InvariantError.
     """
     k_out = len(out)
     bit = 1 << len(top) + len(bottom) + k_out
@@ -374,27 +374,22 @@ def _surgery_product(steps: list[tuple], word: str) -> list[tuple[str, int]]:
     return sorted((w, k) for w, k in terms.items() if k)
 
 
-def _lay_out_blocks(space, order: list[Matching], lines) -> None:
+def _lay_out_blocks(space, labels: dict) -> None:
     """Give space, the ring or a bimodule, its basis block by block.
 
-    Blocks (b, a) run over order x order, and block (b, a) holds the
-    label words of the k circles of its lines(b, a), the (upper, lower)
-    lines that the key routines read.  Sets space.basis, space.block_dims
-    (2^k per block), space._block_offsets (the index of each block's
-    first vector), space._block_vectors (each block's slice of the
-    basis), space._lines (each block's lines), space.index and
-    space.dimension.
+    labels maps each block (b, a), in basis order, to the number k of
+    its labels, and the block holds the 2^k label words of that length.
+    Sets space.basis, space.block_dims (2^k per block),
+    space._block_offsets (the index of each block's first vector),
+    space._block_vectors (each block's slice of the basis), space.index
+    and space.dimension.
     """
     space.basis, space.block_dims, space._block_offsets, space._block_vectors = [], {}, {}, {}
-    space._lines = {}
-    for b in order:
-        for a in order:
-            upper, _ = space._lines[b, a] = lines(b, a)
-            k = len(upper)
-            space.block_dims[b, a] = 2**k
-            space._block_offsets[b, a] = len(space.basis)
-            vectors = space._block_vectors[b, a] = [BasisVector(b, a, w) for w in label_words(k)]
-            space.basis += vectors
+    for (b, a), k in labels.items():
+        space.block_dims[b, a] = 2**k
+        space._block_offsets[b, a] = len(space.basis)
+        vectors = space._block_vectors[b, a] = [BasisVector(b, a, w) for w in label_words(k)]
+        space.basis += vectors
     space.index = {v: i for i, v in enumerate(space.basis)}
     space.dimension = len(space.basis)
 
@@ -423,7 +418,9 @@ class ArcRing:
         if set(order) != expected or len(order) != len(expected):
             raise ValueError("order must enumerate every matching exactly once")
         self.order = list(order)
-        _lay_out_blocks(self, self.order, _ring_lines)
+        # each block's circle masks, which _ring_key() reads
+        self._masks = {(b, a): _circle_masks(b, a) for b in self.order for a in self.order}
+        _lay_out_blocks(self, {block: len(masks) for block, masks in self._masks.items()})
         # the product table's blocks (c, b) in scan order, each as (first
         # position, first x index, first index of row b, width of row b)
         order, dims = self.order, self.block_dims
@@ -474,8 +471,8 @@ class ArcRing:
         one saddle per arc of b, to glue(c, a); _ring_key() reads it off
         the three blocks' circle masks.
         """
-        lines = self._lines
-        key = _ring_key(lines[c, b][0], lines[b, a][0], lines[c, a][0])
+        masks = self._masks
+        key = _ring_key(masks[c, b], masks[b, a], masks[c, a])
         kernel = self._kernels[(c, b, a)] = _build_kernel(self, self, key, (c, a))
         return kernel
 

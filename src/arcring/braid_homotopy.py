@@ -5,23 +5,32 @@ cup joining the top points i, i+1, and vertical strands elsewhere.  Its
 bimodule F(U_i) has one generator per labeling of the circles of the
 closed diagram W(b) U_i a for each block (b, a); the ring acts on both
 sides by the same saddle contraction that defines ring multiplication.
-The label positions of a block are the circles of
-glue(b, compose_ui(i, a).matching), then the free circle of U_i a when
-there is one (UiBimodule says where each point of the diagram lies).
-Like a ring product, each action and each saddle map is the TQFT map of
-a cobordism, fixed by its components.  It is keyed once per block key
-by _cobordism_key() from the stack of its diagrams, each given by the
-point masks of its circles on its upper and lower point line: the
-module builds its blocks' masks once, with its basis, and reads the
-ring's blocks from the ring.  A module block's two lines differ where
-U_i meets it, so the routine shifts each circle's masks onto the
-interfaces where the lines touch and counts saddles at the given arcs;
-a ring block's two lines are one, and the ring keys its own products
-on the 2n points by arc_ring._ring_key(), with the same key and genus
-rule.  The key becomes a kernel through the ring's lookup,
-arc_ring._build_kernel(), which shares the ring's tables, and is
-applied by _kernel_product(), or a block at a time by
-arc_ring._two_sided().
+Each action and each saddle map is the TQFT map of a cobordism, fixed
+by its components, and block (b, a), the diagram glue(b, U_i a) plus a
+free circle when a has the arc (i, i+1), is a ring block relabelled.  So
+each kernel's key is read off a ring key, arc_ring._ring_key().  With A
+and B the matchings of U_i a and U_i b, and a ring key's second factor
+dropped by shifting its input masks down by the label count of the ring
+block multiplied by its all-1 word:
+
+- left (b', b, a): the ring key of (b', b, A); if a has the arc, every
+  mask up one bit and the cylinder (1, 1, 0) on the free circle, the
+  last label.
+- right (b, a, a'): the ring key of (B, a, a'), each circle of ring
+  blocks (B, a) and (B, a') renamed to the module label through the
+  same lower-line point; if b has the arc, its closed circle meets no
+  lower point and is a genus-0 cylinder from input to output.
+- alpha (b, a): if a lacks the arc, the ring key of (b, A, a), second
+  factor dropped (times 1_(A, a)); otherwise identity cylinders on the
+  circles of glue(b, a), the free circle (bit 0) merged into the circle
+  through point i.
+- beta (b, a): if a lacks the arc, the ring key of (b, a, A), second
+  factor dropped; otherwise the same cylinders, the circle through i
+  splitting onto itself and the free circle.
+
+The key becomes a kernel through arc_ring._build_kernel(), which shares
+the ring's tables, and is applied by _kernel_product(), or a block at a
+time by arc_ring._two_sided().
 
 Collapsing the cup-cap pair of U_i to two vertical strands is a single
 saddle.  It induces maps alpha: F(U_i) -> H and beta: H -> F(U_i), and
@@ -46,14 +55,14 @@ from .arc_ring import (
     _build_kernel,
     _kernel_product,
     _lay_out_blocks,
-    _ring_lines,
+    _ring_key,
     _two_sided,
     _unit_failure,
     degree,
     get_ring,
 )
 from .combinatorics import Matching, glue
-from .errors import CapacityError, InvariantError, SizeMismatchError
+from .errors import CapacityError, SizeMismatchError
 from .frobenius import Combination
 
 # F(U_i) outgrows H_n (rank 1,524 against 1,092 at n = 4), and the
@@ -124,76 +133,26 @@ class BimoduleElement(Combination):
         return "BimoduleElement(" + " + ".join(bits) + ")"
 
 
-def _cobordism_key(n: int, stack: list, out: tuple, arcs) -> tuple:
-    """The sorted (input mask, output mask, genus) key of the cobordism
-    from the diagrams of stack, top to bottom, to out.
-
-    Each diagram is given by its (upper, lower) lines: per circle, in
-    label position order, the mask of its points e (bit e) on the upper
-    and on the lower point line.  Interface j holds point e as bit
-    j (2n + 1) + e: interface 0 joins the top input's upper line to
-    out's upper line, each next one an input's lower line to the next
-    input's upper line, and the last the bottom input's lower line to
-    out's lower line; circles that meet there share a component.  Input
-    circle p, numbered down the stack, is bit k_in - 1 - p of an input
-    rank, and output circle q bit k_out - 1 - q of an output rank.  Each
-    arc (r, s) is one saddle, at point r of interface 1.  A component
-    with s saddles has genus g = (2 - k_in - k_out + s) / 2; a numerator
-    that is odd or negative means no surface: InvariantError.
-    """
-    width = 2 * n + 1
-    circles = [
-        up << j * width | lo << (j + 1) * width
-        for j, (upper, lower) in enumerate(stack)
-        for up, lo in zip(upper, lower)
-    ]
-    k_out = len(out[0])
-    circles += [up | lo << len(stack) * width for up, lo in zip(*out)]
-    # (point mask, circle bits) per component, pairwise disjoint in points
-    components: list[tuple[int, int]] = []
-    bit = 1 << len(circles)
-    for mask in circles:
-        bit >>= 1
-        bits, apart = bit, []
-        for other, other_bits in components:
-            if other & mask:
-                mask |= other
-                bits |= other_bits
-            else:
-                apart.append((other, other_bits))
-        apart.append((mask, bits))
-        components = apart
-    saddles = sum(1 << width + r for r, _ in arcs)
-    low = (1 << k_out) - 1
-    key = []
-    for mask, bits in components:
-        s = (mask & saddles).bit_count()
-        t = 2 + s - bits.bit_count()
-        if t < 0 or t & 1:
-            raise InvariantError(
-                f"a component with {bits.bit_count()} boundary circles and {s} saddles has no genus"
-            )
-        key.append((bits >> k_out, bits & low, t >> 1))
-    key.sort()
-    return tuple(key)
+def _moved(mask: int, moves: dict) -> int:
+    """mask with each bit that moves holds replaced by its image."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= moves.get(bit, bit)
+        mask ^= bit
+    return out
 
 
 class UiBimodule:
     """F(U_i) as a bimodule over H_n, with the two saddle maps.
 
-    Block (b, a) draws W(b) U_i a on two point lines, W(b) above the
-    upper one and a below the lower one.  Its label positions are the
-    circles of glue(b, compose_ui(i, a).matching), then the free circle
-    when there is one.  Upper-line point e lies on that diagram's
-    circle endpoint_to_circle[e]; a lower-line point off i, i+1 lies on
-    the circle of the upper point above it; lower points i and i+1 lie
-    on the free circle if a has the arc (i, i+1), and otherwise on the
-    circle of the upper point a.partner[e].  _block_lines() writes this
-    as each circle's point masks, built once per block in _lines.
-
-    The two actions and the two saddle maps are cobordism maps, each
-    keyed once per block key by its components, as ArcRing keys a
-    triple, and applied as a row lookup in the ring's table of that key.
+    Block (b, a) draws W(b) U_i a, W(b) above an upper point line and a
+    below a lower one.  Its labels are the circles of
+    glue(b, compose_ui(i, a).matching), then the free circle if any.
+    _lower keeps, per block, the label count and the label through each
+    lower point e (index 0 unused): the circle through e, but for e = i,
+    i+1 the free circle if a has the arc (i, i+1), or else the circle
+    through a.partner[e].
     """
 
     def __init__(self, n: int, i: int):
@@ -205,7 +164,16 @@ class UiBimodule:
         self.space = (n, i)
         self.ring = get_ring(n)
         self.composite = {a: compose_ui(i, a) for a in self.ring.order}
-        _lay_out_blocks(self, self.ring.order, self._block_lines)
+        self._lower = {}
+        for b in self.ring.order:
+            for a in self.ring.order:
+                A, free = self.composite[a]
+                diagram = glue(b, A)
+                k, lower = len(diagram.circles), list(diagram.endpoint_to_circle)
+                for e in (i, i + 1):
+                    lower[e] = k if free else diagram.endpoint_to_circle[a.partner[e]]
+                self._lower[b, a] = k + free, tuple(lower)
+        _lay_out_blocks(self, {block: k for block, (k, _) in self._lower.items()})
         self._left: dict = {}
         self._right: dict = {}
         self._kernels: dict[tuple, tuple] = {}
@@ -215,41 +183,59 @@ class UiBimodule:
 
     # -- cobordism kernels, one per block key --------------------------------
 
-    def _block_lines(self, b: Matching, a: Matching) -> tuple:
-        """(upper, lower) lines of block (b, a): per label position, the
-        mask of its points on the upper and on the lower point line."""
-        comp = self.composite[a]
-        owner = glue(b, comp.matching).endpoint_to_circle
-        upper = list(_ring_lines(b, comp.matching)[0]) + [0] * comp.circles
-        lower = list(upper)
-        for e in (self.i, self.i + 1):
-            lower[owner[e]] ^= 1 << e
-            lower[-1 if comp.circles else owner[a.partner[e]]] |= 1 << e
-        return tuple(upper), tuple(lower)
+    def _relabel(self, B: Matching, b: Matching, a: Matching, shift: int) -> tuple:
+        """(moves, spare): moves maps the bit of each circle of ring block
+        (B, a) to that of the label of module block (b, a) through the
+        same lower point, in ranks shifted up shift bits; spare is the bit
+        of the label no lower point reaches (b's closed circle), or 0."""
+        k, lower = self._lower[b, a]
+        masks = self.ring._masks[B, a]
+        moves = {
+            1 << shift + len(masks) - 1 - p: 1 << shift + k - 1 - lower[(m & -m).bit_length() - 1]
+            for p, m in enumerate(masks)
+        }
+        return moves, ((1 << k) - 1 << shift) ^ sum(moves.values())
 
     def _kernel(self, kind: str, *blocks: Matching) -> tuple:
-        """Build and store (key, table, output basis slice) of one block key.
-
-        right stacks bimodule (b, a) on ring (a, a') and left ring (b', b)
-        on bimodule (b, a), with one saddle per arc of the glued matching;
-        alpha takes bimodule (b, a) and beta ring (b, a) alone, with one
-        saddle at the arc (i, i+1) where the cup-cap pair is cut or made.
-        """
-        cut = ((self.i, self.i + 1),)
-        lines, ring_lines = self._lines, self.ring._lines
-        if kind == "right":
-            b, a, a2 = blocks
-            stack, arcs, out = [lines[b, a], ring_lines[a, a2]], a.pairs, (b, a2)
-        elif kind == "left":
+        """Build and store (key, table, output basis slice) of one block key,
+        its key read off a ring key by the rule of its kind in the module
+        docstring."""
+        masks = self.ring._masks
+        if kind == "left":
             b2, b, a = blocks
-            stack, arcs, out = [ring_lines[b2, b], lines[b, a]], b.pairs, (b2, a)
-        elif kind == "alpha":
-            stack, arcs, out = [lines[blocks]], cut, blocks
+            A, free = self.composite[a]
+            key = _ring_key(masks[b2, b], masks[b, A], masks[b2, A])
+            key = [(m_in << free, m_out << free, g) for m_in, m_out, g in key] + [(1, 1, 0)] * free
+            out = (b2, a)
+        elif kind == "right":
+            b, a, a2 = blocks
+            B = self.composite[b].matching
+            ins, spare_in = self._relabel(B, b, a, len(masks[a, a2]))
+            outs, spare_out = self._relabel(B, b, a2, 0)
+            key = _ring_key(masks[B, a], masks[a, a2], masks[B, a2])
+            key = [(_moved(m_in, ins), _moved(m_out, outs), g) for m_in, m_out, g in key]
+            key += [(spare_in, spare_out, 0)] if spare_in else []
+            out = (b, a2)
         else:
-            stack, arcs, out = [ring_lines[blocks]], cut, blocks
+            b, a = blocks
+            A, free = self.composite[a]
+            if free:
+                # circle p of glue(b, a) is label p of both blocks, and the
+                # free circle, bit 0 of a module rank, meets the one through i
+                k, i = len(masks[b, a]), self.i
+                ends = [
+                    ((1 << k - p) | (m >> i & 1), 1 << k - 1 - p)
+                    for p, m in enumerate(masks[b, a])
+                ]
+                key = [(u, v, 0) if kind == "alpha" else (v, u, 0) for u, v in ends]
+            else:
+                c, d = (A, a) if kind == "alpha" else (a, A)
+                key = _ring_key(masks[b, c], masks[c, d], masks[b, d])
+                key = [(m_in >> len(masks[c, d]), m_out, g) for m_in, m_out, g in key]
+            out = blocks
         # alpha lands in the ring, the other three in the bimodule
         target = self.ring if kind == "alpha" else self
-        key = _cobordism_key(self.n, stack, target._lines[out], arcs)
+        key = tuple(sorted(key))
         kernel = self._kernels[(kind, *blocks)] = _build_kernel(self.ring, target, key, out)
         return kernel
 

@@ -57,9 +57,12 @@ from pathlib import Path
 
 from .arc_ring import ArcRing, get_ring
 from .combinatorics import Matching
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 
 SCHEMA_VERSION = 2
+# a store and a load walk the whole product table: 209,644,416 products
+# at n = 6
+MAX_CACHE_N = 5
 ENV_VAR = "ARCRING_CACHE_DIR"
 # products recomputed by surgery on every load; all of them at n <= 2
 REVERIFIED = 100
@@ -82,6 +85,9 @@ def cache_dir(directory: str | os.PathLike | None = None) -> Path:
 
 
 def cache_path(n: int, directory: str | os.PathLike | None = None) -> Path:
+    """The file of n; a store or a load beyond MAX_CACHE_N stops here."""
+    if n > MAX_CACHE_N:
+        raise CapacityError(f"the cache supports n <= {MAX_CACHE_N}, not n = {n}")
     return cache_dir(directory) / f"ring_n{n}.json"
 
 
@@ -279,6 +285,8 @@ def load_or_build(n: int, directory: str | os.PathLike | None = None) -> tuple[A
         return load_ring(n, directory), "loaded"
     except FileNotFoundError:
         status = "built"
+    except CapacityError:
+        raise
     except ValueError as exc:
         print(f"warning: rebuilding ring cache for n={n}: {exc}", file=sys.stderr)
         status = "rebuilt"

@@ -30,10 +30,14 @@ from functools import lru_cache
 
 from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 from .frobenius import ONE, X
 from .integer_linalg import IntMatrix, invariant_factors, kernel_basis, solve_in_column_span
 from .presentations import SquareFreePoly, admissible_coordinates
+
+# center_basis gave no verdict in 480 s at 1.7 GiB at n = 6, and the
+# presentation, the iso check and the symmetric check build it first
+MAX_CENTER_N = 5
 
 
 def diagonal_coordinates(n: int) -> list[tuple[Matching, str]]:
@@ -114,8 +118,11 @@ def center_basis(n: int) -> CenterBasis:
     in the same order, so block (b, a) repeats the rows of block (a, b)
     with the opposite sign, and each unordered pair is taken once.
     Kernel bases are saturated, so the result is a basis of the full
-    center lattice, not just a finite index sublattice.
+    center lattice, not just a finite index sublattice.  Beyond
+    MAX_CENTER_N it raises CapacityError before any work.
     """
+    if n > MAX_CENTER_N:
+        raise CapacityError(f"the center supports n <= {MAX_CENTER_N}, not n = {n}")
     matchings = enumerate_matchings(n)
     elements: list[RingElement] = []
     graded: dict[int, int] = {}
@@ -287,15 +294,16 @@ def presentation_map(n: int) -> CenterPresentation:
     return CenterPresentation(n, center, admissible, products, matrix)
 
 
-def verify_presentation_iso(n: int, seed: int = 0) -> dict:
+def verify_presentation_iso(n: int, seed: int = 0, pres: CenterPresentation | None = None) -> dict:
     """Machine check that the admissible presentation is the center.
 
     Returns a JSON-ready report: relation images vanish, graded ranks
     agree, the coordinate matrix is unimodular and degree-preserving,
     and the map is multiplicative on (sampled) products of monomials.
+    pres, when given, is presentation_map(n), built once by the caller.
     """
+    pres = pres or presentation_map(n)
     ring = get_ring(n)
-    pres = presentation_map(n)
     report: dict = {"n": n}
 
     xs = [central_X(i, n) for i in range(1, 2 * n + 1)]
@@ -382,7 +390,7 @@ def _permutation_at(rank: int, n: int) -> dict[int, int]:
     return {j + 1: v for j, v in enumerate(images)}
 
 
-def verify_symmetric_action(n: int, seed: int = 0) -> dict:
+def verify_symmetric_action(n: int, seed: int = 0, pres: CenterPresentation | None = None) -> dict:
     """The permutation action on the center, machine checked.
 
     Checks that the defining relations are permutation-stable (the full
@@ -395,11 +403,12 @@ def verify_symmetric_action(n: int, seed: int = 0) -> dict:
     are a basis of the same lattice as the center basis when the
     presentation matrix is unimodular, which the iso check verifies.
     The trivial action satisfies them all, so last each adjacent
-    transposition t must move the generator X_i to X_t(i).
+    transposition t must move the generator X_i to X_t(i).  pres, when
+    given, is presentation_map(n), built once by the caller.
     """
     from .presentations import ideal_R1, r1_generators, r2_generators
 
-    pres = presentation_map(n)
+    pres = pres or presentation_map(n)
     report: dict = {"n": n}
 
     transpositions = [

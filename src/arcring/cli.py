@@ -7,8 +7,8 @@ is therefore opt-in (--timing), since a duration field would break
 reproducibility.  Warnings and cache notices go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a
-check asked beyond its reach (CapacityError, refused before any check
-runs).
+check or a cache command asked beyond its reach (CapacityError, refused
+before any work).
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ from .arc_ring import MAX_RING_CHECK_N, MAX_RING_N, get_ring, verify_ring_integr
 from .braid_homotopy import MAX_HOMOTOPY_N, verify_null_homotopy
 from .cache import cache_path, load_or_build, store_ring
 from .center import (
+    MAX_CENTER_N,
+    CenterBasis,
+    CenterPresentation,
     center_basis,
+    presentation_map,
     verify_presentation_iso,
     verify_symmetric_action,
 )
@@ -48,8 +52,9 @@ from .presentations import (
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("ring", "center", "springer", "iso", "homotopy", "symmetric")
-# the checks that reach less than MAX_RING_N
+# the checks that reach less than MAX_RING_N: all but --springer
 CHECK_LIMITS = {"ring": MAX_RING_CHECK_N, "homotopy": MAX_HOMOTOPY_N}
+CHECK_LIMITS.update(dict.fromkeys(("center", "iso", "symmetric"), MAX_CENTER_N))
 
 
 # -- verification checks --------------------------------------------------
@@ -59,9 +64,8 @@ def check_ring(n: int, seed: int) -> dict:
     return verify_ring_integrity(n, seed=seed, samples=2000)
 
 
-def check_center(n: int) -> dict:
-    basis = center_basis(n)
-    expected = math.comb(2 * n, n)
+def check_center(basis: CenterBasis) -> dict:
+    expected = math.comb(2 * basis.n, basis.n)
     return {
         "rank": basis.rank,
         "expected_rank": expected,
@@ -100,8 +104,8 @@ def check_springer(n: int) -> dict:
     return report
 
 
-def check_iso(n: int, seed: int) -> dict:
-    return verify_presentation_iso(n, seed=seed)
+def check_iso(n: int, seed: int, pres: CenterPresentation) -> dict:
+    return verify_presentation_iso(n, seed=seed, pres=pres)
 
 
 def check_homotopy(n: int, seed: int) -> dict:
@@ -112,8 +116,8 @@ def check_homotopy(n: int, seed: int) -> dict:
     }
 
 
-def check_symmetric(n: int, seed: int) -> dict:
-    return verify_symmetric_action(n, seed=seed)
+def check_symmetric(n: int, seed: int, pres: CenterPresentation) -> dict:
+    return verify_symmetric_action(n, seed=seed, pres=pres)
 
 
 def run_checks(n: int, which: list[str], seed: int) -> dict:
@@ -121,24 +125,19 @@ def run_checks(n: int, which: list[str], seed: int) -> dict:
         limit = CHECK_LIMITS.get(name, MAX_RING_N)
         if n > limit:
             raise CapacityError(f"--{name} supports n <= {limit}, not n = {n}")
-    results: dict = {"checks": {}}
-    for name in CHECK_NAMES:
-        if name not in which:
-            continue
-        if name == "ring":
-            results["checks"][name] = check_ring(n, seed)
-        elif name == "center":
-            results["checks"][name] = check_center(n)
-        elif name == "springer":
-            results["checks"][name] = check_springer(n)
-        elif name == "iso":
-            results["checks"][name] = check_iso(n, seed)
-        elif name == "homotopy":
-            results["checks"][name] = check_homotopy(n, seed)
-        elif name == "symmetric":
-            results["checks"][name] = check_symmetric(n, seed)
-    results["passed"] = all(c["passed"] for c in results["checks"].values())
-    return results
+    # the presentation holds the center: each is built at most once
+    pres = presentation_map(n) if "iso" in which or "symmetric" in which else None
+    center = pres.center if pres is not None else center_basis(n) if "center" in which else None
+    run = {
+        "ring": lambda: check_ring(n, seed),
+        "center": lambda: check_center(center),
+        "springer": lambda: check_springer(n),
+        "iso": lambda: check_iso(n, seed, pres),
+        "homotopy": lambda: check_homotopy(n, seed),
+        "symmetric": lambda: check_symmetric(n, seed, pres),
+    }
+    checks = {name: run[name]() for name in CHECK_NAMES if name in which}
+    return {"checks": checks, "passed": all(c["passed"] for c in checks.values())}
 
 
 # -- matchings command -----------------------------------------------------
@@ -177,19 +176,16 @@ def run_matchings(n: int, with_arrows: bool, with_order: bool, with_graph: bool)
 
 
 def run_cache(action: str, n: int, directory: str | None) -> dict:
+    # the path refuses an n beyond the cache's reach, before any work
+    path = cache_path(n, directory)
     if action == "store":
-        ring = get_ring(n)
-        path = store_ring(ring, directory)
-        return {
-            "status": "stored",
-            "path": str(path),
-            "dimension": ring.dimension,
-            "products": ring.product_count(),
-        }
-    ring, status = load_or_build(n, directory)
+        ring, status = get_ring(n), "stored"
+        store_ring(ring, directory)
+    else:
+        ring, status = load_or_build(n, directory)
     return {
         "status": status,
-        "path": str(cache_path(n, directory)),
+        "path": str(path),
         "dimension": ring.dimension,
         "products": ring.product_count(),
     }
@@ -309,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         parameters["action"] = args.action
         try:
             results = run_cache(args.action, args.n, args.cache_dir)
+        except CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except OSError as exc:
             print(f"error: cache I/O failed: {exc}", file=sys.stderr)
             return 1

@@ -50,8 +50,9 @@ def plan_compiles(monkeypatch):
 def cobordism_keys(monkeypatch):
     """One entry, the routine's arguments, per cobordism key built.
 
-    Ring kernels key through arc_ring._ring_key and bimodule kernels
-    through braid_homotopy._cobordism_key; both are counted.
+    arc_ring._ring_key is the only key routine: ring kernels key through
+    it, and bimodule kernels read their keys off its keys.  Both modules'
+    bindings of it are counted.
     """
     built = []
 
@@ -62,8 +63,9 @@ def cobordism_keys(monkeypatch):
 
         return key
 
-    monkeypatch.setattr(arc_ring, "_ring_key", counting(arc_ring._ring_key))
-    monkeypatch.setattr(braid_homotopy, "_cobordism_key", counting(braid_homotopy._cobordism_key))
+    counted = counting(arc_ring._ring_key)
+    for module in (arc_ring, braid_homotopy):
+        monkeypatch.setattr(module, "_ring_key", counted)
     return built
 
 

@@ -19,9 +19,9 @@ from arcring.arc_ring import (
     BasisVector,
     RingElement,
     _BITS,
+    _circle_masks,
     _cobordism_row,
     _ring_key,
-    _ring_lines,
     _saddle_steps,
     _surgery_product,
     degree,
@@ -31,7 +31,6 @@ from arcring.arc_ring import (
     unit,
     verify_ring_integrity,
 )
-from arcring.braid_homotopy import _cobordism_key
 from arcring.cache import ring_to_payload
 from arcring.combinatorics import Matching, enumerate_matchings, glue
 from arcring.errors import CapacityError, InvariantError, SizeMismatchError
@@ -549,14 +548,7 @@ def test_plan_row_budget_n4(cobordism_keys, cobordism_rows):
 
 def _triple_key(c, b, a):
     """The cobordism key of ring triple (c, b, a), as the ring builds it."""
-    return _ring_key(*(_ring_lines(*block)[0] for block in ((c, b), (b, a), (c, a))))
-
-
-def _stack_key(c, b, a):
-    """The same key by the general routine: glue(c, b) stacked on
-    glue(b, a), one saddle per arc of b, into glue(c, a)."""
-    stack = [_ring_lines(c, b), _ring_lines(b, a)]
-    return _cobordism_key(c.n, stack, _ring_lines(c, a), b.pairs)
+    return _ring_key(*(_circle_masks(*block) for block in ((c, b), (b, a), (c, a))))
 
 
 def _surgery_row(steps, word):
@@ -684,57 +676,33 @@ def test_saddle_steps_reject_an_arc_cut_twice():
             _saddle_steps(c, b, a, arcs)
 
 
-def test_cobordism_components_rejects_impossible_genus():
-    # hand-built lines: per circle, the mask of its points (bit e) on
-    # the upper and on the lower point line.  A merge: two input
-    # circles, at points 1 and 2, into one output, by one saddle
-    merge_in = ((0b010, 0b100), (0b010, 0b100))
-    merge_out = ((0b110,), (0b110,))
-    assert _cobordism_key(1, [merge_in], merge_out, ((1, 2),)) == ((0b11, 0b1, 0),)
-    # a cylinder with a handle: one saddle too many for genus 0 is odd
-    with pytest.raises(InvariantError):
-        _cobordism_key(1, [merge_out], merge_out, ((1, 2),))
-    # the merge without its saddle: odd
-    with pytest.raises(InvariantError):
-        _cobordism_key(1, [merge_in], merge_out, ())
-    # three inputs joined to one output with no saddle: negative
-    three = ((0b00010, 0b00100, 0b11000), (0b00010, 0b00100, 0b11000))
-    with pytest.raises(InvariantError):
-        _cobordism_key(2, [three], ((0b11110,),) * 2, ())
-    # a real product, one circle times one circle into two by two
-    # saddles, then the same cobordism with one saddle dropped
-    c = a = Matching([(1, 2), (3, 4)])
-    b = Matching([(1, 4), (2, 3)])
-    stack = [((0b11110,), (0b11110,))] * 2
-    out = ((0b00110, 0b11000),) * 2
-    assert _stack_key(c, b, a) == _cobordism_key(2, stack, out, b.pairs) == ((0b11, 0b11, 0),)
-    with pytest.raises(InvariantError):
-        _cobordism_key(2, stack, out, b.pairs[:1])
-
-
 def test_ring_key_rejects_impossible_genus():
     # hand-built blocks, each circle the mask of its points (bit e):
-    # the merge of the n = 1 triple and the product above, then one
-    # circle into itself through two saddles (odd) and one circle
-    # through one saddle into two outputs (negative)
+    # the merge of the n = 1 triple and a product of one circle by one
+    # circle into two by two saddles, then one circle into itself
+    # through two saddles (odd) and one circle through one saddle into
+    # two outputs (negative)
     assert _triple_key(*[Matching([(1, 2)])] * 3) == _ring_key((0b110,), (0b110,), (0b110,))
     assert _ring_key((0b110,), (0b110,), (0b110,)) == ((0b11, 0b1, 0),)
+    c = a = Matching([(1, 2), (3, 4)])
+    b = Matching([(1, 4), (2, 3)])
+    assert _triple_key(c, b, a) == surgery_reference.ring_link_key(c, b, a)
     assert _ring_key((0b11110,), (0b11110,), (0b00110, 0b11000)) == ((0b11, 0b11, 0),)
+    assert _triple_key(c, b, a) == ((0b11, 0b11, 0),)
     with pytest.raises(InvariantError):
         _ring_key((0b11110,), (0b11110,), (0b11110,))
     with pytest.raises(InvariantError):
         _ring_key((0b110,), (0b110,), (0b010, 0b100))
 
 
-def test_ring_keys_match_stack_keys_n5():
-    # the ring's key routine against the general one on the ring stack,
-    # for all 74,088 triples at n = 5
+def test_ring_keys_match_link_keys_n5():
+    # the ring's key routine against the link union-find, for all
+    # 74,088 triples at n = 5
     ms = enumerate_matchings(5)
-    lines = {(b, a): _ring_lines(b, a) for b in ms for a in ms}
+    masks = {(b, a): _circle_masks(b, a) for b in ms for a in ms}
     for c, b, a in itertools.product(ms, repeat=3):
-        top, bottom, out = lines[c, b], lines[b, a], lines[c, a]
-        want = _cobordism_key(5, [top, bottom], out, b.pairs)
-        assert _ring_key(top[0], bottom[0], out[0]) == want
+        key = _ring_key(masks[c, b], masks[b, a], masks[c, a])
+        assert key == surgery_reference.ring_link_key(c, b, a)
 
 
 def test_ring_key_property():
@@ -751,7 +719,7 @@ def test_ring_key_property():
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @hypothesis.given(triples())
     def check(triple):
-        assert _triple_key(*triple) == _stack_key(*triple)
+        assert _triple_key(*triple) == surgery_reference.ring_link_key(*triple)
 
     check()
 

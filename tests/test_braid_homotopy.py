@@ -778,9 +778,11 @@ def test_products_property_n4():
 
 
 def test_kernel_keys_match_link_reference():
-    # the mask key of every left, right, alpha and beta kernel of every
-    # F(U_i) with n <= 3 against the link union-find
-    for n in (1, 2, 3):
+    # the key read off a ring key, for every left, right, alpha and beta
+    # kernel of every F(U_i) with n <= 4 (41,160 kernels at n = 4),
+    # against the link union-find on the stacked diagrams
+    for n, total in ((1, 4), (2, 72), (3, 1500), (4, 41160)):
+        kernels = 0
         for i in range(1, 2 * n):
             module = UiBimodule(n, i)
             order = module.ring.order
@@ -788,6 +790,33 @@ def test_kernel_keys_match_link_reference():
                 for blocks in itertools.product(order, repeat=arity):
                     key = module._kernel(kind, *blocks)[0]
                     assert key == surgery_reference.module_link_key(n, i, kind, blocks)
+                    kernels += 1
+        assert kernels == total
+
+
+def test_kernel_keys_property_n5():
+    # drawn kernels of F(U_i) at n = 5, with both modules built once per i
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ms = enumerate_matchings(5)
+    modules = {}
+
+    @st.composite
+    def cases(draw):
+        i = draw(st.integers(1, 9))
+        kind, arity = draw(st.sampled_from((("right", 3), ("left", 3), ("alpha", 2), ("beta", 2))))
+        return i, kind, tuple(draw(st.sampled_from(ms)) for _ in range(arity))
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        i, kind, blocks = case
+        if i not in modules:
+            modules[i] = UiBimodule(5, i)
+        key = modules[i]._kernel(kind, *blocks)[0]
+        assert key == surgery_reference.module_link_key(5, i, kind, blocks)
+
+    check()
 
 
 def test_plan_compile_budget(plan_compiles, monkeypatch):

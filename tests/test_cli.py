@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -148,11 +149,63 @@ def test_verify_refuses_a_check_beyond_its_reach(capsys, monkeypatch, check):
     ran = []
     for name in cli.CHECK_NAMES:
         monkeypatch.setattr(cli, f"check_{name}", lambda *args, name=name: ran.append(name))
-    code, out, err = run_cli(capsys, ["verify", "--n", "6", "--center", f"--{check}"])
+    code, out, err = run_cli(capsys, ["verify", "--n", "6", "--springer", f"--{check}"])
     assert (code, out, ran) == (2, "", [])
     assert err == f"error: --{check} supports n <= 5, not n = 6\n"
     with pytest.raises(CapacityError):
         verify_ring_integrity(6) if check == "ring" else verify_null_homotopy(1, 6)
+
+
+@pytest.mark.parametrize("check", ["center", "iso", "symmetric"])
+def test_verify_refuses_the_center_checks_beyond_their_reach(capsys, monkeypatch, check):
+    # the center gave no verdict in 480 s at n = 6, and --iso and
+    # --symmetric build it first: each is refused before any check runs,
+    # while --springer keeps n = 6; the library refuses it before it
+    # enumerates a matching or builds a ring
+    ran = []
+    for name in cli.CHECK_NAMES:
+        monkeypatch.setattr(cli, f"check_{name}", lambda *args, name=name: ran.append(name))
+    code, out, err = run_cli(capsys, ["verify", "--n", "6", "--springer", f"--{check}"])
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: --{check} supports n <= 5, not n = 6\n"
+    assert cli.CHECK_LIMITS.get("springer", cli.MAX_RING_N) == 6
+    from arcring import center
+
+    monkeypatch.setattr(center, "enumerate_matchings", lambda n: ran.append(n))
+    monkeypatch.setattr(center, "get_ring", lambda n: ran.append(n))
+    for library_check in (
+        center.center_basis,
+        center.presentation_map,
+        center.verify_presentation_iso,
+        center.verify_symmetric_action,
+    ):
+        with pytest.raises(CapacityError):
+            library_check(6)
+    assert ran == []
+
+
+def test_verify_builds_the_center_and_the_presentation_once(capsys, monkeypatch):
+    # --center reads the center of the presentation that --iso and
+    # --symmetric share, so --all builds each once; --center alone
+    # builds no presentation
+    from arcring import center
+
+    built = []
+    for name in ("center_basis", "presentation_map"):
+        real = getattr(center, name)
+
+        def counting(n, _name=name, _real=real):
+            built.append(_name)
+            return _real(n)
+
+        monkeypatch.setattr(center, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+    code, _, _ = run_cli(capsys, ["verify", "--n", "2", "--all"])
+    assert code == 0
+    assert sorted(built) == ["center_basis", "presentation_map"]
+    built.clear()
+    code, _, _ = run_cli(capsys, ["verify", "--n", "2", "--center"])
+    assert (code, built) == (0, ["center_basis"])
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -170,7 +223,7 @@ def test_seed_reaches_sampled_checks(capsys, monkeypatch):
     seen = {}
 
     def fake(name):
-        def check(*args, seed=0):
+        def check(*args, seed=0, **kwargs):
             seen.setdefault(name, []).append(seed)
             return {"passed": True}
 
@@ -968,6 +1021,28 @@ def test_cli_cache_commands(tmp_path, capsys):
     assert code == 0
     assert report["results"]["status"] == "built"
     assert report["results"]["products"] == 72
+
+
+@pytest.mark.parametrize("action", ["store", "load"])
+def test_cli_cache_refused_beyond_its_reach(tmp_path, capsys, monkeypatch, action):
+    # a store or a load at n = 6 would walk 209,644,416 products: the
+    # command exits 2 with an error line before it builds a ring or
+    # touches the directory, and the library refuses it too
+    built = []
+    for module in (cli, cache):
+        monkeypatch.setattr(module, "get_ring", lambda n: built.append(n))
+    code, out, err = run_cli(capsys, ["cache", action, "--n", "6", "--cache-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: the cache supports n <= 5, not n = 6\n"
+    for call in (
+        lambda: load_ring(6, tmp_path),
+        lambda: load_or_build(6, tmp_path),
+        lambda: store_ring(SimpleNamespace(n=6), tmp_path),
+    ):
+        with pytest.raises(CapacityError):
+            call()
+    assert built == [] and list(tmp_path.iterdir()) == []
+    assert cache.MAX_CACHE_N == 5
 
 
 def test_cli_cache_io_error(tmp_path, capsys):

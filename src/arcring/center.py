@@ -13,11 +13,12 @@ The distinguished central elements X_i (one per endpoint, with an
 alternating sign) generate the center.  The diagonal blocks multiply
 as square-free label words, so the product X_I has a closed form.
 Sending the admissible monomial X_I to it realizes the Springer
-cohomology presentation; this module verifies that the resulting
-integer matrix is an isomorphism and transports the symmetric group
-action onto admissible coordinates.  The center, the presentation and
-the action never build H_n: only the checks that test the ring itself
-(is_central, and the ring products in verify_presentation_iso) do.
+cohomology presentation; this module verifies the isomorphism degree by
+degree, as equality of the products' span with the center's lattice,
+and transports the symmetric group action onto admissible coordinates.
+The center, the presentation and the action never build H_n: only the
+checks that test the ring itself (is_central, and the ring products in
+verify_presentation_iso) do.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError
 from .frobenius import ONE, X
-from .integer_linalg import IntMatrix, invariant_factors, kernel_basis, solve_in_column_span
+from .integer_linalg import IntMatrix, kernel_basis, row_span_canonical
 from .presentations import SquareFreePoly, admissible_coordinates
 
 # center_basis gave no verdict in 480 s at 1.7 GiB at n = 6, and the
@@ -40,59 +40,28 @@ from .presentations import SquareFreePoly, admissible_coordinates
 MAX_CENTER_N = 5
 
 
-def diagonal_coordinates(n: int) -> list[tuple[Matching, str]]:
-    """Canonical coordinate order for diagonal elements.
-
-    Lexicographic over matchings, then lexicographic label words; this
-    never depends on the basis order a ring was built with, so lattices
-    computed under different orders can be compared directly.
-    """
-    return [
-        (a, w) for a in enumerate_matchings(n) for w in label_words(n)
-    ]
-
-
-@lru_cache(maxsize=None)
-def _diagonal_positions(n: int) -> dict[tuple[Matching, str], int]:
-    return {key: i for i, key in enumerate(diagonal_coordinates(n))}
-
-
-def diagonal_vector(z: RingElement) -> list[int]:
-    """Coordinates of a diagonal element in the canonical order."""
-    pos = _diagonal_positions(z.n)
-    v = [0] * len(pos)
-    for bv, c in z.terms.items():
-        if bv.row != bv.col:
-            raise ValueError("element is not supported on the diagonal blocks")
-        v[pos[(bv.row, bv.labels)]] = c
-    return v
-
-
 @dataclass
 class CenterBasis:
-    """A basis of the center lattice, homogeneous and graded by degree."""
+    """The center lattice, homogeneous and graded by degree.
+
+    lattices[2k] is (columns, rows): the columns are the diagonal
+    labelings (a, w) with k X's, matchings in lexicographic order and
+    words in label_words order, and the rows a saturated basis of the
+    center's degree-2k lattice in those coordinates.  The columns never
+    depend on the basis order a ring was built with, so lattices
+    computed under different orders compare directly.
+    """
 
     n: int
-    elements: list[RingElement]
-    graded_ranks: dict[int, int]
-    _lattice: IntMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    lattices: dict[int, tuple[list[tuple[Matching, str]], list[list[int]]]]
+
+    @property
+    def graded_ranks(self) -> dict[int, int]:
+        return {d: len(rows) for d, (_, rows) in self.lattices.items()}
 
     @property
     def rank(self) -> int:
-        return len(self.elements)
-
-    def lattice_matrix(self) -> IntMatrix:
-        """Columns are the basis elements in canonical diagonal coordinates.
-
-        Built once and shared by every caller, so solves against it
-        reuse one factorization; do not mutate it.
-        """
-        if self._lattice is None:
-            self._lattice = IntMatrix.from_columns(
-                [diagonal_vector(z) for z in self.elements],
-                rows=len(_diagonal_positions(self.n)),
-            )
-        return self._lattice
+        return sum(len(rows) for _, rows in self.lattices.values())
 
 
 def _push(diagram: ClosedDiagram, points) -> str | None:
@@ -110,7 +79,7 @@ def center_basis(n: int) -> CenterBasis:
     """Solve the equalizer condition for the center of H_n.
 
     One kernel computation per degree 2k: the unknowns are the diagonal
-    labelings with k X's, in diagonal_coordinates order, and the
+    labelings with k X's, the columns of CenterBasis.lattices, and the
     constraints compare z_a 1_ab with 1_ab z_b in every off-diagonal
     block.  Both sides are merges: each X of z_a or z_b sits on a circle
     of glue(a, a) or glue(b, b) and moves to the circle of glue(a, b)
@@ -124,8 +93,7 @@ def center_basis(n: int) -> CenterBasis:
     if n > MAX_CENTER_N:
         raise CapacityError(f"the center supports n <= {MAX_CENTER_N}, not n = {n}")
     matchings = enumerate_matchings(n)
-    elements: list[RingElement] = []
-    graded: dict[int, int] = {}
+    lattices = {}
     for k in range(n + 1):
         words = [w for w in label_words(n) if w.count(X) == k]
         cols = [(a, w) for a in matchings for w in words]
@@ -146,20 +114,8 @@ def center_basis(n: int) -> CenterBasis:
                         row[col_pos[(c, w)]] += sign
         # no rows (degree 2n, where the n X's always meet, and n = 1)
         # leave the whole space: kernel_basis gives the identity
-        kernel = kernel_basis(IntMatrix(list(rows.values()), cols=len(cols)))
-        graded[2 * k] = len(kernel)
-        for vec in kernel:
-            elements.append(
-                RingElement(
-                    n,
-                    {
-                        BasisVector(a, a, w): c
-                        for (a, w), c in zip(cols, vec)
-                        if c != 0
-                    },
-                )
-            )
-    return CenterBasis(n, elements, graded)
+        lattices[2 * k] = (cols, kernel_basis(IntMatrix(list(rows.values()), cols=len(cols))))
+    return CenterBasis(n, lattices)
 
 
 def is_central(z: RingElement) -> bool:
@@ -204,23 +160,18 @@ class CenterPresentation:
     """The admissible-monomial coordinates on the center.
 
     products[j] is the product of the X_i over the j-th admissible
-    subset; matrix columns give those products in the coordinates of the
-    center basis.  When the matrix is unimodular the assignment
-    X_I -> product realizes the quotient presentation as an integral
-    isomorphism onto the center.
-
-    Two tables are kept on the instance and filled on first use: the
-    products' diagonal vectors as one lattice, and the admissible
-    coordinates of the reduction of each square-free monomial.
+    subset, in closed form.  X_I -> products[j] is an integral
+    isomorphism onto the center when the products are as many as its
+    rank and span its lattice in every degree, as the iso check
+    verifies.  The admissible coordinates of the reduction of each
+    square-free monomial are kept on the instance, filled on first use.
     """
 
     n: int
     center: CenterBasis
     admissible: list[tuple[int, ...]]
     products: list[RingElement]
-    matrix: IntMatrix
     _position: dict = field(init=False, repr=False, compare=False)
-    _product_lattice: IntMatrix | None = field(default=None, init=False, repr=False, compare=False)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -233,23 +184,6 @@ class CenterPresentation:
             self.n,
             ((c, products[position[tuple(s)]].terms.items()) for s, c in coords.items()),
         )
-
-    def to_admissible(self, z: RingElement) -> dict[tuple[int, ...], int]:
-        """Invert the presentation on a central element.
-
-        One solve against the lattice of the products' diagonal vectors;
-        they are a basis of the center lattice when the presentation
-        matrix is unimodular.
-        """
-        if self._product_lattice is None:
-            self._product_lattice = IntMatrix.from_columns(
-                [diagonal_vector(p) for p in self.products],
-                rows=len(_diagonal_positions(self.n)),
-            )
-        sol = solve_in_column_span(self._product_lattice, diagonal_vector(z))
-        if sol is None:
-            raise ValueError("element is not an integral combination of the products")
-        return {s: c for s, c in zip(self.admissible, sol) if c != 0}
 
     def _image(self, subset: frozenset) -> tuple:
         """The admissible coordinates of the reduction of X_subset."""
@@ -280,26 +214,47 @@ class CenterPresentation:
 
 
 def presentation_map(n: int) -> CenterPresentation:
+    # the center first: it refuses n beyond MAX_CENTER_N before any work
     center = center_basis(n)
     admissible = admissible_subsets(n)
     products = [_diagonal_monomial(n, subset) for subset in admissible]
-    lattice = center.lattice_matrix()
-    columns = []
-    for subset, prod in zip(admissible, products):
-        sol = solve_in_column_span(lattice, diagonal_vector(prod))
-        if sol is None:
-            raise InvariantError(f"product over {subset} missed the center lattice")
-        columns.append(sol)
-    matrix = IntMatrix.from_columns(columns, rows=center.rank)
-    return CenterPresentation(n, center, admissible, products, matrix)
+    return CenterPresentation(n, center, admissible, products)
+
+
+def _first_unequal_degree(pres: CenterPresentation) -> int | None:
+    """The first degree whose products and center rows span different
+    lattices, or None.  Each product is a row over its degree's columns;
+    a term on none of them leaves it outside that degree's lattice.
+    """
+    by_degree: dict[int, list[RingElement]] = {d: [] for d in pres.center.lattices}
+    for subset, prod in zip(pres.admissible, pres.products):
+        by_degree[2 * len(subset)].append(prod)
+    for d, (cols, center_rows) in sorted(pres.center.lattices.items()):
+        pos = {BasisVector(a, a, w): i for i, (a, w) in enumerate(cols)}
+        rows = []
+        for prod in by_degree[d]:
+            row = [0] * len(cols)
+            for v, c in prod.terms.items():
+                if v not in pos:
+                    return d
+                row[pos[v]] = c
+            rows.append(row)
+        width = len(cols)
+        if row_span_canonical(IntMatrix(rows, cols=width)) != row_span_canonical(
+            IntMatrix(center_rows, cols=width)
+        ):
+            return d
+    return None
 
 
 def verify_presentation_iso(n: int, seed: int = 0, pres: CenterPresentation | None = None) -> dict:
     """Machine check that the admissible presentation is the center.
 
     Returns a JSON-ready report: relation images vanish, graded ranks
-    agree, the coordinate matrix is unimodular and degree-preserving,
-    and the map is multiplicative on (sampled) products of monomials.
+    agree, the products are homogeneous, as many as the center's rank
+    and span its lattice in every degree (or the first degree where they
+    do not, as presentation_counterexample), and the map is
+    multiplicative on (sampled) products of monomials.
     pres, when given, is presentation_map(n), built once by the caller.
     """
     pres = pres or presentation_map(n)
@@ -325,18 +280,19 @@ def verify_presentation_iso(n: int, seed: int = 0, pres: CenterPresentation | No
         d: r for d, r in pres.center.graded_ranks.items() if r
     } == adm_by_card
 
-    facs = invariant_factors(pres.matrix)
-    report["matrix_square"] = pres.matrix.rows == pres.matrix.cols == pres.center.rank
-    report["matrix_invariant_factors_all_one"] = (
-        len(facs) == pres.center.rank and all(f == 1 for f in facs)
-    )
+    # the products' coordinates in a center basis have rank many
+    # invariant factors, all 1, exactly when the products span the center
+    # lattice, and both lattices split by degree
+    report["matrix_square"] = len(pres.admissible) == pres.center.rank
+    unequal = _first_unequal_degree(pres)
+    report["matrix_invariant_factors_all_one"] = unequal is None
+    if unequal is not None:
+        report["presentation_counterexample"] = unequal
 
-    degree_ok = True
-    for subset, prod in zip(pres.admissible, pres.products):
-        degs = {degree(v) for v in prod.terms}
-        if degs != {2 * len(subset)}:
-            degree_ok = False
-    report["products_homogeneous"] = degree_ok
+    report["products_homogeneous"] = all(
+        {degree(v) for v in prod.terms} == {2 * len(subset)}
+        for subset, prod in zip(pres.admissible, pres.products)
+    )
 
     rng = random.Random(seed)
     pairs = list(itertools.product(range(len(pres.admissible)), repeat=2))
@@ -400,8 +356,8 @@ def verify_symmetric_action(n: int, seed: int = 0, pres: CenterPresentation | No
     property sigma(tau z) = (sigma tau) z and the braid relations.
     Those are linear identities, so they are checked on the unit
     coordinates {I: 1}, one per admissible subset I: the products X_I
-    are a basis of the same lattice as the center basis when the
-    presentation matrix is unimodular, which the iso check verifies.
+    are a basis of the center lattice when they are as many as its rank
+    and span it in every degree, which the iso check verifies.
     The trivial action satisfies them all, so last each adjacent
     transposition t must move the generator X_i to X_t(i).  pres, when
     given, is presentation_map(n), built once by the caller.

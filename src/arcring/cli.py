@@ -231,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="json",
         help="report format (default json)",
     )
-    common.add_argument("--cache-dir", default=None, help="override the cache directory")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument(
         "--timing",
@@ -261,6 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cache", parents=[common], help="store or load a built ring")
     c.add_argument("action", choices=("store", "load"))
+    c.add_argument("--cache-dir", default=None, help="override the cache directory")
     c.add_argument("--n", type=int, required=True, help="number of arcs (1..%d)" % MAX_RING_N)
     return parser
 

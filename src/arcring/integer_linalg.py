@@ -56,14 +56,6 @@ class IntMatrix:
     def zeros(cls, m: int, n: int) -> "IntMatrix":
         return cls([[0] * n for _ in range(m)], cols=n)
 
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
-        columns = [list(c) for c in columns]
-        if not columns:
-            return cls([], cols=0) if rows is None else cls([[] for _ in range(rows)], cols=0)
-        m = len(columns[0])
-        return cls([[c[i] for c in columns] for i in range(m)])
-
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
@@ -71,15 +63,6 @@ class IntMatrix:
         if self.rows == 0:
             return IntMatrix([[] for _ in range(self.cols)], cols=0)
         return IntMatrix([list(col) for col in zip(*self.data)], cols=self.rows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data],
-            cols=other.cols,
-        )
 
     def mul_vector(self, v) -> list[int]:
         if len(v) != self.cols:

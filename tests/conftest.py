@@ -4,8 +4,9 @@ import pytest
 
 import element_reference
 from arcring import arc_ring, braid_homotopy, center, integer_linalg
-from arcring.arc_ring import ArcRing, _rank
+from arcring.arc_ring import ArcRing, RingElement, _rank
 from arcring.braid_homotopy import UiBimodule
+from arcring.center import CenterBasis
 
 
 @pytest.fixture
@@ -144,5 +145,46 @@ def flip_product(tampered):
             return tuple((o, -c) for o, c in row) if (blocks, r) in targets else row
 
         tampered(ArcRing, flip)
+
+    return install
+
+
+@pytest.fixture
+def flip_monomial(monkeypatch):
+    """flip_monomial(subset) negates one term, the first in matching
+    order, of the closed-form product X_subset wherever center builds
+    it.  central_X builds each X_i the same way, so flipping a singleton
+    also changes that generator.
+    """
+    real = center._diagonal_monomial
+
+    def install(subset):
+        def flipped(n, s):
+            z = real(n, s)
+            if tuple(s) != tuple(subset):
+                return z
+            v = next(iter(z.terms))
+            return z - RingElement(n, {v: 2 * z.terms[v]})
+
+        monkeypatch.setattr(center, "_diagonal_monomial", flipped)
+
+    return install
+
+
+@pytest.fixture
+def double_center_row(monkeypatch):
+    """double_center_row(d) doubles the first row of the degree-d lattice
+    of every center center_basis builds, which keeps the ranks and makes
+    the lattice an index-2 sublattice of the center."""
+    real = center.center_basis
+
+    def install(d):
+        def doubled(n):
+            lattices = dict(real(n).lattices)
+            cols, rows = lattices[d]
+            lattices[d] = (cols, [[2 * c for c in rows[0]], *rows[1:]])
+            return CenterBasis(n, lattices)
+
+        monkeypatch.setattr(center, "center_basis", doubled)
 
     return install

@@ -13,7 +13,18 @@ The library computes the center from circle merges of diagonal label
 words and never builds H_n for it.  ring_center_basis computes the
 center the first way, by multiplying z_a 1_ab and 1_ab z_b in a ring
 built under a given basis order, and total_order_independence compares
-that oracle under several orders with the library's center.
+that oracle under several orders with the library's center, degree by
+degree, as canonical row spans (same_lattices).
+
+The library keeps the center as per-degree integer lattices and checks
+the presentation by lattice equality.  center_elements turns lattice
+rows into ring elements, and the functions after it check the
+presentation the first way: every central element as one vector on
+all diagonal labelings (diagonal_vector), the products solved in the
+center lattice as one coordinate matrix (presentation_matrix), whose
+invariant factors give presentation_unimodular, and central elements
+carried back to admissible coordinates by one solve in the products'
+lattice (to_admissible).
 
 surgery_order_fields is the library's first surgery-order loop, which
 cuts every drawn (pair, arc order) item on its own; the library walks
@@ -42,7 +53,13 @@ from arcring.braid_homotopy import UiBimodule, _triple_sampler
 from arcring.center import CenterBasis, center_basis, central_X
 from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
 from arcring.frobenius import ONE, X
-from arcring.integer_linalg import IntMatrix, kernel_basis, row_span_canonical
+from arcring.integer_linalg import (
+    IntMatrix,
+    invariant_factors,
+    kernel_basis,
+    row_span_canonical,
+    solve_in_column_span,
+)
 
 
 def two_sided(zl, zr, mul_left, mul_right, cls, space):
@@ -289,7 +306,7 @@ def symmetric_action(sigma, z, pres):
     1..2n, acting on the central element z through presentation pres."""
     if not isinstance(sigma, dict):
         sigma = {i + 1: v for i, v in enumerate(sigma)}
-    return pres.from_admissible(pres.act(sigma, pres.to_admissible(z)))
+    return pres.from_admissible(pres.act(sigma, to_admissible(pres, z)))
 
 
 def is_central(z, ring=None):
@@ -307,7 +324,9 @@ def ring_center_basis(ring):
 
     One kernel per degree 2k over the diagonal labelings with k X's in
     the ring's basis order, one constraint row per label word of every
-    off-diagonal block.
+    off-diagonal block.  The kernel rows are then moved to the columns
+    of center_basis, matchings in lexicographic order, so the lattices
+    of different orders compare directly.
     """
     n, order = ring.n, ring.order
     ones = {
@@ -316,10 +335,10 @@ def ring_center_basis(ring):
         for b in order
         if a != b
     }
-    elements = []
-    graded = {}
+    lattices = {}
     for k in range(n + 1):
-        cols = [(a, w) for a in order for w in label_words(n) if w.count(X) == k]
+        words = [w for w in label_words(n) if w.count(X) == k]
+        cols = [(a, w) for a in order for w in words]
         col_pos = {key: i for i, key in enumerate(cols)}
         row_pos = {}
         for a, b in itertools.permutations(order, 2):
@@ -329,9 +348,7 @@ def ring_center_basis(ring):
         matrix = [[0] * len(cols) for _ in range(len(row_pos))]
         for a, b in itertools.permutations(order, 2):
             e_ab = ones[(a, b)]
-            for w in label_words(n):
-                if w.count(X) != k:
-                    continue
+            for w in words:
                 za = BasisVector(a, a, w)
                 for bv, c in ring.multiply_basis(za, e_ab):
                     matrix[row_pos[(a, b, bv.labels)]][col_pos[(a, w)]] += c
@@ -342,12 +359,26 @@ def ring_center_basis(ring):
             kernel = kernel_basis(IntMatrix(matrix, cols=len(cols)))
         else:
             kernel = IntMatrix.identity(len(cols)).data
-        graded[2 * k] = len(kernel)
-        for vec in kernel:
-            elements.append(
-                RingElement(n, {BasisVector(a, a, w): c for (a, w), c in zip(cols, vec) if c})
-            )
-    return CenterBasis(n, elements, graded)
+        canonical = [(a, w) for a in enumerate_matchings(n) for w in words]
+        lattices[2 * k] = (
+            canonical,
+            [[vec[col_pos[key]] for key in canonical] for vec in kernel],
+        )
+    return CenterBasis(n, lattices)
+
+
+def same_lattices(A, B):
+    """Do center bases A and B have the same columns and span the same
+    lattice in every degree?  Compares canonical row spans."""
+    if A.lattices.keys() != B.lattices.keys():
+        return False
+    for d, (cols, rows) in A.lattices.items():
+        other_cols, other_rows = B.lattices[d]
+        if cols != other_cols or row_span_canonical(
+            IntMatrix(rows, cols=len(cols))
+        ) != row_span_canonical(IntMatrix(other_rows, cols=len(cols))):
+            return False
+    return True
 
 
 def total_order_independence(n, seed=0):
@@ -355,7 +386,7 @@ def total_order_independence(n, seed=0):
 
     The orders are every linear extension of the arrow order (at most
     two for n <= 3) and three seeded arbitrary matching orders; every
-    lattice, in canonical coordinates, must equal the library's.
+    lattice must equal the library's, degree by degree.
     """
     extensions = all_linear_extensions(n, cap=6)
     orders = list(extensions)
@@ -371,11 +402,8 @@ def total_order_independence(n, seed=0):
         if tuple(shuffled) not in seen:
             seen.add(tuple(shuffled))
             orders.append(shuffled)
-    merged = center_basis(n).lattice_matrix()
-    equal = all(
-        lattice_equal(merged, ring_center_basis(ArcRing(n, order)).lattice_matrix())
-        for order in orders
-    )
+    merged = center_basis(n)
+    equal = all(same_lattices(merged, ring_center_basis(ArcRing(n, order))) for order in orders)
     return {
         "n": n,
         "linear_extensions": len(extensions),
@@ -383,6 +411,71 @@ def total_order_independence(n, seed=0):
         "lattices_equal": equal,
         "passed": equal,
     }
+
+
+def center_elements(basis):
+    """The rows of each degree's lattice of basis, in degree order, as
+    diagonal RingElements."""
+    return [
+        RingElement(basis.n, {BasisVector(a, a, w): c for (a, w), c in zip(cols, row) if c})
+        for _, (cols, rows) in sorted(basis.lattices.items())
+        for row in rows
+    ]
+
+
+def diagonal_coordinates(n):
+    """Every diagonal labeling (a, w): matchings in lexicographic order,
+    then label words in label_words order, every degree at once."""
+    return [(a, w) for a in enumerate_matchings(n) for w in label_words(n)]
+
+
+def diagonal_vector(z):
+    """Coordinates of a diagonal element in diagonal_coordinates order."""
+    pos = {key: i for i, key in enumerate(diagonal_coordinates(z.n))}
+    v = [0] * len(pos)
+    for bv, c in z.terms.items():
+        if bv.row != bv.col:
+            raise ValueError("element is not supported on the diagonal blocks")
+        v[pos[(bv.row, bv.labels)]] = c
+    return v
+
+
+def column_matrix(n, elements):
+    """The diagonal vectors of elements as the columns of one matrix."""
+    rows = len(diagonal_coordinates(n))
+    vectors = [diagonal_vector(z) for z in elements]
+    return IntMatrix([[v[i] for v in vectors] for i in range(rows)], cols=len(vectors))
+
+
+def presentation_matrix(pres):
+    """The products' coordinates in the center basis, as columns: one
+    solve per product against the center lattice.  None when a product
+    lies outside it."""
+    lattice = column_matrix(pres.n, center_elements(pres.center))
+    columns = [solve_in_column_span(lattice, diagonal_vector(p)) for p in pres.products]
+    if None in columns:
+        return None
+    return IntMatrix(columns, cols=pres.center.rank).transpose()
+
+
+def presentation_unimodular(pres):
+    """The iso check's (matrix_square, matrix_invariant_factors_all_one),
+    from the coordinate matrix's shape and its invariant factors."""
+    matrix = presentation_matrix(pres)
+    square = len(pres.products) == pres.center.rank
+    if matrix is None:
+        return square, False
+    facs = invariant_factors(matrix)
+    return square, len(facs) == pres.center.rank and all(f == 1 for f in facs)
+
+
+def to_admissible(pres, z):
+    """The admissible coordinates of a central element: one solve against
+    the lattice of the products' diagonal vectors."""
+    sol = solve_in_column_span(column_matrix(pres.n, pres.products), diagonal_vector(z))
+    if sol is None:
+        raise ValueError("element is not an integral combination of the products")
+    return {s: c for s, c in zip(pres.admissible, sol) if c != 0}
 
 
 def lattice_equal(A, B):

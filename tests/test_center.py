@@ -6,31 +6,42 @@ of their ingredients are re-checked directly here at small n.
 """
 
 import itertools
+import json
 import math
 import random
 
 import pytest
 
 import element_reference
-from arcring import arc_ring, center
+from arcring import arc_ring, center, cli
 from arcring.arc_ring import BasisVector, RingElement, degree, get_ring, idempotent, unit
 from arcring.center import (
+    CenterBasis,
     CenterPresentation,
     _diagonal_monomial,
     _permutation_at,
     center_basis,
     central_X,
-    diagonal_coordinates,
-    diagonal_vector,
     is_central,
     presentation_map,
     verify_presentation_iso,
     verify_symmetric_action,
 )
 from arcring.combinatorics import admissible_subsets, catalan, enumerate_matchings
-from arcring.integer_linalg import invariant_factors, solve_in_column_span
+from arcring.integer_linalg import IntMatrix, invariant_factors, solve_in_column_span
 from arcring.presentations import SquareFreePoly, admissible_coordinates
-from element_reference import lattice_equal, rank as matrix_rank, symmetric_action
+from element_reference import (
+    center_elements,
+    column_matrix,
+    diagonal_coordinates,
+    diagonal_vector,
+    presentation_matrix,
+    presentation_unimodular,
+    rank as matrix_rank,
+    same_lattices,
+    symmetric_action,
+    to_admissible,
+)
 
 
 def test_center_ranks():
@@ -53,7 +64,7 @@ def test_center_rank_is_central_binomial():
 def test_center_elements_are_central_and_homogeneous():
     for n in (1, 2):
         basis = center_basis(n)
-        for z in basis.elements:
+        for z in center_elements(basis):
             assert is_central(z)
             degs = {degree(v) for v in z.terms}
             assert len(degs) == 1
@@ -68,7 +79,7 @@ def test_merge_center_matches_ring_oracle():
         merged = center_basis(n)
         oracle = element_reference.ring_center_basis(get_ring(n))
         assert merged.graded_ranks == oracle.graded_ranks
-        assert lattice_equal(merged.lattice_matrix(), oracle.lattice_matrix())
+        assert same_lattices(merged, oracle)
 
 
 def test_center_never_builds_the_ring(monkeypatch):
@@ -80,7 +91,7 @@ def test_center_never_builds_the_ring(monkeypatch):
     monkeypatch.setattr(arc_ring.ArcRing, "__init__", refuse)
     for n in (1, 2, 3):
         assert center_basis(n).rank == math.comb(2 * n, n)
-        assert presentation_map(n).matrix.cols == math.comb(2 * n, n)
+        assert len(presentation_map(n).products) == math.comb(2 * n, n)
         assert verify_symmetric_action(n)["passed"]
 
 
@@ -89,7 +100,9 @@ def test_is_central_matches_element_oracle():
     # idempotent (central only for n = 1)
     for n in (1, 2, 3):
         ring = get_ring(n)
-        elements = center_basis(n).elements + [idempotent(a) for a in enumerate_matchings(n)]
+        elements = center_elements(center_basis(n)) + [
+            idempotent(a) for a in enumerate_matchings(n)
+        ]
         verdicts = [is_central(z) for z in elements]
         assert verdicts == [element_reference.is_central(z, ring) for z in elements]
         rank = math.comb(2 * n, n)
@@ -97,28 +110,36 @@ def test_is_central_matches_element_oracle():
 
 
 def test_center_lattice_matrix():
-    for n in (1, 2):
+    # each degree 2k: a row per rank over the catalan(n) C(n, k) diagonal
+    # labelings with k X's, linearly independent; all degrees together
+    # are the columns of one matrix on every diagonal labeling
+    for n in (1, 2, 3):
         basis = center_basis(n)
-        m = basis.lattice_matrix()
+        for d, (cols, rows) in basis.lattices.items():
+            assert len(cols) == catalan(n) * math.comb(n, d // 2)
+            assert all(w.count("X") == d // 2 for _, w in cols)
+            assert all(len(row) == len(cols) for row in rows)
+            assert matrix_rank(IntMatrix(rows, cols=len(cols))) == len(rows)
+        m = column_matrix(n, center_elements(basis))
         assert m.shape == (catalan(n) * 2 ** n, basis.rank)
-        assert matrix_rank(m) == basis.rank  # linearly independent columns
+        assert matrix_rank(m) == basis.rank
 
 
 def test_cached_solves_match_uncached():
+    # the center lattice and the presentation matrix of the oracle, each
+    # solved against many times
     for n in (1, 2, 3):
         pres = presentation_map(n)
-        lattice = pres.center.lattice_matrix()
-        assert pres.center.lattice_matrix() is lattice
-        for z in pres.center.elements + pres.products:
+        lattice = column_matrix(n, center_elements(pres.center))
+        for z in center_elements(pres.center) + pres.products:
             target = diagonal_vector(z)
             cached = solve_in_column_span(lattice, target)
             assert cached is not None
             assert cached == solve_in_column_span(lattice.copy(), target)
+        matrix = presentation_matrix(pres)
         for prod in pres.products:
             x = solve_in_column_span(lattice, diagonal_vector(prod))
-            assert solve_in_column_span(pres.matrix, x) == solve_in_column_span(
-                pres.matrix.copy(), x
-            )
+            assert solve_in_column_span(matrix, x) == solve_in_column_span(matrix.copy(), x)
         if n >= 2:
             # a lone identity-labeled diagonal vector is not central
             outside = [1] + [0] * (lattice.rows - 1)
@@ -249,21 +270,113 @@ def test_verify_presentation_iso():
         assert report["center_rank"] == math.comb(2 * n, n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_presentation_iso_refuses_a_flipped_product(flip_monomial, n):
+    # one term of X_2 negated leaves it outside the degree-2 lattice, and
+    # central_X(2) with it; the coordinate oracle agrees
+    flip_monomial((2,))
+    report = verify_presentation_iso(n)
+    assert report["passed"] is False
+    assert report["matrix_square"] is True
+    assert report["matrix_invariant_factors_all_one"] is False
+    assert report["presentation_counterexample"] == 2
+    assert presentation_unimodular(presentation_map(n)) == (True, False)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_presentation_iso_refuses_a_doubled_center_row(double_center_row, capsys, n):
+    # the center lattice loses index 2 in degree 4 and keeps its ranks:
+    # every other field holds, and the CLI exits 1
+    double_center_row(4)
+    report = verify_presentation_iso(n)
+    assert report["passed"] is False
+    assert report["matrix_invariant_factors_all_one"] is False
+    assert report["presentation_counterexample"] == 4
+    assert all(
+        report[key]
+        for key in (
+            "generators_central",
+            "squares_vanish",
+            "elementary_symmetric_images_vanish",
+            "graded_ranks_match",
+            "matrix_square",
+            "products_homogeneous",
+            "multiplicative_on_products",
+        )
+    )
+    assert presentation_unimodular(presentation_map(n)) == (True, False)
+    assert cli.main(["verify", "--n", str(n), "--iso"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_lattice_check_matches_coordinate_oracle():
+    # products perturbed at random, n <= 4: the per-degree lattice check
+    # reads what the coordinate matrix's invariant factors read.  Adding
+    # a multiple of one same-degree product to another keeps a basis;
+    # doubling or dropping a product never does; flipping one term's
+    # sign does not either below the top degree for n >= 2, where no
+    # single diagonal labeling is central (in the top degree, and at
+    # n = 1, each is, and a flip may keep a basis)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    presentations = {n: presentation_map(n) for n in (1, 2, 3, 4)}
+
+    @st.composite
+    def cases(draw):
+        pres = presentations[draw(st.integers(1, 4))]
+        kind = draw(st.sampled_from(["add", "flip", "double", "drop"]))
+        j = draw(st.integers(0, len(pres.products) - 1))
+        products, admissible = list(pres.products), list(pres.admissible)
+        if kind == "add":
+            same = [i for i, s in enumerate(admissible) if len(s) == len(admissible[j]) and i != j]
+            hypothesis.assume(same)
+            i = draw(st.sampled_from(same))
+            products[j] = products[j] + draw(st.integers(-3, 3)) * products[i]
+        elif kind == "flip":
+            v = draw(st.sampled_from(sorted(products[j].terms, key=repr)))
+            products[j] = products[j] - RingElement(pres.n, {v: 2 * products[j].terms[v]})
+        elif kind == "double":
+            products[j] = 2 * products[j]
+        else:
+            del products[j], admissible[j]
+        must = {"add": True, "double": False, "drop": False}.get(kind)
+        if kind == "flip" and pres.n >= 2 and len(pres.admissible[j]) < pres.n:
+            must = False
+        return CenterPresentation(pres.n, pres.center, admissible, products), must
+
+    @hypothesis.settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        pres, must = case
+        unequal = center._first_unequal_degree(pres)
+        square = len(pres.admissible) == pres.center.rank
+        assert (square, unequal is None) == presentation_unimodular(pres)
+        if must is not None:
+            assert (square and unequal is None) is must
+
+    check()
+
+
 def test_presentation_matrix_unimodular():
-    for n in (1, 2):
+    # the oracle's coordinate matrix, and the iso check's fields beside it
+    for n in (1, 2, 3):
         pres = presentation_map(n)
-        assert pres.matrix.rows == pres.matrix.cols == pres.center.rank
-        assert all(f == 1 for f in invariant_factors(pres.matrix))
+        matrix = presentation_matrix(pres)
+        assert matrix.rows == matrix.cols == pres.center.rank
+        assert all(f == 1 for f in invariant_factors(matrix))
+        report = verify_presentation_iso(n, pres=pres)
+        assert report["matrix_square"] and report["matrix_invariant_factors_all_one"]
+        assert "presentation_counterexample" not in report
 
 
 def test_presentation_roundtrip():
     for n in (1, 2):
         pres = presentation_map(n)
-        for z in pres.center.elements:
-            coords = pres.to_admissible(z)
+        for z in center_elements(pres.center):
+            coords = to_admissible(pres, z)
             assert pres.from_admissible(coords) == z
         for j, s in enumerate(pres.admissible):
-            assert pres.to_admissible(pres.products[j]) == {tuple(s): 1}
+            assert to_admissible(pres, pres.products[j]) == {tuple(s): 1}
 
 
 def _term_by_term(pres, coords):
@@ -305,7 +418,7 @@ def test_symmetric_action_identity():
     for n in (1, 2):
         pres = presentation_map(n)
         identity = {j: j for j in range(1, 2 * n + 1)}
-        for z in pres.center.elements:
+        for z in center_elements(pres.center):
             assert symmetric_action(identity, z, pres) == z
 
 
@@ -333,7 +446,7 @@ def test_symmetric_action_permutes_generators():
 def test_symmetric_action_group_property():
     pres = presentation_map(1)
     swap = {1: 2, 2: 1}
-    for z in pres.center.elements:
+    for z in center_elements(pres.center):
         twice = symmetric_action(swap, symmetric_action(swap, z, pres), pres)
         assert twice == z
 
@@ -341,8 +454,9 @@ def test_symmetric_action_group_property():
 def _act_by_reduction(pres, sigma, z):
     """The action computed from scratch: center coordinates, presentation
     coordinates, the permuted polynomial, its reduction."""
-    x = solve_in_column_span(pres.center.lattice_matrix(), diagonal_vector(z))
-    coords = solve_in_column_span(pres.matrix, x)
+    lattice = column_matrix(pres.n, center_elements(pres.center))
+    x = solve_in_column_span(lattice, diagonal_vector(z))
+    coords = solve_in_column_span(presentation_matrix(pres), x)
     p = SquareFreePoly(pres.n, {frozenset(s): c for s, c in zip(pres.admissible, coords)})
     return admissible_coordinates(p.permuted(sigma)), coords
 
@@ -360,8 +474,8 @@ def test_act_matches_reduction_pipeline():
             images = list(identity)
             rng.shuffle(images)
             perms.append(dict(zip(identity, images)))
-        for z in pres.center.elements:
-            start = pres.to_admissible(z)
+        for z in center_elements(pres.center):
+            start = to_admissible(pres, z)
             for sigma in perms:
                 want, coords = _act_by_reduction(pres, sigma, z)
                 assert pres.act(sigma, start) == want
@@ -371,8 +485,8 @@ def test_act_matches_reduction_pipeline():
 
 def test_act_rejects_non_permutations():
     pres = presentation_map(2)
-    z = pres.center.elements[1]
-    coords = pres.to_admissible(z)
+    z = center_elements(pres.center)[1]
+    coords = to_admissible(pres, z)
     for sigma in ({1: 2, 2: 2}, {1: 5}):
         with pytest.raises(ValueError):
             pres.act(sigma, coords)

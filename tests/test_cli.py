@@ -142,6 +142,16 @@ def test_verify_bad_n(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["verify", "--n", "1", "--center"], ["matchings", "--n", "1"]])
+def test_cache_dir_is_a_cache_option_only(capsys, tmp_path, command):
+    # only the cache command reads a cache directory; elsewhere the
+    # flag is a usage error, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("check", ["ring", "homotopy"])
 def test_verify_refuses_a_check_beyond_its_reach(capsys, monkeypatch, check):
     # n = 6 is refused with exit code 2 before any selected check runs,

@@ -226,6 +226,58 @@ def test_glue_partitions_endpoints():
                 assert p in diagram.circles[diagram.endpoint_to_circle[p]]
 
 
+def _union_find_blocks(n, arcs):
+    """The blocks of the partition of 1..2n that the arcs join, each a
+    sorted tuple, listed by smallest endpoint."""
+    parent = list(range(2 * n + 1))
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for i, j in arcs:
+        parent[root(i)] = root(j)
+    blocks = {}
+    for p in range(1, 2 * n + 1):
+        blocks.setdefault(root(p), []).append(p)
+    return sorted(tuple(block) for block in blocks.values())
+
+
+def test_glue_property_against_union_find():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        ms = enumerate_matchings(draw(st.integers(1, 5)))
+        return draw(st.sampled_from(ms)), draw(st.sampled_from(ms))
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(pairs())
+    def check(case):
+        a, b = case
+        diagram = glue(a, b)
+        # the circles, as point sets, are the union-find blocks of the
+        # arcs of both matchings, in order of their smallest endpoint
+        assert [tuple(sorted(c)) for c in diagram.circles] == _union_find_blocks(
+            a.n, a.pairs + b.pairs
+        )
+        for circle in diagram.circles:
+            # each walk starts at its smallest endpoint and alternates
+            # a-arcs and b-arcs, the first step through a
+            assert circle[0] == min(circle)
+            for step, p in enumerate(circle):
+                partner = (a if step % 2 == 0 else b).partner[p]
+                assert partner == circle[(step + 1) % len(circle)]
+        assert diagram.endpoint_to_circle[1:] == tuple(
+            next(k for k, c in enumerate(diagram.circles) if p in c) for p in range(1, 2 * a.n + 1)
+        )
+
+    check()
+
+
 def test_glue_symmetric_circle_count():
     for n in range(1, 5):
         ms = enumerate_matchings(n)

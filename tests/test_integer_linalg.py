@@ -92,13 +92,19 @@ def test_constructor_and_shape():
     assert empty.shape == (0, 3)
 
 
+def matmul(a, b):
+    """The product a b, the oracle the transform checks multiply with."""
+    columns = list(zip(*b.data))
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a.data])
+
+
 def test_matmul():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
-    assert (a @ b).data == [[2, 1], [4, 3]]
+    assert matmul(a, b).data == [[2, 1], [4, 3]]
     assert a.mul_vector([1, 1]) == [3, 7]
     with pytest.raises(ValueError):
-        a @ IntMatrix([[1, 2, 3]])
+        a.mul_vector([1, 2, 3])
 
 
 def test_determinant_examples():
@@ -115,7 +121,7 @@ def test_determinant_multiplicative():
     for _ in range(25):
         a = random_matrix(rng, 4, 4)
         b = random_matrix(rng, 4, 4)
-        assert determinant(a @ b) == determinant(a) * determinant(b)
+        assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
 
 
 def test_hermite_normal_form_properties():
@@ -126,7 +132,7 @@ def test_hermite_normal_form_properties():
         m = random_matrix(rng, rows, cols)
         h, u = hermite_normal_form(m)
         assert is_unimodular(u)
-        assert (u @ m).data == h.data
+        assert matmul(u, m).data == h.data
         # row echelon with positive pivots and reduced entries above
         pivots = []
         for r in range(h.rows):
@@ -303,7 +309,8 @@ def dense_solve(M, target):
 def test_solve_matches_dense_transform():
     # the seeded matrices of the solve tests, with reachable and
     # unreachable targets, and the real center lattice at n = 3
-    from arcring.center import diagonal_vector, presentation_map
+    from arcring.center import presentation_map
+    from element_reference import center_elements, column_matrix, diagonal_vector
 
     cases = []
     rng = random.Random(7)
@@ -314,7 +321,7 @@ def test_solve_matches_dense_transform():
     m = IntMatrix([[1, 0], [0, 2], [1, 1]])
     cases += [(m, t) for t in ([3, 4, 5], [0, 1, 0], [1, 2, 2], [0, 1, 1])]
     pres = presentation_map(3)
-    lattice = pres.center.lattice_matrix()
+    lattice = column_matrix(3, center_elements(pres.center))
     cases += [(lattice, diagonal_vector(p)) for p in pres.products]
     for m, target in cases:
         assert solve_in_column_span(m, target) == dense_solve(m, target)
@@ -344,4 +351,4 @@ def test_lattice_equal_under_unimodular_change():
                 new[r][j] += c * new[r][i]
             u = IntMatrix(new)
         assert is_unimodular(u)
-        assert lattice_equal(m, m @ u)
+        assert lattice_equal(m, matmul(m, u))

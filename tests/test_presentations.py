@@ -234,6 +234,33 @@ def test_reduce_difference_in_ideal():
     assert ideal_R1(3).contains(p - reduce_to_admissible(p))
 
 
+def test_reduce_property_random_polynomials():
+    # random square-free polynomials at n <= 4: the reduction lies on
+    # admissible monomials, differs from p by an element of the first
+    # ideal, and is fixed by a second reduction
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spans = {n: ideal_R1(n) for n in (1, 2, 3, 4)}
+
+    @st.composite
+    def polys(draw):
+        n = draw(st.integers(1, 4))
+        subsets = st.frozensets(st.integers(1, 2 * n))
+        terms = draw(st.dictionaries(subsets, st.integers(-4, 4), max_size=4))
+        return SquareFreePoly(n, terms)
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(polys())
+    def check(p):
+        allowed = {frozenset(s) for s in admissible_subsets(p.n)}
+        red = reduce_to_admissible(p)
+        assert set(red.terms) <= allowed
+        assert spans[p.n].contains(p - red)
+        assert reduce_to_admissible(red) == red
+
+    check()
+
+
 def test_admissible_coordinates_roundtrip():
     for n in (1, 2):
         for s in admissible_subsets(n):

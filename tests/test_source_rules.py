@@ -62,7 +62,6 @@ def test_process_wide_caches_are_listed():
     assert cached == {
         "label_words",
         "get_ring",
-        "_diagonal_positions",
         "glue",
         "_matchings",
         "arrows",

@@ -24,8 +24,6 @@ from .arc_ring import (
     RingElement,
     degree,
     get_ring,
-    idempotent,
-    unit,
     verify_ring_integrity,
 )
 from .presentations import (
@@ -52,11 +50,9 @@ from .center import (
     verify_symmetric_action,
 )
 from .braid_homotopy import (
-    BimoduleElement,
     FlatComposite,
     UiBimodule,
     compose_ui,
-    verify_bimodule_axioms,
     verify_null_homotopy,
 )
 from .cache import load_or_build, load_ring, store_ring
@@ -76,8 +72,6 @@ __all__ = [
     "RingElement",
     "degree",
     "get_ring",
-    "idempotent",
-    "unit",
     "verify_ring_integrity",
     "SquareFreePoly",
     "elem_sym",
@@ -98,11 +92,9 @@ __all__ = [
     "presentation_map",
     "verify_presentation_iso",
     "verify_symmetric_action",
-    "BimoduleElement",
     "FlatComposite",
     "UiBimodule",
     "compose_ui",
-    "verify_bimodule_axioms",
     "verify_null_homotopy",
     "load_or_build",
     "load_ring",

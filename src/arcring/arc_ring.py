@@ -105,11 +105,6 @@ class RingElement(Combination):
     def n(self) -> int:
         return self.space
 
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            return get_ring(self.n).multiply(self, other)
-        return NotImplemented
-
     def __repr__(self):
         if not self.terms:
             return f"RingElement(n={self.n}, 0)"
@@ -281,6 +276,15 @@ def _two_sided(space, zl: RingElement, zr: RingElement):
                 for o, x in rows[r]:
                     image[z0 + o] = image.get(z0 + o, 0) + k * x
             yield {z: x for z, x in image.items() if x}
+
+
+def _basis_rows(space) -> dict[Matching, list[BasisVector]]:
+    """The basis vectors of space, the ring or a bimodule, grouped by
+    row matching, each group in basis order."""
+    rows: dict[Matching, list[BasisVector]] = {}
+    for v in space.basis:
+        rows.setdefault(v.row, []).append(v)
+    return rows
 
 
 def _unit_failure(space, one: RingElement):
@@ -569,14 +573,6 @@ def get_ring(n: int) -> ArcRing:
     return ArcRing(n)
 
 
-def idempotent(a: Matching) -> RingElement:
-    return get_ring(a.n).idempotent(a)
-
-
-def unit(n: int) -> RingElement:
-    return get_ring(n).unit()
-
-
 def _associativity_failure(ring: ArcRing, triples):
     """The first triple (x, y, z) with (xy)z != x(yz), or None.
 
@@ -656,9 +652,7 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
         raise CapacityError(f"the ring check supports n <= {MAX_RING_CHECK_N}, not n = {n}")
     ring = get_ring(n)
     rng = random.Random(seed)
-    by_row: dict[Matching, list[BasisVector]] = {}
-    for v in ring.basis:
-        by_row.setdefault(v.row, []).append(v)
+    by_row = _basis_rows(ring)
     report: dict = {"n": n, "dimension": ring.dimension}
 
     # both laws on basis indices, read off the kernel tables

@@ -39,19 +39,24 @@ one of the endpoints i, i+1 minus right multiplication by the central X
 at the other is the composite of alpha and beta up to one global sign:
 the difference is null-homotopic in the two-term complex built on
 alpha, with homotopy a signed beta.
+
+Everything here runs on basis vectors: the two actions and the two
+saddle maps are per-basis methods, and a combination in F(U_i) is a
+plain Combination over the space tag (n, i), with no element type of
+its own.  The bimodule axioms are checked on every composable triple
+for n <= 2 and on 300 seeded draws above, as the ring's associativity
+is.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .arc_ring import (
     BasisVector,
-    RingElement,
+    _basis_rows,
     _build_kernel,
     _kernel_product,
     _lay_out_blocks,
@@ -62,7 +67,7 @@ from .arc_ring import (
     get_ring,
 )
 from .combinatorics import Matching, glue
-from .errors import CapacityError, SizeMismatchError
+from .errors import CapacityError
 from .frobenius import Combination
 
 # F(U_i) outgrows H_n (rank 1,524 against 1,092 at n = 4), and the
@@ -102,37 +107,6 @@ def compose_ui(i: int, a: Matching) -> FlatComposite:
     return FlatComposite(Matching(pairs), 0)
 
 
-class BimoduleElement(Combination):
-    """An integer combination of generators of one bimodule F(U_i).
-
-    Generators reuse BasisVector; the label word runs over the circles
-    of glue(row, compose_ui(i, col).matching) in canonical order, then
-    the free circle of U_i col last when there is one.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, n: int, i: int, terms: dict[BasisVector, int] | None = None):
-        super().__init__((n, i), terms)
-
-    @property
-    def n(self) -> int:
-        return self.space[0]
-
-    @property
-    def i(self) -> int:
-        return self.space[1]
-
-    def __repr__(self):
-        if not self.terms:
-            return f"BimoduleElement(n={self.n}, i={self.i}, 0)"
-        bits = [
-            f"{c}*({v.row.pairs}<-U{self.i}<-{v.col.pairs}:{v.labels})"
-            for v, c in sorted(self.terms.items())
-        ]
-        return "BimoduleElement(" + " + ".join(bits) + ")"
-
-
 def _moved(mask: int, moves: dict) -> int:
     """mask with each bit that moves holds replaced by its image."""
     out = 0
@@ -160,7 +134,7 @@ class UiBimodule:
             raise ValueError(f"tangle index {i} out of range 1..{2*n-1}")
         self.n = n
         self.i = i
-        # the space tag of its elements
+        # the space tag of its combinations
         self.space = (n, i)
         self.ring = get_ring(n)
         self.composite = {a: compose_ui(i, a) for a in self.ring.order}
@@ -177,9 +151,6 @@ class UiBimodule:
         self._left: dict = {}
         self._right: dict = {}
         self._kernels: dict[tuple, tuple] = {}
-
-    def element(self, terms: dict[BasisVector, int]) -> BimoduleElement:
-        return BimoduleElement(self.n, self.i, terms)
 
     # -- cobordism kernels, one per block key --------------------------------
 
@@ -271,32 +242,6 @@ class UiBimodule:
             result = self._left[key] = self._product("left", blocks, y.labels + x.labels)
         return result
 
-    def right_mul(self, x: BimoduleElement, y: RingElement) -> BimoduleElement:
-        if x.space != self.space or y.space != self.n:
-            raise SizeMismatchError("operands do not match the bimodule")
-        product = self.right_mul_basis
-        return BimoduleElement._sum(
-            self.space,
-            (
-                (cx * cy, product(vx, vy))
-                for vx, cx in x.terms.items()
-                for vy, cy in y.terms.items()
-            ),
-        )
-
-    def left_mul(self, y: RingElement, x: BimoduleElement) -> BimoduleElement:
-        if x.space != self.space or y.space != self.n:
-            raise SizeMismatchError("operands do not match the bimodule")
-        product = self.left_mul_basis
-        return BimoduleElement._sum(
-            self.space,
-            (
-                (cx * cy, product(vy, vx))
-                for vy, cy in y.terms.items()
-                for vx, cx in x.terms.items()
-            ),
-        )
-
     # -- the saddle maps ---------------------------------------------------
 
     def alpha_basis(self, x: BasisVector) -> tuple:
@@ -307,112 +252,66 @@ class UiBimodule:
         """The reverse saddle: H -> F(U_i), degree 1."""
         return self._product("beta", (y.row, y.col), y.labels)
 
-    def alpha(self, x: BimoduleElement) -> RingElement:
-        if x.space != self.space:
-            raise SizeMismatchError("element does not match the bimodule")
-        saddle = self.alpha_basis
-        return RingElement._sum(self.n, ((c, saddle(v)) for v, c in x.terms.items()))
 
-    def beta(self, y: RingElement) -> BimoduleElement:
-        if y.space != self.n:
-            raise SizeMismatchError("element does not match the bimodule")
-        saddle = self.beta_basis
-        return BimoduleElement._sum(self.space, ((c, saddle(v)) for v, c in y.terms.items()))
+def _axiom_triples(module: UiBimodule, seed: int) -> list:
+    """The associativity triples of the bimodule axiom check.
 
-
-def _triple_sampler(module: UiBimodule):
-    """(count, triple_at) for the composable basis triples, unlisted.
-
-    The triples of the associativity checks are ("ll", y1, y2, v) for
-    y1 (y2 v), ("rr", v, y1, y2) for (v y1) y2 and ("lr", y1, v, y2) for
-    (y1 v) y2.  They are numbered as a scan would list them: y1 over
-    ring.basis; inside it y2 over ring.basis with the module basis
-    innermost ("ll" before "rr" for the same v), then the "lr" triples
-    of y1.  triple_at(k) decodes the k-th triple from block sizes alone.
-    A y1 in ring block (d, b) has the same number of triples as every
-    other y1 of its block: for y2 in ring block (b, a), one ll/rr choice
-    per module vector of row a and one per module vector of column d,
-    and for v in module block (b, a), one lr triple per ring vector of
-    row a.  A position is decoded by walking the order over a.
+    ("ll", y1, y2, v) checks (y1 y2) v = y1 (y2 v), ("rr", v, y1, y2)
+    checks v (y1 y2) = (v y1) y2 and ("lr", y1, v, y2) checks
+    (y1 v) y2 = y1 (v y2), v in the bimodule and y1, y2 in the ring;
+    each factor's row is its left neighbour's column.  For n <= 2 the
+    list holds every such triple in scan order: y1 over the ring basis;
+    inside it y2 over row y1.col with the module basis innermost (ll
+    before rr for one v), then the lr triples of y1.  Otherwise it
+    holds 300 draws seeded by seed, drawn as verify_ring_integrity draws
+    its triples: a kind, a first factor from its whole basis, then each
+    factor from the basis row its left neighbour ends in.
     """
-    ring, order = module.ring, module.ring.order
-    ring_dims, dims = ring.block_dims, module.block_dims
-    ring_row = {b: sum(ring_dims[b, a] for a in order) for b in order}
-    module_row = {b: sum(dims[b, a] for a in order) for b in order}
-    module_col = {a: sum(dims[b, a] for b in order) for a in order}
-
-    def choice(c: Matching, d: Matching, j: int) -> tuple:
-        """The j-th ("ll" | "rr", v) choice for y2.col == c, y1.row == d:
-        the module vectors in row c or column d, in basis order."""
-        for x in order:
-            for y in order if x == c else (d,):
-                # a vector of block (c, d) is in both, and gives ll then rr
-                both = x == c and y == d
-                size = 2 * dims[x, y] if both else dims[x, y]
-                if j < size:
-                    j, rr = divmod(j, 2) if both else (j, x != c)
-                    return "rr" if rr else "ll", module.basis[module._block_offsets[x, y] + j]
-                j -= size
-
-    # each ring block (d, b) as (first position, first y1 index, d, b,
-    # triples per y1), in ring basis order
-    blocks, count = [], 0
-    for (d, b), y0 in ring._block_offsets.items():
-        length = sum(
-            ring_dims[b, a] * (module_row[a] + module_col[d]) + dims[b, a] * ring_row[a]
-            for a in order
-        )
-        blocks.append((count, y0, d, b, length))
-        count += ring_dims[d, b] * length
-
-    def triple_at(k: int) -> tuple:
-        if not 0 <= k < count:
-            raise IndexError(f"triple {k} out of range({count})")
-        start, y0, d, b, length = blocks[bisect_right(blocks, k, key=itemgetter(0)) - 1]
-        p, r = divmod(k - start, length)
-        y1 = ring.basis[y0 + p]
-        # y2 in ring block (b, a), then its ll/rr choice
-        for a in order:
-            width = module_row[a] + module_col[d]
-            if r < ring_dims[b, a] * width:
-                q, j = divmod(r, width)
-                y2 = ring.basis[ring._block_offsets[b, a] + q]
-                kind, v = choice(a, d, j)
-                return ("ll", y1, y2, v) if kind == "ll" else ("rr", v, y1, y2)
-            r -= ring_dims[b, a] * width
-        # v in module block (b, a), then y2 in ring row a, which is one
-        # run of indexes from ring block (a, order[0]) on
-        for a in order:
-            if r < dims[b, a] * ring_row[a]:
-                q, j = divmod(r, ring_row[a])
-                v = module.basis[module._block_offsets[b, a] + q]
-                return ("lr", y1, v, ring.basis[ring._block_offsets[a, order[0]] + j])
-            r -= dims[b, a] * ring_row[a]
-
-    return count, triple_at
+    ring = module.ring
+    rows = (_basis_rows(ring), _basis_rows(module))
+    if module.n <= 2:
+        ring_rows, module_rows = rows
+        triples = []
+        for y1 in ring.basis:
+            for y2 in ring_rows[y1.col]:
+                for v in module.basis:
+                    if v.row == y2.col:
+                        triples.append(("ll", y1, y2, v))
+                    if v.col == y1.row:
+                        triples.append(("rr", v, y1, y2))
+            triples += [("lr", y1, v, y2) for v in module_rows[y1.col] for y2 in ring_rows[v.col]]
+        return triples
+    # the space of each factor, 0 for the ring and 1 for the bimodule
+    kinds = {"ll": (0, 0, 1), "rr": (1, 0, 0), "lr": (0, 1, 0)}
+    bases = (ring.basis, module.basis)
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(300):
+        kind = rng.choice(tuple(kinds))
+        first, second, third = kinds[kind]
+        t1 = rng.choice(bases[first])
+        t2 = rng.choice(rows[second][t1.col])
+        triples.append((kind, t1, t2, rng.choice(rows[third][t2.col])))
+    return triples
 
 
-def _bimodule_axiom_witness(module: UiBimodule, samples: int = 300, seed: int = 0) -> list | None:
+def _bimodule_axiom_witness(module: UiBimodule, seed: int = 0) -> list | None:
     """The first failing case of the bimodule axiom checks, or None.
 
     A failing unit law gives ["unit", repr(v)]; a failing associativity
-    triple gives [kind, repr(t1), repr(t2), repr(t3)], kind as in
-    _triple_sampler.  The unit laws are read off the kernel tables by
+    triple gives [kind, repr(t1), repr(t2), repr(t3)], as listed by
+    _axiom_triples().  The unit laws are read off the kernel tables by
     _two_sided(); both sides of each associativity law are computed from
-    the per-basis maps, each side one _sum.
+    the per-basis maps, each side one Combination._sum over the
+    bimodule's space.
     """
     ring = module.ring
     left, right, product = module.left_mul_basis, module.right_mul_basis, ring.multiply_basis
-    total = partial(BimoduleElement._sum, module.space)
+    total = partial(Combination._sum, module.space)
     failure = _unit_failure(module, ring.unit())
     if failure is not None:
         return ["unit", repr(failure)]
-
-    # sampling indexes draws the same triples as sampling the full list
-    count, triple_at = _triple_sampler(module)
-    rng = random.Random(seed)
-    picks = rng.sample(range(count), samples) if count > samples else range(count)
-    for kind, t1, t2, t3 in map(triple_at, picks):
+    for kind, t1, t2, t3 in _axiom_triples(module, seed):
         if kind == "ll":  # (t1 t2) t3 against t1 (t2 t3), t3 in the bimodule
             lhs = total((c, left(w, t3)) for w, c in product(t1, t2))
             rhs = total((c, left(t1, w)) for w, c in left(t2, t3))
@@ -427,15 +326,6 @@ def _bimodule_axiom_witness(module: UiBimodule, samples: int = 300, seed: int = 
     return None
 
 
-def verify_bimodule_axioms(n: int, i: int, samples: int = 300, seed: int = 0) -> bool:
-    """Associativity and unit laws for the two actions, on basis triples.
-
-    Exhaustive when the number of composable triples is small, sampled
-    with the given seed otherwise.
-    """
-    return _bimodule_axiom_witness(UiBimodule(n, i), samples, seed) is None
-
-
 def _apply(rows: list, image) -> dict:
     """The sum of c rows[k] over the (k, c) pairs of image, as {index: coeff}."""
     acc: dict[int, int] = {}
@@ -445,7 +335,7 @@ def _apply(rows: list, image) -> dict:
     return {z: x for z, x in acc.items() if x}
 
 
-def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 0) -> dict:
+def verify_null_homotopy(i: int, n: int, seed: int = 0) -> dict:
     """Machine check of the saddle null-homotopy for U_i inside H_n.
 
     For each of the two endomorphisms (left X at one of the endpoints
@@ -453,13 +343,14 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     sign s so that the endomorphism equals s beta after alpha on the
     bimodule and s alpha after beta on the ring, over every basis
     vector.  Also confirms both saddle maps are homogeneous of degree 1
-    and commute with the endomorphisms, and (optionally) the bimodule
-    axioms.  It runs on basis indices: one alpha_basis or beta_basis
-    call per basis vector gives the degree check and the map's rows,
-    _two_sided() streams the endomorphism images, and one pass serves
-    both endomorphisms, so each composite is computed once; only the
-    ring images are held, for the commute check.  The element-level
-    maps give the same verdicts.  seed picks the axiom check's sample.
+    and commute with the endomorphisms, and the bimodule axioms.  It
+    runs on basis indices: one alpha_basis or beta_basis call per basis
+    vector gives the degree check and the map's rows, _two_sided()
+    streams the endomorphism images, and one pass serves both
+    endomorphisms, so each composite is computed once; only the ring
+    images are held, for the commute check.  The axioms run on every
+    composable triple for n <= 2, else on 300 drawn by seed
+    (_axiom_triples()).
 
     A failing check adds a counterexample field, a passing one adds
     none.  degree_counterexample is [map, repr(v)] for the first basis
@@ -543,15 +434,11 @@ def verify_null_homotopy(i: int, n: int, check_axioms: bool = True, seed: int = 
     if unsigned:
         report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
-    if check_axioms:
-        witness = _bimodule_axiom_witness(module, seed=seed)
-        report["bimodule_axioms"] = witness is None
-        if witness is not None:
-            report["bimodule_axioms_counterexample"] = witness
+    witness = _bimodule_axiom_witness(module, seed=seed)
+    report["bimodule_axioms"] = axioms_ok = witness is None
+    if witness is not None:
+        report["bimodule_axioms_counterexample"] = witness
     report["passed"] = (
-        degree_ok
-        and chain_ok
-        and all(s in (1, -1) for s in signs.values())
-        and report.get("bimodule_axioms", True)
+        degree_ok and chain_ok and all(s in (1, -1) for s in signs.values()) and axioms_ok
     )
     return report

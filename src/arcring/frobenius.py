@@ -43,6 +43,8 @@ class Combination:
 
     terms maps keys to nonzero integers.  space tags the module: n for
     H_n and for the polynomials in 2n variables, (n, i) for F(U_i).
+    RingElement and SquareFreePoly subclass it; F(U_i) has no element
+    type, and its combinations are of this class.
     +, - and == take an operand of the same class; another class or a
     non-combination gives NotImplemented, so mixing raises TypeError,
     and the same class over another space raises SizeMismatchError.

@@ -16,8 +16,8 @@ at all.
 A matrix factors itself once: the first solve_in_column_span against
 it stores the Hermite factorization of its transpose on the matrix, and
 every later solve against the same instance reuses it.  A matrix must
-therefore not be mutated after it has been solved against; copy() gives
-a fresh matrix with no stored factorization.
+therefore not be mutated after it has been solved against; a new
+IntMatrix built from its rows starts with no stored factorization.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class IntMatrix:
 
     The first solve_in_column_span against a matrix caches the Hermite
     factorization of its transpose in _span_factors, so the matrix must
-    not be mutated after that; copy() starts with an empty cache.
+    not be mutated after that; a new matrix starts with an empty cache.
     """
 
     __slots__ = ("rows", "cols", "data", "_span_factors")
@@ -49,32 +49,17 @@ class IntMatrix:
         self._span_factors = None
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
         return cls([[0] * n for _ in range(m)], cols=n)
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
 
     def transpose(self) -> "IntMatrix":
         if self.rows == 0:
             return IntMatrix([[] for _ in range(self.cols)], cols=0)
         return IntMatrix([list(col) for col in zip(*self.data)], cols=self.rows)
 
-    def mul_vector(self, v) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.data]
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], cols=self.cols)
 
     def __eq__(self, other):
         return (

@@ -4,8 +4,10 @@ The ring-law, bimodule-axiom, null-homotopy and centrality checks of
 the library run on basis vectors: each side of each identity is one sum
 of per-basis products.  The functions here compute the same reports the
 way the checks were first written, by wrapping every basis vector in a
-one-term element and pushing it through the element-level maps
-(ArcRing.multiply, UiBimodule.left_mul, right_mul, alpha and beta).
+one-term element and pushing it through the element-level maps:
+ArcRing.multiply, and left_mul, right_mul, alpha and beta here, which
+extend a UiBimodule's per-basis maps to Combinations over its space
+(n, i).
 They are slow and self-contained on purpose; the tests compare the
 reports key for key, in order, including every counterexample.
 
@@ -49,10 +51,10 @@ import math
 import random
 
 from arcring.arc_ring import ArcRing, BasisVector, RingElement, degree, get_ring, label_words
-from arcring.braid_homotopy import UiBimodule, _triple_sampler
+from arcring.braid_homotopy import UiBimodule, _axiom_triples
 from arcring.center import CenterBasis, center_basis, central_X
 from arcring.combinatorics import all_linear_extensions, enumerate_matchings, glue
-from arcring.frobenius import ONE, X
+from arcring.frobenius import ONE, X, Combination
 from arcring.integer_linalg import (
     IntMatrix,
     invariant_factors,
@@ -183,41 +185,77 @@ def grading_counterexample(ring):
     return None
 
 
-def bimodule_axiom_witness(n, i, samples=300, seed=0):
+def module_element(module, v):
+    """The basis vector v of module as a one-term Combination."""
+    return Combination(module.space, {v: 1})
+
+
+def left_mul(module, y, x):
+    """y x, for y in the ring and x a Combination in module."""
+    product = module.left_mul_basis
+    return Combination._sum(
+        module.space,
+        ((cy * cx, product(vy, vx)) for vy, cy in y.terms.items() for vx, cx in x.terms.items()),
+    )
+
+
+def right_mul(module, x, y):
+    """x y, for x a Combination in module and y in the ring."""
+    product = module.right_mul_basis
+    return Combination._sum(
+        module.space,
+        ((cx * cy, product(vx, vy)) for vx, cx in x.terms.items() for vy, cy in y.terms.items()),
+    )
+
+
+def alpha(module, x):
+    """The saddle map F(U_i) -> H on a Combination in module."""
+    return RingElement._sum(module.n, ((c, module.alpha_basis(v)) for v, c in x.terms.items()))
+
+
+def beta(module, y):
+    """The saddle map H -> F(U_i) on a ring element."""
+    return Combination._sum(module.space, ((c, module.beta_basis(v)) for v, c in y.terms.items()))
+
+
+def bimodule_axiom_witness(n, i, seed=0):
     """_bimodule_axiom_witness, with every law checked on elements."""
     module = UiBimodule(n, i)
     ring = module.ring
     one = ring.unit()
     for v in module.basis:
-        x = module.element({v: 1})
-        if module.left_mul(one, x) != x or module.right_mul(x, one) != x:
+        x = module_element(module, v)
+        if left_mul(module, one, x) != x or right_mul(module, x, one) != x:
             return ["unit", repr(v)]
 
     def as_ring(v):
         return RingElement(n, {v: 1})
 
     def as_module(v):
-        return module.element({v: 1})
+        return module_element(module, v)
 
-    count, triple_at = _triple_sampler(module)
-    rng = random.Random(seed)
-    picks = rng.sample(range(count), samples) if count > samples else range(count)
-    for kind, t1, t2, t3 in map(triple_at, picks):
+    def left(y, x):
+        return left_mul(module, y, x)
+
+    def right(x, y):
+        return right_mul(module, x, y)
+
+    for kind, t1, t2, t3 in _axiom_triples(module, seed):
         if kind == "ll":
-            lhs = module.left_mul(ring.multiply(as_ring(t1), as_ring(t2)), as_module(t3))
-            rhs = module.left_mul(as_ring(t1), module.left_mul(as_ring(t2), as_module(t3)))
+            lhs = left(ring.multiply(as_ring(t1), as_ring(t2)), as_module(t3))
+            rhs = left(as_ring(t1), left(as_ring(t2), as_module(t3)))
         elif kind == "rr":
-            lhs = module.right_mul(as_module(t1), ring.multiply(as_ring(t2), as_ring(t3)))
-            rhs = module.right_mul(module.right_mul(as_module(t1), as_ring(t2)), as_ring(t3))
+            lhs = right(as_module(t1), ring.multiply(as_ring(t2), as_ring(t3)))
+            rhs = right(right(as_module(t1), as_ring(t2)), as_ring(t3))
         else:
-            lhs = module.right_mul(module.left_mul(as_ring(t1), as_module(t2)), as_ring(t3))
-            rhs = module.left_mul(as_ring(t1), module.right_mul(as_module(t2), as_ring(t3)))
+            lhs = right(left(as_ring(t1), as_module(t2)), as_ring(t3))
+            rhs = left(as_ring(t1), right(as_module(t2), as_ring(t3)))
         if lhs != rhs:
             return [kind, repr(t1), repr(t2), repr(t3)]
     return None
 
 
-def null_homotopy_report(i, n, check_axioms=True, seed=0):
+def null_homotopy_report(i, n, seed=0):
     """verify_null_homotopy, with every image computed on elements."""
     module = UiBimodule(n, i)
     ring = module.ring
@@ -227,9 +265,9 @@ def null_homotopy_report(i, n, check_axioms=True, seed=0):
 
     def saddle_images():
         for v in module.basis:
-            yield "alpha", v, module.alpha(module.element({v: 1}))
+            yield "alpha", v, alpha(module, module_element(module, v))
         for v in ring.basis:
-            yield "beta", v, module.beta(RingElement(n, {v: 1}))
+            yield "beta", v, beta(module, RingElement(n, {v: 1}))
 
     degree_witness = next(
         (
@@ -247,16 +285,16 @@ def null_homotopy_report(i, n, check_axioms=True, seed=0):
         return ring.multiply(zl, y) - ring.multiply(y, zr)
 
     def phi_module(zl, zr, x):
-        return module.left_mul(zl, x) - module.right_mul(x, zr)
+        return left_mul(module, zl, x) - right_mul(module, x, zr)
 
     def sides(zl, zr):
         for v in ring.basis:
             y = RingElement(n, {v: 1})
-            yield "ring", v, phi_ring(zl, zr, y), module.alpha(module.beta(y)), None
+            yield "ring", v, phi_ring(zl, zr, y), alpha(module, beta(module, y)), None
         for v in module.basis:
-            x = module.element({v: 1})
-            a = module.alpha(x)
-            yield "bimodule", v, phi_module(zl, zr, x), module.beta(a), a
+            x = module_element(module, v)
+            a = alpha(module, x)
+            yield "bimodule", v, phi_module(zl, zr, x), beta(module, a), a
 
     signs, unsigned, chain_ok = {}, {}, True
     for name, zl, zr in (
@@ -273,7 +311,7 @@ def null_homotopy_report(i, n, check_axioms=True, seed=0):
                 minus = minus or f"{kind} {v!r}"
             if off_plus and off_minus:
                 neither = neither or f"{kind} {v!r}"
-            if commutes and a is not None and module.alpha(lhs) != phi_ring(zl, zr, a):
+            if commutes and a is not None and alpha(module, lhs) != phi_ring(zl, zr, a):
                 commutes = chain_ok = False
                 report.setdefault("commutes_counterexample", [name, repr(v)])
         if plus is None:
@@ -287,11 +325,10 @@ def null_homotopy_report(i, n, check_axioms=True, seed=0):
     if unsigned:
         report["homotopy_counterexample"] = unsigned
     report["saddle_commutes_with_endomorphisms"] = chain_ok
-    if check_axioms:
-        witness = bimodule_axiom_witness(n, i, seed=seed)
-        report["bimodule_axioms"] = witness is None
-        if witness is not None:
-            report["bimodule_axioms_counterexample"] = witness
+    witness = bimodule_axiom_witness(n, i, seed=seed)
+    report["bimodule_axioms"] = witness is None
+    if witness is not None:
+        report["bimodule_axioms_counterexample"] = witness
     report["passed"] = (
         report["saddle_maps_degree_one"]
         and chain_ok
@@ -358,7 +395,7 @@ def ring_center_basis(ring):
         if row_pos:
             kernel = kernel_basis(IntMatrix(matrix, cols=len(cols)))
         else:
-            kernel = IntMatrix.identity(len(cols)).data
+            kernel = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
         canonical = [(a, w) for a in enumerate_matchings(n) for w in words]
         lattices[2 * k] = (
             canonical,

@@ -26,9 +26,7 @@ from arcring.arc_ring import (
     _surgery_product,
     degree,
     get_ring,
-    idempotent,
     label_words,
-    unit,
     verify_ring_integrity,
 )
 from arcring.cache import ring_to_payload
@@ -136,17 +134,17 @@ def test_idempotents():
     for n in (1, 2, 3):
         ring = get_ring(n)
         for a in ring.order:
-            e = idempotent(a)
+            e = ring.idempotent(a)
             assert ring.multiply(e, e) == e
             assert {degree(v) for v in e.terms} == {0}
         for a, b in itertools.permutations(ring.order, 2):
-            assert ring.multiply(idempotent(a), idempotent(b)).is_zero()
+            assert ring.multiply(ring.idempotent(a), ring.idempotent(b)).is_zero()
 
 
 def test_unit_law():
     for n in (1, 2):
         ring = get_ring(n)
-        one = unit(n)
+        one = ring.unit()
         assert {degree(v) for v in one.terms} == {0}
         for v in ring.basis:
             e = RingElement(n, {v: 1})
@@ -156,7 +154,7 @@ def test_unit_law():
 
 def test_unit_truncates_idempotent_sum():
     ring = get_ring(2)
-    one = unit(2)
+    one = ring.unit()
     assert len(one.terms) == len(ring.order)
     for v in one.terms:
         assert v.row == v.col
@@ -238,12 +236,13 @@ def test_ring_integrity_wrong_sign_matches_element_level(flip_product):
     # at n = 3, a sampled triple with no idempotent factor and with
     # (xy)z not zero: its xy with the wrong sign breaks associativity
     # only, since x(yz) does not read xy
+    ring3 = get_ring(3)
     x3, y3, _ = next(
         (x, y, z)
-        for x, y, z in element_reference.sampled_triples(get_ring(3), random.Random(0), 2000)[0]
+        for x, y, z in element_reference.sampled_triples(ring3, random.Random(0), 2000)[0]
         if not any(map(_idempotent, (x, y, z)))
-        and not (
-            RingElement(3, {x: 1}) * RingElement(3, {y: 1}) * RingElement(3, {z: 1})
+        and not ring3.multiply(
+            ring3.multiply(RingElement(3, {x: 1}), RingElement(3, {y: 1})), RingElement(3, {z: 1})
         ).is_zero()
     )
     for n, (x, y) in (
@@ -406,15 +405,17 @@ def test_ring_element_arithmetic():
     (a,) = enumerate_matchings(1)
     one = RingElement(1, {BasisVector(a, a, "1"): 1})
     x = RingElement(1, {BasisVector(a, a, "X"): 1})
-    assert (x * x).is_zero()
-    assert one * x == ring.multiply(one, x) == x
-    assert (one + x) * (one - x) == one
+    assert ring.multiply(x, x).is_zero()
+    assert ring.multiply(one, x) == ring.multiply(x, one) == x
+    assert ring.multiply(one + x, one - x) == one
     with pytest.raises(SizeMismatchError):
-        one * unit(2)
+        ring.multiply(one, get_ring(2).unit())
     with pytest.raises(SizeMismatchError):
         get_ring(2).multiply(one, one)
-    with pytest.raises(TypeError):
-        x * 2
+    # elements have no * of their own: the ring multiplies them
+    for other in (x, 2):
+        with pytest.raises(TypeError):
+            x * other
 
 
 def test_custom_order_same_products():

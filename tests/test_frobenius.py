@@ -1,5 +1,6 @@
 """The rank-two Frobenius algebra on its MERGE and SPLIT tables, and the
-integer-combination base shared by ring, bimodule and polynomial elements.
+integer-combination base shared by ring elements, bimodule combinations
+and polynomials.
 
 Everything here is exhaustive; the algebra has two basis labels, so all
 axioms can be checked on every input combination.  Tensor elements are
@@ -13,8 +14,8 @@ import itertools
 import pytest
 
 import arcring.frobenius
-from arcring.arc_ring import BasisVector, RingElement, degree, get_ring, unit
-from arcring.braid_homotopy import BimoduleElement, UiBimodule
+from arcring.arc_ring import BasisVector, RingElement, degree, get_ring
+from arcring.braid_homotopy import UiBimodule
 from arcring.combinatorics import enumerate_matchings
 from arcring.errors import SizeMismatchError
 from arcring.frobenius import LABELS, MERGE, ONE, SPLIT, X, Combination
@@ -175,29 +176,31 @@ def test_trace_linearity():
 def _ring_case():
     (a,) = enumerate_matchings(1)
     one, x = (RingElement(1, {BasisVector(a, a, w): 1}) for w in (ONE, X))
-    return one, x, [unit(2)], SquareFreePoly.monomial(1, {1})
+    return one, x, [get_ring(2).unit()], SquareFreePoly.monomial(1, {1})
 
 
 def _bimodule_case():
+    # F(U_i) has no element type of its own: its combinations are
+    # Combinations over the space tag (n, i)
     module = UiBimodule(2, 1)
-    u, v = (module.element({b: 1}) for b in module.basis[:2])
-    spaces = [BimoduleElement(1, 1, {}), UiBimodule(2, 2).element({module.basis[0]: 1})]
+    u, v = (Combination(module.space, {b: 1}) for b in module.basis[:2])
+    spaces = [Combination((1, 1), {}), Combination(UiBimodule(2, 2).space, {module.basis[0]: 1})]
     return u, v, spaces, RingElement(2, {get_ring(2).basis[0]: 1})
 
 
 def _polynomial_case():
     x1, x2 = (SquareFreePoly.monomial(2, {i}) for i in (1, 2))
-    return x1, x2, [SquareFreePoly.monomial(1, {1})], unit(2)
+    return x1, x2, [SquareFreePoly.monomial(1, {1})], get_ring(2).unit()
 
 
 @pytest.mark.parametrize(
     "cls, case",
     [
         (RingElement, _ring_case),
-        (BimoduleElement, _bimodule_case),
+        (Combination, _bimodule_case),
         (SquareFreePoly, _polynomial_case),
     ],
-    ids=["RingElement", "BimoduleElement", "SquareFreePoly"],
+    ids=["RingElement", "Combination", "SquareFreePoly"],
 )
 def test_combination_arithmetic(cls, case):
     # x and y are distinct basis elements of one space; each of

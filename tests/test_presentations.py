@@ -12,7 +12,7 @@ import random
 import pytest
 
 from arcring import presentations
-from arcring.arc_ring import unit
+from arcring.arc_ring import get_ring
 from arcring.combinatorics import admissible_subsets
 from arcring.errors import InvariantError, SizeMismatchError
 from arcring.presentations import (
@@ -57,7 +57,7 @@ def test_polynomial_arithmetic():
     with pytest.raises(SizeMismatchError):
         x1 * SquareFreePoly.monomial(1, {1})
     with pytest.raises(TypeError):
-        x1 * unit(2)
+        x1 * get_ring(2).unit()
     with pytest.raises(ValueError):
         SquareFreePoly.monomial(1, {5})
 

@@ -68,3 +68,56 @@ def test_process_wide_caches_are_listed():
         "monomials_of_degree",
         "_admissible_index",
     }
+
+
+def _definitions(tree):
+    """The public module-level functions and classes of a module, and
+    the public methods of its classes, as (name, definition node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def _references(tree) -> dict:
+    """How often each name occurs in tree as a Name or an Attribute."""
+    counts: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] = counts.get(node.id, 0) + 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] = counts.get(node.attr, 0) + 1
+    return counts
+
+
+def test_public_names_have_a_caller_outside_tests():
+    # public API that only tests reach is kept for the tests alone: each
+    # public function, class and method in src/arcring must be named
+    # somewhere in src/ or bench/ outside its own definition
+    bench = PACKAGE.parents[1] / "bench"
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(bench.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    total: dict = {}
+    for tree in trees.values():
+        for name, count in _references(tree).items():
+            total[name] = total.get(name, 0) + count
+    # bench/tracer.py names it only as a string in ALIASES, and it goes
+    # with the cache (ROADMAP item 4)
+    allowed = {"payload_to_ring"}
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, node in _definitions(tree)
+        if name not in allowed and total.get(name, 0) == _references(node).get(name, 0)
+    ]
+    assert unused == []
+
+
+def test_package_exports_resolve():
+    import arcring
+
+    assert [name for name in arcring.__all__ if not hasattr(arcring, name)] == []

@@ -54,6 +54,7 @@ steps.  So the surgery-order check compares the two calculi.
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
@@ -646,8 +647,6 @@ def verify_ring_integrity(n: int, seed: int = 0, samples: int = 10000) -> dict:
     dictionary with an overall "passed" flag; a counterexample is the
     first failing draw.
     """
-    import random
-
     if n > MAX_RING_CHECK_N:
         raise CapacityError(f"the ring check supports n <= {MAX_RING_CHECK_N}, not n = {n}")
     ring = get_ring(n)

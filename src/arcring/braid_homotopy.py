@@ -66,6 +66,7 @@ from .arc_ring import (
     degree,
     get_ring,
 )
+from .center import central_X
 from .combinatorics import Matching, glue
 from .errors import CapacityError
 from .frobenius import Combination
@@ -362,8 +363,6 @@ def verify_null_homotopy(i: int, n: int, seed: int = 0) -> dict:
     vector allows one sign or the other, to the first failure of each
     sign; a vector is written "ring <repr>" or "bimodule <repr>".
     """
-    from .center import central_X
-
     if n > MAX_HOMOTOPY_N:
         raise CapacityError(f"the null-homotopy check supports n <= {MAX_HOMOTOPY_N}, not n = {n}")
     module = UiBimodule(n, i)

@@ -26,22 +26,27 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arc_ring import BasisVector, RingElement, _two_sided, degree, get_ring, label_words
 from .combinatorics import ClosedDiagram, Matching, admissible_subsets, enumerate_matchings, glue
 from .errors import CapacityError
 from .frobenius import ONE, X
 from .integer_linalg import IntMatrix, kernel_basis, row_span_canonical
-from .presentations import SquareFreePoly, admissible_coordinates
+from .presentations import (
+    SquareFreePoly,
+    admissible_coordinates,
+    ideal_R1,
+    r1_generators,
+    r2_generators,
+)
 
 # center_basis gave no verdict in 480 s at 1.7 GiB at n = 6, and the
 # presentation, the iso check and the symmetric check build it first
 MAX_CENTER_N = 5
 
 
-@dataclass
-class CenterBasis:
+class CenterBasis(NamedTuple):
     """The center lattice, homogeneous and graded by degree.
 
     lattices[2k] is (columns, rows): the columns are the diagonal
@@ -155,7 +160,6 @@ def central_X(i: int, n: int) -> RingElement:
     return _diagonal_monomial(n, (i,))
 
 
-@dataclass
 class CenterPresentation:
     """The admissible-monomial coordinates on the center.
 
@@ -167,15 +171,19 @@ class CenterPresentation:
     square-free monomial are kept on the instance, filled on first use.
     """
 
-    n: int
-    center: CenterBasis
-    admissible: list[tuple[int, ...]]
-    products: list[RingElement]
-    _position: dict = field(init=False, repr=False, compare=False)
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._position = {s: j for j, s in enumerate(self.admissible)}
+    def __init__(
+        self,
+        n: int,
+        center: CenterBasis,
+        admissible: list[tuple[int, ...]],
+        products: list[RingElement],
+    ):
+        self.n = n
+        self.center = center
+        self.admissible = admissible
+        self.products = products
+        self._position = {s: j for j, s in enumerate(admissible)}
+        self._images: dict = {}
 
     def from_admissible(self, coords: dict[tuple[int, ...], int]) -> RingElement:
         """The sum of c times the product of X_I, summed in one pass."""
@@ -362,8 +370,6 @@ def verify_symmetric_action(n: int, seed: int = 0, pres: CenterPresentation | No
     transposition t must move the generator X_i to X_t(i).  pres, when
     given, is presentation_map(n), built once by the caller.
     """
-    from .presentations import ideal_R1, r1_generators, r2_generators
-
     pres = pres or presentation_map(n)
     report: dict = {"n": n}
 

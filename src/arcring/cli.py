@@ -14,7 +14,6 @@ before any work).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -215,6 +214,8 @@ def render_report(report: dict, fmt: str) -> str:
     rows: list = []
     _flatten(report, "", rows)
     if fmt == "csv":
+        import csv  # only csv reports load it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])

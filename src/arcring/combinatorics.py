@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import InvariantError
+from .errors import InvariantError, SizeMismatchError
 
 Pair = tuple[int, int]
 
@@ -103,8 +103,7 @@ class Matching:
         return f"Matching({list(self.pairs)!r})"
 
 
-@dataclass(frozen=True)
-class ClosedDiagram:
+class ClosedDiagram(NamedTuple):
     """The closed 1-manifold glued from a lower and an upper matching.
 
     Each circle is recorded as its cyclic endpoint walk, starting at the
@@ -121,8 +120,6 @@ class ClosedDiagram:
 
 def _check_same_n(a: Matching, b: Matching) -> None:
     if a.n != b.n:
-        from .errors import SizeMismatchError
-
         raise SizeMismatchError(f"matchings of sizes {a.n} and {b.n}")
 
 
@@ -280,8 +277,7 @@ def all_linear_extensions(n: int, cap: int = 1000) -> list[list[Matching]]:
     return out
 
 
-@dataclass(frozen=True)
-class MatchingGraph:
+class MatchingGraph(NamedTuple):
     """The nesting graph of one matching.
 
     Vertices are the arcs.  Two arcs are adjacent when they are nested

@@ -14,7 +14,6 @@ quotient ranks reduce to exact lattice computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .combinatorics import _first_violation, admissible_subsets
@@ -136,7 +135,6 @@ def poly_degree_vector(p: SquareFreePoly, d: int) -> list[int]:
     return v
 
 
-@dataclass
 class GradedIdealSpan:
     """A homogeneous ideal of the square-free quotient, degree by degree.
 
@@ -145,11 +143,10 @@ class GradedIdealSpan:
     per basis vector over the lex-ordered degree-d monomials).
     """
 
-    n: int
-    by_degree: dict[int, tuple[tuple[int, ...], ...]]
-    _matrices: dict[int, IntMatrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, n: int, by_degree: dict[int, tuple[tuple[int, ...], ...]]):
+        self.n = n
+        self.by_degree = by_degree
+        self._matrices: dict[int, IntMatrix] = {}
 
     def matrix(self, d: int) -> IntMatrix:
         """The degree-d lattice as a matrix whose columns span it.

@@ -61,6 +61,23 @@ def test_center_rank_is_central_binomial():
         assert center_basis(n).rank == math.comb(2 * n, n)
 
 
+def test_center_basis_compares_by_n_and_lattices():
+    basis = center_basis(2)
+    lattices = dict(basis.lattices)
+    assert CenterBasis(2, lattices) == basis == (2, basis.lattices)
+    assert CenterBasis(3, lattices) != basis
+    cols, rows = lattices[2]
+    lattices[2] = (cols, [[2 * c for c in rows[0]], *rows[1:]])
+    assert CenterBasis(2, lattices) != basis
+
+
+def test_presentations_do_not_share_images():
+    first, second = presentation_map(2), presentation_map(2)
+    assert first._images is not second._images
+    first.act({1: 2, 2: 1}, {(1,): 1})
+    assert first._images and not second._images
+
+
 def test_center_elements_are_central_and_homogeneous():
     for n in (1, 2):
         basis = center_basis(n)

@@ -336,6 +336,26 @@ def test_outputs_identical_across_processes(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_cli_import_loads_no_unused_stdlib():
+    # every command pays for what `import arcring.cli` loads: none of the
+    # modules that dataclasses pulls in, and csv only for a csv report;
+    # only modules new after the interpreter's own start-up count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys; before = set(sys.modules); import arcring.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "arcring.cli" in loaded
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+    assert not loaded & unused, sorted(loaded & unused)
+
+
 def test_readme_quick_tour_runs():
     # the python block under "A quick tour in code" in the README runs
     # as written, in a fresh interpreter

@@ -211,6 +211,20 @@ def test_glue_examples():
     assert glue(b, a).circles == ((1, 4, 3, 2),)
 
 
+def test_glue_and_graph_records_are_frozen_values():
+    a = Matching([(1, 2), (3, 4)])
+    b = Matching([(1, 4), (2, 3)])
+    # glue is cached: its undecorated body builds a second, equal record
+    pairs = [(glue(a, b), glue.__wrapped__(a, b)), (matching_graph(b), matching_graph(b))]
+    for record, rebuilt in pairs:
+        assert record is not rebuilt
+        assert record == rebuilt and hash(record) == hash(rebuilt)
+        assert len({record, rebuilt}) == 1
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
 def test_glue_partitions_endpoints():
     for n in range(1, 5):
         ms = enumerate_matchings(n)
